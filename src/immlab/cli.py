@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import os
 import sys
@@ -86,8 +87,9 @@ def cmd_enumerate(args):
     return 0
 
 
-def _model_verdict(test, model, unroll, max_candidates):
-    check = consistency.checker_for(model)
+def _model_verdict(test, check, unroll, max_candidates):
+    """allowed if a check-consistent candidate meets the assertion; else
+    forbidden after a complete search, unknown after a truncated one."""
     report = EnumerationReport()
     hit = False
     outcomes = set()
@@ -99,28 +101,21 @@ def _model_verdict(test, model, unroll, max_candidates):
         outcomes.add(tuple(sorted(o.items())))
         if test.assertion and assertion_holds(cand, test):
             hit = True
-    verdict = "allowed" if hit else "forbidden"
+    if hit:
+        verdict = "allowed"
+    else:
+        verdict = "forbidden" if report.complete else "unknown"
     return verdict, outcomes, report
 
 
 def cmd_check(args):
     test = _load(args)
     if args.model == "power" and (args.power_at_axiom or args.armv7):
-        def check(g):
-            return hwmodels.check_imm_via_power(
-                g, at_axiom=args.power_at_axiom, armv7=args.armv7
-            )
-        report = EnumerationReport()
-        hit = any(
-            check(c.execution).consistent and assertion_holds(c, test)
-            for c in candidate_executions(test.program, unroll=args.unroll,
-                                          max_candidates=args.max_candidates,
-                                          report=report)
-        )
-        verdict = "allowed" if hit else "forbidden"
+        check = functools.partial(hwmodels.check_imm_via_power,
+                                  at_axiom=args.power_at_axiom, armv7=args.armv7)
     else:
-        verdict, _, report = _model_verdict(test, args.model, args.unroll,
-                                            args.max_candidates)
+        check = consistency.checker_for(args.model)
+    verdict, _, report = _model_verdict(test, check, args.unroll, args.max_candidates)
     expected = test.expectations.get(args.model)
     ok = expected is None or expected == verdict
     doc = {
@@ -136,8 +131,8 @@ def cmd_check(args):
 
 def cmd_outcomes(args):
     test = _load(args)
-    verdict, outcomes, report = _model_verdict(test, args.model, args.unroll,
-                                               args.max_candidates)
+    verdict, outcomes, report = _model_verdict(
+        test, consistency.checker_for(args.model), args.unroll, args.max_candidates)
     names = test.program.locations
     rendered = [
         {names[loc] if loc < len(names) else f"loc{loc}": val for loc, val in oc}
@@ -161,11 +156,10 @@ def cmd_map(args):
         if args.target == "power":
             src = hwmodels.split_release(g)
             mapped = hwmodels.to_power(src)
-            diags = hwmodels.correspondence_check_power(src, mapped)
         else:
+            src = g
             mapped = hwmodels.to_arm(g)
-            diags = hwmodels.correspondence_check_arm(g, mapped)
-        if diags:
+        if hwmodels.correspondence_check(src, mapped):
             problems += 1
         _dump(args, f"{args.target}-{count:05d}", mapped)
         count += 1
@@ -219,7 +213,7 @@ def cmd_certify(args):
     if not 0 <= args.step <= len(steps):
         print(f"--step out of range (0..{len(steps)})", file=sys.stderr)
         return 1
-    tc = replay(g, steps[: args.step], sc=sc)
+    tc = replay(g, steps[: args.step])
     try:
         cg = build_cert_graph(g, tc, args.thread,
                               sprog=test.program.threads[args.thread],
@@ -324,7 +318,8 @@ def run_one(path, models, unroll, max_candidates):
     wanted = models or sorted(test.expectations)
     entry = {"file": path, "test": test.name, "models": {}, "ok": True}
     for model in wanted:
-        verdict, outcomes, report = _model_verdict(test, model, unroll, max_candidates)
+        verdict, outcomes, report = _model_verdict(
+            test, consistency.checker_for(model), unroll, max_candidates)
         expected = test.expectations.get(model)
         ok = expected is None or expected == verdict
         entry["models"][model] = {
@@ -386,7 +381,8 @@ def cmd_fuzz(args):
         print(json.dumps(report.to_json(), indent=1))
     else:
         print(f"seed {report.seed}: {report.programs} programs, "
-              f"{report.candidates} candidates, {report.traversals} traversals, "
+              f"{report.candidates} candidates, {report.truncated} truncated, "
+              f"{report.traversals} traversals, "
               f"{report.simulated} simulations, {len(report.violations)} violation(s)")
         for v in report.violations[:10]:
             print("  violation:", v["check"], v["detail"])

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 
 from .consistency import check_c11, check_imm, check_imms, check_rc11
-from .enumeration import candidate_executions
+from .enumeration import EnumerationReport, candidate_executions
 from .hwmodels import check_arm, check_power, split_release, to_arm, to_power
 from .program import (
     Assign,
@@ -120,6 +120,7 @@ class FuzzReport:
     programs: int = 0
     candidates: int = 0
     relaxed_candidates: int = 0
+    truncated: int = 0  # programs whose candidate search was cut short
     simulated: int = 0
     traversals: int = 0
     violations: list = field(default_factory=list)
@@ -132,6 +133,7 @@ class FuzzReport:
         return {
             "schema": 1, "seed": self.seed, "programs": self.programs,
             "candidates": self.candidates, "relaxed_candidates": self.relaxed_candidates,
+            "truncated": self.truncated,
             "traversals": self.traversals, "simulated": self.simulated,
             "violations": self.violations,
         }
@@ -157,8 +159,10 @@ def fuzz_run(seed, count=50, cfg=None, checks=CHECKS, unroll=8):
         program = random_program(rng, cfg)
         report.programs += 1
         relaxed = program.is_relaxed_only()
+        enum = EnumerationReport()
         for cand in candidate_executions(
-            program, unroll=unroll, max_candidates=cfg.max_candidates_per_program
+            program, unroll=unroll, max_candidates=cfg.max_candidates_per_program,
+            report=enum,
         ):
             g = cand.execution
             report.candidates += 1
@@ -196,4 +200,6 @@ def fuzz_run(seed, count=50, cfg=None, checks=CHECKS, unroll=8):
                             f"{outcome} != {g.outcome()}")
                 except Exception as err:  # a property sweep must not die mid-way
                     bad(program, "promise-exception", repr(err))
+        if not enum.complete:
+            report.truncated += 1
     return report

@@ -1,5 +1,7 @@
-"""Hardware-side picture: release splitting, POWER/ARM graph mappings, and
-the POWER and ARMv8 consistency checkers.
+"""Hardware-side picture: release splitting, the POWER/ARM graph mappings,
+the POWER and ARMv8 models as axiom tables (decided by
+consistency.evaluate), and the correspondence check between a source graph
+and its POWER or ARM image.
 
 Mappings are graph-level: each source event keeps its identity, inserted
 barriers take half-step serial numbers, and the mapped graph is the minimal
@@ -10,8 +12,10 @@ non-minimal targets too).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
-from .consistency import Verdict, _check_completeness_totality, _cycle_witness
+from .consistency import Verdict, atomicity, check_imm, checker_for, evaluate
+from .enumeration import candidate_executions
 from .execgraph import Event, Execution, Fence, Read, Write
 from .relalg import Rel, union_all
 
@@ -236,6 +240,9 @@ def to_arm(g):
 
 @dataclass
 class PowerRels:
+    fr: Rel
+    fre: Rel
+    coe: Rel
     sync: Rel
     lwsync: Rel
     fence: Rel
@@ -254,7 +261,8 @@ class PowerRels:
 
 
 def power_ppo_fixpoint(gp, armv7=False):
-    """Least simultaneous fixpoint of the ii/ic/ci/cc rule table."""
+    """Least simultaneous fixpoint of the ii/ic/ci/cc rule table, and the
+    relations the POWER axioms are stated over."""
     po = gp.po
     rf, co = gp.rf, gp.co
     rfi = rf & po
@@ -300,46 +308,52 @@ def power_ppo_fixpoint(gp, armv7=False):
         rfe.opt(), fence.compose(hb.star()).opt(), sync, hb.star()
     )
     return PowerRels(
+        fr=fr, fre=fre, coe=coe,
         sync=sync, lwsync=lwsync, fence=fence, ctrl_isync=ctrl_isync, rdw=rdw,
         detour=detour, ii=ii, ic=ic, ci=ci, cc=cc, ppo=ppo, hb=hb,
         prop1=prop1, prop2=prop2, prop=prop1 | prop2,
     )
 
 
+def _at_order(gp, rels):
+    at = gp.ident(gp.rmw.dom() | gp.rmw.codom())
+    return gp.co | at.seq(gp.po, at)
+
+
+_SC_PER_LOC = (
+    "sc-per-loc", "acyclic", lambda g, r: union_all(g.n, [g.po_loc, g.rf, r.fr, g.co])
+)
+POWER = (
+    _SC_PER_LOC,
+    ("observation", "irreflexive", lambda g, r: r.fre.seq(r.prop, r.hb.star())),
+    ("propagation", "acyclic", lambda g, r: g.co | r.prop),
+    ("atomicity", "empty", atomicity),
+    ("power-no-thin-air", "acyclic", lambda g, r: r.hb),
+)
+AT_ORDER = ("at-order", "acyclic", _at_order)  # co ∪ [At];po;[At], off by default
+
+
 def check_power(gp, at_axiom=False, armv7=False):
-    rels = power_ppo_fixpoint(gp, armv7=armv7)
-    out = []
-    _check_completeness_totality(gp, out)
-    po_loc = gp.po_loc
-    fr = gp.rf.inverse().compose(gp.co)
-    fre = fr - gp.po
-    scpl = union_all(gp.n, [po_loc, gp.rf, fr, gp.co])
-    if not scpl.is_acyclic():
-        out.append(("sc-per-loc", _cycle_witness(scpl, gp)))
-    observation = fre.seq(rels.prop, rels.hb.star())
-    refl = [i for i in range(gp.n) if (i, i) in observation.pairs]
-    if refl:
-        out.append(("observation", [str(gp.events[refl[0]])]))
-    if not (gp.co | rels.prop).is_acyclic():
-        out.append(("propagation", _cycle_witness(gp.co | rels.prop, gp)))
-    coe = gp.co - gp.po
-    atomicity = gp.rmw & fre.compose(coe)
-    if atomicity:
-        out.append(("atomicity", sorted(atomicity.pairs)))
-    if not rels.hb.is_acyclic():
-        out.append(("power-no-thin-air", _cycle_witness(rels.hb, gp)))
-    if at_axiom:
-        at = gp.rmw.dom() | gp.rmw.codom()
-        extra = gp.co | gp.ident(at).seq(gp.po, gp.ident(at))
-        if not extra.is_acyclic():
-            out.append(("at-order", _cycle_witness(extra, gp)))
-    return Verdict("power", out)
+    table = POWER + (AT_ORDER,) if at_axiom else POWER
+    return Verdict("power", evaluate(table, gp, power_ppo_fixpoint(gp, armv7=armv7)))
 
 
 # -- ARM consistency ----------------------------------------------------------------
 
 
-def check_arm(ga):
+@dataclass
+class ArmRels:
+    fr: Rel
+    fre: Rel
+    coe: Rel
+    obs: Rel
+    dob: Rel
+    aob: Rel
+    bob: Rel
+
+
+def arm_relations(ga):
+    """The relations the ARMv8 axioms are stated over."""
     po = ga.po
     rf, co = ga.rf, ga.co
     rfi, rfe = rf & po, rf - po
@@ -350,171 +364,133 @@ def check_arm(ga):
     w_ex = ga.rmw.codom()
     r_q = frozenset(i for i in ga.R if ga.labels[i].mode == "Q")
     w_l = frozenset(i for i in ga.W if ga.labels[i].mode == "L")
-
-    obs = rfe | fre | coe
-    dob = (
-        (ga.addr | ga.data).compose(rfi.opt())
-        | (ga.ctrl | ga.data).seq(id_W, coi.opt())
-        | ga.addr.seq(po, id_W)
+    return ArmRels(
+        fr=fr, fre=fre, coe=coe,
+        obs=rfe | fre | coe,
+        dob=(
+            (ga.addr | ga.data).compose(rfi.opt())
+            | (ga.ctrl | ga.data).seq(id_W, coi.opt())
+            | ga.addr.seq(po, id_W)
+        ),
+        aob=ga.rmw | ga.ident(w_ex).seq(rfi, ga.ident(r_q)),
+        bob=(
+            po.seq(ga.ident(ga.fences_with_mode("sy")), po)
+            | ga.ident(ga.R).seq(po, ga.ident(ga.fences_with_mode("ld")), po)
+            | ga.ident(r_q).compose(po)
+            | po.seq(ga.ident(w_l), coi.opt())
+        ),
     )
-    aob = ga.rmw | ga.ident(w_ex).seq(rfi, ga.ident(r_q))
-    bob = (
-        po.seq(ga.ident(ga.fences_with_mode("sy")), po)
-        | ga.ident(ga.R).seq(po, ga.ident(ga.fences_with_mode("ld")), po)
-        | ga.ident(r_q).compose(po)
-        | po.seq(ga.ident(w_l), coi.opt())
-    )
+
+
+ARM = (
+    _SC_PER_LOC,
+    ("external", "acyclic", lambda g, r: union_all(g.n, [r.obs, r.dob, r.aob, r.bob])),
+    ("atomicity", "empty", atomicity),
+)
+
+
+def check_arm(ga):
+    return Verdict("arm", evaluate(ARM, ga, arm_relations(ga)))
+
+
+# -- the correspondence check ---------------------------------------------------------
+#
+# The conditions are stated over the source graph alone, apart from to_power
+# and to_arm, so that they check those mappings.
+
+
+def _isync_points(g):
+    """An isync follows each acquire read outside an rmw, and the write of
+    each rmw whose read is an acquire."""
+    return (g.R_acq - g.rmw.dom()) | {w for r, w in g.rmw.pairs if r in g.R_acq}
+
+
+def _acquire_read_ctrl(g):
+    """ld;cmp;bc;isync: an acquire read controls every later event but its
+    own rmw write."""
+    return {(r, b) for r in g.R_acq for b in g.po.image((r,)) if (r, b) not in g.rmw}
+
+
+def _exclusive_read_ctrl(g):
+    """An exclusive read controls every later event but a fadd's own write."""
+    return {(r, b) for r in g.R_ex for b in g.po.image((r,))
+            if (r, b) not in g.rmw or (r, b) not in g.data}
+
+
+def _data_to_exclusive_ctrl(g):
+    """Data into an exclusive write controls every event after that write."""
+    ex = g.rmw.codom()
+    return {(x, b) for x, w in g.data.pairs if w in ex for b in g.po.image((w,))}
+
+
+def _casdep_ctrl(g):
+    """A CAS dependency controls every event after the exclusive read."""
+    return {(x, b) for x, r in g.casdep.pairs for b in g.po.image((r,))}
+
+
+class _Target(NamedTuple):
+    modes: dict  # label kind -> {source mode: target mode}
+    fence_after: Callable  # source graph -> events an inserted fence follows
+    fence: str  # the inserted fence's mode
+    ctrl: tuple  # (name, source graph -> pairs the target's ctrl must contain)
+
+
+_TARGETS = {
+    "power": _Target(
+        {"r": {"rlx": None, "acq": None}, "w": {"rlx": None}, "f": _POWER_FENCE},
+        _isync_points, "isync",
+        (("acquire-read", _acquire_read_ctrl), ("exclusive-read", _exclusive_read_ctrl),
+         ("data-to-exclusive", _data_to_exclusive_ctrl), ("casdep", _casdep_ctrl)),
+    ),
+    "arm": _Target(
+        {"r": _ARM_READ, "w": _ARM_WRITE, "f": _ARM_FENCE},
+        lambda g: g.W_strong, "ld",
+        (("exclusive-read", _exclusive_read_ctrl), ("casdep", _casdep_ctrl)),
+    ),
+}
+
+
+def correspondence_check(src, target):
+    """Def-4.2-style conditions between a source graph and an arbitrary
+    candidate target of the kind target.model names (a POWER source must be
+    release-free); diagnostics, not exceptions."""
+    if target.model not in _TARGETS:
+        raise ValueError(f"no correspondence conditions for {target.model!r} graphs")
+    spec = _TARGETS[target.model]
+    g = _renumber_whole(src)
+    inserted = sorted((Event(g.events[i].tid, g.events[i].whole, 1)
+                       for i in spec.fence_after(g)), key=Event.key)
+    if set(target.events) != set(g.events) | set(inserted):
+        return ["event set mismatch"]
 
     out = []
-    _check_completeness_totality(ga, out)
-    scpl = union_all(ga.n, [ga.po_loc, rf, fr, co])
-    if not scpl.is_acyclic():
-        out.append(("sc-per-loc", _cycle_witness(scpl, ga)))
-    external = union_all(ga.n, [obs, dob, aob, bob])
-    if not external.is_acyclic():
-        out.append(("external", _cycle_witness(external, ga)))
-    atomicity = ga.rmw & fre.compose(coe)
-    if atomicity:
-        out.append(("atomicity", sorted(atomicity.pairs)))
-    return Verdict("arm", out)
-
-
-# -- correspondence checks ------------------------------------------------------------
-
-
-def correspondence_check_power(g, gp):
-    """Def-4.2-style conditions between a (renumbered, release-free) source
-    and an arbitrary candidate POWER target; diagnostics, not exceptions."""
-    g = _renumber_whole(g)
-    out = []
-    src = {e for e in g.events}
-    tgt = {e for e in gp.events}
-    expected_new = set()
-    for r in g.R_acq - g.rmw.dom():
-        e = g.events[r]
-        expected_new.add(Event(e.tid, e.whole, 1))
-    for r, w in g.rmw.pairs:
-        if r in g.R_acq:
-            e = g.events[w]
-            expected_new.add(Event(e.tid, e.whole, 1))
-    if tgt != src | expected_new:
-        out.append("event set mismatch")
-        return out
-
-    def p_index(event):
-        return gp.index_of(event)
-
-    for i, (e, lab) in enumerate(zip(g.events, g.labels)):
-        plab = gp.labels[p_index(e)]
-        if isinstance(lab, Read):
-            ok = isinstance(plab, Read) and (plab.loc, plab.val) == (lab.loc, lab.val)
-        elif isinstance(lab, Write):
-            if e.is_init:
-                ok = isinstance(plab, Write) and (plab.loc, plab.val) == (lab.loc, lab.val)
-            else:
-                ok = isinstance(plab, Write) and (plab.loc, plab.val) == (lab.loc, lab.val)
-        else:
-            ok = isinstance(plab, Fence) and plab.mode == _POWER_FENCE[lab.mode]
-        if not ok:
-            out.append(f"label mismatch at {e}")
-    for e in expected_new:
-        plab = gp.labels[p_index(e)]
-        if not (isinstance(plab, Fence) and plab.mode == "isync"):
-            out.append(f"inserted event {e} is not an isync")
-
-    def lift(rel):
-        return {(g.events[a], g.events[b]) for a, b in rel.pairs}
-
-    def lift_p(rel):
-        return {(gp.events[a], gp.events[b]) for a, b in rel.pairs}
-
-    if lift(g.rmw) != lift_p(gp.rmw):
-        out.append("rmw changed")
-    if lift(g.data) != lift_p(gp.data):
-        out.append("data changed")
-    if lift(g.addr) != lift_p(gp.addr):
-        out.append("addr changed")
-    if lift(g.rf) != lift_p(gp.rf) or lift(g.co) != lift_p(gp.co):
-        out.append("rf/co changed")
-    ctrl_p = lift_p(gp.ctrl)
-    rmw_p = lift_p(gp.rmw)
-    data_p = lift_p(gp.data)
-    if not lift(g.ctrl) <= ctrl_p:
-        out.append("source ctrl dropped")
-    po = g.po
-    for r in g.R_acq:
-        for b in po.image((r,)):
-            pr = (g.events[r], g.events[b])
-            if pr not in rmw_p and pr not in ctrl_p:
-                out.append(f"acquire-read ctrl missing: {pr}")
-    for r in g.R_ex:
-        for b in po.image((r,)):
-            pr = (g.events[r], g.events[b])
-            if pr not in ctrl_p and not (pr in rmw_p and pr in data_p):
-                out.append(f"exclusive-read ctrl missing: {pr}")
-    for x, w in g.data.pairs:
-        if w in g.rmw.codom():
-            for b in po.image((w,)):
-                if (g.events[x], g.events[b]) not in ctrl_p:
-                    out.append(f"data-to-exclusive ctrl missing: ({g.events[x]},{g.events[b]})")
-    for x, r in g.casdep.pairs:
-        for b in po.image((r,)):
-            if (g.events[x], g.events[b]) not in ctrl_p:
-                out.append(f"casdep ctrl missing: ({g.events[x]},{g.events[b]})")
-    return out
-
-
-def correspondence_check_arm(g, ga):
-    g = _renumber_whole(g)
-    out = []
-    expected_new = set()
-    for w in g.W_strong:
-        e = g.events[w]
-        expected_new.add(Event(e.tid, e.whole, 1))
-    if {e for e in ga.events} != {e for e in g.events} | expected_new:
-        out.append("event set mismatch")
-        return out
     for e, lab in zip(g.events, g.labels):
-        alab = ga.labels[ga.index_of(e)]
-        if isinstance(lab, Read):
-            ok = isinstance(alab, Read) and alab.mode == _ARM_READ[lab.mode] and \
-                (alab.loc, alab.val) == (lab.loc, lab.val)
-        elif isinstance(lab, Write):
-            if e.is_init:
-                ok = isinstance(alab, Write) and (alab.loc, alab.val) == (lab.loc, lab.val)
-            else:
-                ok = isinstance(alab, Write) and alab.mode == _ARM_WRITE[lab.mode] and \
-                    (alab.loc, alab.val) == (lab.loc, lab.val)
-        else:
-            ok = isinstance(alab, Fence) and alab.mode == _ARM_FENCE[lab.mode]
+        tlab = target.labels[target.index_of(e)]
+        modes = spec.modes[lab.kind]
+        ok = (tlab.kind, tlab.loc, getattr(tlab, "val", None)) == \
+            (lab.kind, lab.loc, getattr(lab, "val", None))
+        if not e.is_init:
+            ok = ok and lab.mode in modes and tlab.mode == modes[lab.mode]
         if not ok:
             out.append(f"label mismatch at {e}")
-    for e in expected_new:
-        alab = ga.labels[ga.index_of(e)]
-        if not (isinstance(alab, Fence) and alab.mode == "ld"):
-            out.append(f"inserted event {e} is not a dmb.ld")
+    for e in inserted:
+        tlab = target.labels[target.index_of(e)]
+        if tlab.kind != "f" or tlab.mode != spec.fence:
+            out.append(f"inserted event {e} is not an f[{spec.fence}]")
 
     def lift(gr, rel):
         return {(gr.events[a], gr.events[b]) for a, b in rel.pairs}
 
-    if lift(g, g.rmw) != lift(ga, ga.rmw) or lift(g, g.data) != lift(ga, ga.data) \
-            or lift(g, g.addr) != lift(ga, ga.addr):
-        out.append("rmw/data/addr changed")
-    ctrl_a = lift(ga, ga.ctrl)
-    rmw_a = lift(ga, ga.rmw)
-    data_a = lift(ga, ga.data)
-    if not lift(g, g.ctrl) <= ctrl_a:
+    for name in ("rmw", "data", "addr", "rf", "co"):
+        if lift(g, getattr(g, name)) != lift(target, getattr(target, name)):
+            out.append(f"{name} changed")
+    ctrl = lift(target, target.ctrl)
+    if not lift(g, g.ctrl) <= ctrl:
         out.append("source ctrl dropped")
-    po = g.po
-    for r in g.R_ex:
-        for b in po.image((r,)):
-            pr = (g.events[r], g.events[b])
-            if pr not in ctrl_a and not (pr in rmw_a and pr in data_a):
-                out.append(f"exclusive-read ctrl missing: {pr}")
-    for x, r in g.casdep.pairs:
-        for b in po.image((r,)):
-            if (g.events[x], g.events[b]) not in ctrl_a:
-                out.append(f"casdep ctrl missing: ({g.events[x]},{g.events[b]})")
+    for name, obligation in spec.ctrl:
+        for x, b in sorted(obligation(g)):
+            if (g.events[x], g.events[b]) not in ctrl:
+                out.append(f"{name} ctrl missing: ({g.events[x]},{g.events[b]})")
     return out
 
 
@@ -535,23 +511,15 @@ def empirical_mapping_theorem(program, target, unroll=8, max_candidates=None):
     Returns a report dict; any counterexample is a bug in the mapping or the
     checkers, not expected behavior.
     """
-    from .consistency import check_imm
-    from .enumeration import candidate_executions
-
+    if target not in _TARGETS:
+        raise ValueError(target)
+    check = checker_for(target)
     checked = 0
     counterexamples = []
     for cand in candidate_executions(program, unroll=unroll, max_candidates=max_candidates):
         g = cand.execution
-        if target == "power":
-            mapped = to_power(split_release(g))
-            hv = check_power(mapped)
-        elif target == "arm":
-            mapped = to_arm(g)
-            hv = check_arm(mapped)
-        else:
-            raise ValueError(target)
         checked += 1
-        if hv.consistent:
+        if check(g).consistent:
             iv = check_imm(g)
             if not iv.consistent:
                 counterexamples.append({

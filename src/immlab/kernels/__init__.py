@@ -1,17 +1,9 @@
-"""Kernel backend selection: compiled extension if built, else pure Python.
+"""Kernel backend selection: compiled extension if built, else pure Python."""
 
-Set IMMLAB_PURE=1 to force the fallback (used by the benchmark and tests).
-"""
-
-import os
-
-if os.environ.get("IMMLAB_PURE") == "1":
+try:
+    from . import _bitrel as backend  # type: ignore[attr-defined]
+except ImportError:
     from . import pure as backend
-else:
-    try:
-        from . import _bitrel as backend  # type: ignore[attr-defined]
-    except ImportError:
-        from . import pure as backend
 
 transitive_closure = backend.transitive_closure
 compose = backend.compose

@@ -285,10 +285,9 @@ class Traversal:
         return steps
 
 
-def replay(g, steps, start=None, sc=None):
+def replay(g, steps):
     """Apply recorded steps from the initial config; returns the final config."""
-    trav = Traversal(g, sc=sc)
-    tc = start if start is not None else trav.initial_config()
+    tc = TraversalConfig(g.init_events, g.init_events)
     for step in steps:
         covered = set(tc.covered)
         issued = set(tc.issued)

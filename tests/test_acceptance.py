@@ -171,7 +171,7 @@ def test_criterion_4_traversal_totality(corpus, corpus_candidates):
             except Exception as err:
                 failures.append((name, repr(err)))
                 continue
-            if replay(g, steps, sc=sc) != trav.final_config():
+            if replay(g, steps) != trav.final_config():
                 failures.append((name, "did not reach ⟨E, W⟩"))
             total += 1
 
@@ -200,7 +200,7 @@ def test_criterion_5_certification(corpus, corpus_candidates):
             trav = Traversal(g, sc=sc)
             steps = trav.traverse()
             for k in range(len(steps) + 1):
-                tc = replay(g, steps[:k], sc=sc)
+                tc = replay(g, steps[:k])
                 for tid in g.tids():
                     pending = (tc.issued - tc.covered) & g.thread_events(tid)
                     if not pending:

@@ -151,7 +151,7 @@ class TestCertCo:
                 trav = Traversal(g, sc=sc)
                 steps = trav.traverse()
                 for k in range(len(steps) + 1):
-                    tc = replay(g, steps[:k], sc=sc)
+                    tc = replay(g, steps[:k])
                     for tid in g.tids():
                         keep = cert_events(g, tc, tid)
                         co = cert_co(g, tc, tid, keep)
@@ -240,7 +240,7 @@ thread 1:
             sc = sc_witness_rel(g, v)
             steps = Traversal(g, sc=sc).traverse()
             for k in range(len(steps) + 1):
-                tc = replay(g, steps[:k], sc=sc)
+                tc = replay(g, steps[:k])
                 for tid in g.tids():
                     keep = cert_events(g, tc, tid)
                     det = cert_determined(g, tc, tid, keep)
@@ -316,7 +316,7 @@ class TestEndToEnd:
             steps = trav.traverse()
             test = corpus["mp"]
             for k in range(len(steps) + 1):
-                tc = replay(g, steps[:k], sc=sc)
+                tc = replay(g, steps[:k])
                 for tid in g.tids():
                     if not (tc.issued - tc.covered) & g.thread_events(tid):
                         continue

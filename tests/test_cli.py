@@ -57,6 +57,13 @@ class TestRun:
 
         assert strip_timing(serial) == strip_timing(parallel)
 
+    def test_truncated_search_fails_an_expectation(self, capsys, tmp_path):
+        (tmp_path / "s.litmus").write_text((CORPUS_DIR / "strong-rmw.litmus").read_text())
+        code, out = run_cli(capsys, "run", str(tmp_path), "--models", "imm",
+                            "--max-candidates", "1", "--json")
+        entry = json.loads(out)["tests"][0]["models"]["imm"]
+        assert code == 1 and entry["verdict"] == "unknown" and not entry["ok"]
+
 
 class TestCheck:
     def test_check_matches_expectation(self, capsys):
@@ -75,6 +82,17 @@ class TestCheck:
             code, out = run_cli(capsys, "check", str(CORPUS_DIR / "mp.litmus"),
                                 "--model", "power", flag)
             assert code == 0 and "forbidden" in out
+
+    # strong-rmw has no power expectation, so the POWER variant runs on mp
+    @pytest.mark.parametrize("name, flags", [
+        ("strong-rmw.litmus", ("--model", "imm")),
+        ("mp.litmus", ("--model", "power", "--armv7")),
+    ])
+    def test_truncated_search_is_unknown(self, capsys, name, flags):
+        code, out = run_cli(capsys, "check", str(CORPUS_DIR / name), *flags,
+                            "--max-candidates", "1", "--json")
+        doc = json.loads(out)
+        assert code == 1 and doc["verdict"] == "unknown" and not doc["ok"]
 
 
 class TestOther:
@@ -126,6 +144,15 @@ class TestOther:
         code, out = run_cli(capsys, "fuzz", "--seed", "5", "--count", "3", "--json")
         doc = json.loads(out)
         assert code == 0 and doc["violations"] == []
+
+    def test_fuzz_counts_truncated_programs(self, capsys):
+        # programs 2, 7 and 20 of seed 7 exceed the 400-candidate default cap
+        code, out = run_cli(capsys, "fuzz", "--seed", "7", "--count", "50",
+                            "--checks", "inclusions", "--json")
+        assert code == 0 and json.loads(out)["truncated"] == 3
+        code, out = run_cli(capsys, "fuzz", "--seed", "7", "--count", "3",
+                            "--checks", "inclusions")
+        assert code == 0 and "1 truncated" in out
 
     def test_fuzz_seed_required(self, capsys):
         with pytest.raises(SystemExit):

@@ -11,14 +11,14 @@ from immlab.hwmodels import (
     MappingError,
     check_arm,
     check_power,
-    correspondence_check_arm,
-    correspondence_check_power,
+    correspondence_check,
     empirical_mapping_theorem,
     power_ppo_fixpoint,
     split_release,
     to_arm,
     to_power,
 )
+from immlab.relalg import Rel
 
 from oracles import power_fixpoint_oracle
 
@@ -120,7 +120,7 @@ class TestToPower:
         for name in ("mp", "lb-addr", "atomicity", "strong-rmw", "iriw-sc"):
             for c in corpus_candidates[name][:12]:
                 src = split_release(c.execution)
-                assert correspondence_check_power(src, to_power(src)) == [], name
+                assert correspondence_check(src, to_power(src)) == [], name
 
     def test_correspondence_check_rejects_label_tampering(self, corpus_candidates):
         src = split_release(corpus_candidates["mp"][0].execution)
@@ -131,7 +131,7 @@ class TestToPower:
         labels[sync_at] = Fence("sync")
         tampered = Execution(p.events, labels, rmw=p.rmw, data=p.data, addr=p.addr,
                              ctrl=p.ctrl, rf=p.rf, co=p.co, model="power")
-        assert correspondence_check_power(src, tampered)
+        assert correspondence_check(src, tampered)
 
 
 class TestCheckPower:
@@ -244,7 +244,14 @@ class TestToArm:
         for name in ("mp", "strong-rmw", "casdep", "iriw-ra"):
             for c in corpus_candidates[name][:12]:
                 g = c.execution
-                assert correspondence_check_arm(g, to_arm(g)) == [], name
+                assert correspondence_check(g, to_arm(g)) == [], name
+
+    def test_correspondence_check_rejects_rf_co_tampering(self, corpus_candidates):
+        g = corpus_candidates["mp"][0].execution
+        a = to_arm(g)
+        tampered = Execution(a.events, a.labels, rmw=a.rmw, data=a.data, addr=a.addr,
+                             ctrl=a.ctrl, rf=Rel(a.n), co=Rel(a.n), model="arm")
+        assert {"rf changed", "co changed"} <= set(correspondence_check(g, tampered))
 
 
 class TestCheckArm:

@@ -245,7 +245,7 @@ class TestSteps:
                 sc = sc_witness_rel(g, v)
                 trav = Traversal(g, sc=sc)
                 steps = trav.traverse()
-                assert replay(g, steps, sc=sc) == trav.final_config(), name
+                assert replay(g, steps) == trav.final_config(), name
 
 
 class TestCorpusTotality:
