@@ -76,7 +76,7 @@ def cert_co(g, tc, tid, keep):
         | g.co.restrict(local, local)
     ).plus()
     writes = sorted(w for w in keep if w in g.W)
-    pairs = set(paths.pairs)
+    pairs = set(paths)
     for w in writes:
         for w2 in writes:
             if w == w2 or g.loc_of[w] != g.loc_of[w2]:
@@ -99,7 +99,7 @@ def cert_rf(g, tc, tid, keep, det, sc=None, fragment="full"):
     co_crt = cert_co(g, tc, tid, keep)
     bvf = g.bvf(det, sc=sc, fragment=fragment)
     pairs = set()
-    for w, r in g.rf.pairs:
+    for w, r in g.rf:
         if r in det:
             if w not in keep:
                 raise CertificationError(
@@ -109,7 +109,7 @@ def cert_rf(g, tc, tid, keep, det, sc=None, fragment="full"):
     for r in sorted(g.R & keep - det):
         loc = g.loc_of[r]
         cands = [
-            w for w in g.writes_to(loc) if (w, r) in bvf.pairs
+            w for w in g.writes_to(loc) if (w, r) in bvf
         ]
         outside = [w for w in cands if w not in keep]
         if outside:
@@ -118,7 +118,7 @@ def cert_rf(g, tc, tid, keep, det, sc=None, fragment="full"):
             )
         best = [
             w for w in cands
-            if not any((w, w2) in co_crt.pairs and (w2, r) in bvf.pairs for w2 in cands)
+            if not any((w, w2) in co_crt and (w2, r) in bvf for w2 in cands)
         ]
         if len(best) != 1:
             raise CertificationError(
@@ -139,7 +139,7 @@ def reexecute_labels(g, tid, keep, rf_crt, sprog, unroll=8):
         (e for e in keep if g.tid_of(e) == tid),
         key=lambda i: g.events[i].sn,
     )
-    sources = {r: w for w, r in rf_crt.pairs}
+    sources = {r: w for w, r in rf_crt}
     new_labels = {}
     budget = max(1, unroll * max(1, len(sprog)))
     st = ThreadState(list(sprog), tid)
@@ -222,7 +222,7 @@ def build_cert_graph(g, tc, tid, sprog=None, sc=None, fragment="full", unroll=8)
     n = len(keep_sorted)
 
     def m(rel):
-        return Rel(n, ((remap[a], remap[b]) for a, b in rel.pairs
+        return Rel(n, ((remap[a], remap[b]) for a, b in rel
                        if a in remap and b in remap))
 
     rmw_crt = g.rmw.restrict(range(g.n), det)
@@ -264,11 +264,11 @@ def check_cert_compl(g, tc, cg, sprog=None, unroll=8):
     det_local = frozenset(remap[e] for e in det)
     po_opt = gp.po.opt()
     for i in range(gp.n):
-        if not any((i, d) in po_opt.pairs for d in det_local):
+        if not any((i, d) in po_opt for d in det_local):
             out.append(f"event {gp.events[i]} has no po path to a determined event")
 
     def m(rel):
-        return Rel(gp.n, ((remap[a], remap[b]) for a, b in rel.pairs
+        return Rel(gp.n, ((remap[a], remap[b]) for a, b in rel
                           if a in remap and b in remap))
 
     if gp.ctrl != m(g.ctrl):
@@ -294,22 +294,22 @@ def check_cert_compl(g, tc, cg, sprog=None, unroll=8):
     coi = gp.co & gp.po
     imm_co = gp.co.immediate()
     for w in sorted(gp.W - det_local):
-        after_det = [d for d in det_local if (w, d) in gp.co.pairs]
+        after_det = [d for d in det_local if (w, d) in gp.co]
         if not after_det:
             continue
-        if not any((w, w2) in imm_co.pairs and (w, w2) in coi.pairs for w2 in gp.W):
+        if not any((w, w2) in imm_co and (w, w2) in coi for w2 in gp.W):
             out.append(f"non-determined write {gp.events[w]} badly placed in co")
 
     # non-determined reads take the co-maximal visible write
-    rf_src = {r: w for w, r in gp.rf.pairs}
+    rf_src = {r: w for w, r in gp.rf}
     src_bvf = g.bvf(cg.determined, sc=cg.source_sc, fragment=cg.fragment)
-    co_crt_src = Rel(g.n, ((keep[a], keep[b]) for a, b in gp.co.pairs))
+    co_crt_src = Rel(g.n, ((keep[a], keep[b]) for a, b in gp.co))
     for r_local in sorted(gp.R - det_local):
         r = keep[r_local]
         loc = g.loc_of[r]
-        cands = [w for w in g.writes_to(loc) if (w, r) in src_bvf.pairs]
+        cands = [w for w in g.writes_to(loc) if (w, r) in src_bvf]
         best = [w for w in cands
-                if not any((w, w2) in co_crt_src.pairs and (w2, r) in src_bvf.pairs
+                if not any((w, w2) in co_crt_src and (w2, r) in src_bvf
                            for w2 in cands)]
         if len(best) != 1 or rf_src.get(r_local) != remap.get(best[0]):
             out.append(f"read {g.events[r]} not sourced from the visible maximum")
@@ -318,7 +318,7 @@ def check_cert_compl(g, tc, cg, sprog=None, unroll=8):
     # but loses its rmw edge; that dangling strongness only strengthens ar
     dangling = {
         remap[w]
-        for r, w in g.rmw.pairs
+        for r, w in g.rmw
         if w in remap and r not in remap
     }
     wf = [
@@ -345,7 +345,7 @@ def check_cert_compl(g, tc, cg, sprog=None, unroll=8):
 
 
 def _lift_rf(g, gp, keep):
-    return Rel(g.n, ((keep[a], keep[b]) for a, b in gp.rf.pairs))
+    return Rel(g.n, ((keep[a], keep[b]) for a, b in gp.rf))
 
 
 def certification_traversal(cg, check_configs=True):

@@ -55,6 +55,19 @@ def _dump(args, name, graph):
         fh.write(graph.dumps())
 
 
+def _name_list(choices, kind):
+    """argparse type: a comma-separated subset of choices."""
+    def parse(text):
+        names = tuple(text.split(","))
+        unknown = [name for name in names if name not in choices]
+        if unknown:
+            raise argparse.ArgumentTypeError(
+                f"unknown {kind} {', '.join(map(repr, unknown))} "
+                f"(choose from {', '.join(choices)})")
+        return names
+    return parse
+
+
 def _emit(args, doc, human):
     if args.json:
         print(json.dumps(doc, indent=1, default=str))
@@ -109,8 +122,11 @@ def _model_verdict(test, check, unroll, max_candidates):
 
 
 def cmd_check(args):
+    if args.model != "power" and (args.power_at_axiom or args.armv7):
+        print("--power-at-axiom and --armv7 apply only to --model power", file=sys.stderr)
+        return 2
     test = _load(args)
-    if args.model == "power" and (args.power_at_axiom or args.armv7):
+    if args.power_at_axiom or args.armv7:
         check = functools.partial(hwmodels.check_imm_via_power,
                                   at_axiom=args.power_at_axiom, armv7=args.armv7)
     else:
@@ -181,13 +197,25 @@ def _consistent_candidates(test, unroll, max_candidates):
             out.append((cand, sc_witness_rel(cand.execution, v)))
     return out
 
-def cmd_traverse(args):
-    test = _load(args)
-    graphs = _consistent_candidates(test, args.unroll, args.max_candidates)
+
+def _pick_graph(graphs, index):
+    """graphs[index], or None once the reason there is none is reported."""
     if not graphs:
         print("no consistent candidate executions", file=sys.stderr)
+        return None
+    if not 0 <= index < len(graphs):
+        print(f"--graph-index out of range (0..{len(graphs) - 1})", file=sys.stderr)
+        return None
+    return graphs[index]
+
+
+def cmd_traverse(args):
+    test = _load(args)
+    picked = _pick_graph(_consistent_candidates(test, args.unroll, args.max_candidates),
+                         args.graph_index)
+    if picked is None:
         return 1
-    cand, sc = graphs[args.graph_index]
+    cand, sc = picked
     g = cand.execution
     trav = Traversal(g, sc=sc)
     steps = trav.traverse()
@@ -202,11 +230,15 @@ def cmd_traverse(args):
 
 def cmd_certify(args):
     test = _load(args)
-    graphs = _consistent_candidates(test, args.unroll, args.max_candidates)
-    if not graphs:
-        print("no consistent candidate executions", file=sys.stderr)
+    threads = len(test.program.threads)
+    if not 0 <= args.thread < threads:
+        print(f"--thread out of range (0..{threads - 1})", file=sys.stderr)
         return 1
-    cand, sc = graphs[args.graph_index]
+    picked = _pick_graph(_consistent_candidates(test, args.unroll, args.max_candidates),
+                         args.graph_index)
+    if picked is None:
+        return 1
+    cand, sc = picked
     g = cand.execution
     trav = Traversal(g, sc=sc)
     steps = trav.traverse()
@@ -248,10 +280,10 @@ def cmd_simulate(args):
                                                           args.max_candidates)
         if consistency.check_imm(cand.execution).consistent
     ]
-    if not graphs:
-        print("no consistent candidate executions", file=sys.stderr)
+    picked = _pick_graph(graphs, args.graph_index)
+    if picked is None:
         return 1
-    cand, sc = graphs[args.graph_index]
+    cand, sc = picked
     g = cand.execution
     steps = Traversal(g, sc=sc).traverse()
     trace, outcome = simulate_traversal(g, steps, test.program, unroll=args.unroll)
@@ -337,15 +369,16 @@ def cmd_run(args):
         for name in sorted(files):
             if name.endswith(".litmus"):
                 paths.append(os.path.join(root, name))
-    models = args.models.split(",") if args.models else None
     results = []
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(args.jobs) as pool:
-            futures = [pool.submit(run_one, p, models, args.unroll, args.max_candidates)
+            futures = [pool.submit(run_one, p, args.models, args.unroll,
+                                   args.max_candidates)
                        for p in paths]
             results = [f.result() for f in futures]
     else:
-        results = [run_one(p, models, args.unroll, args.max_candidates) for p in paths]
+        results = [run_one(p, args.models, args.unroll, args.max_candidates)
+                   for p in paths]
     results.sort(key=lambda e: e["file"])
     all_ok = all(e["ok"] for e in results)
     doc = {"schema": 1, "corpus": args.corpus, "tests": results, "ok": all_ok}
@@ -374,8 +407,7 @@ def cmd_fuzz(args):
         relaxed_only=args.relaxed,
         max_candidates_per_program=args.per_program,
     )
-    checks = tuple(args.checks.split(",")) if args.checks else CHECKS
-    report = fuzz_run(args.seed, count=args.count, cfg=cfg, checks=checks,
+    report = fuzz_run(args.seed, count=args.count, cfg=cfg, checks=args.checks,
                       unroll=args.unroll)
     if args.json:
         print(json.dumps(report.to_json(), indent=1))
@@ -454,7 +486,9 @@ def main(argv=None):
 
     p = sub.add_parser("run", help="run a corpus against its expectations")
     p.add_argument("corpus")
-    p.add_argument("--models", default=None, help="comma-separated model list")
+    p.add_argument("--models", default=None,
+                   type=_name_list(consistency.MODELS, "model"),
+                   help=f"comma-separated subset of {','.join(consistency.MODELS)}")
     p.add_argument("--jobs", type=int, default=1)
     _common(p)
     p.set_defaults(fn=cmd_run)
@@ -466,7 +500,7 @@ def main(argv=None):
     p.add_argument("--max-instr", type=int, default=4)
     p.add_argument("--relaxed", action="store_true")
     p.add_argument("--per-program", type=int, default=400)
-    p.add_argument("--checks", default=None,
+    p.add_argument("--checks", default=CHECKS, type=_name_list(CHECKS, "check"),
                    help=f"comma-separated subset of {','.join(CHECKS)}")
     _common(p)
     p.set_defaults(fn=cmd_fuzz)

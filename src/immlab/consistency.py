@@ -46,7 +46,7 @@ def _cycle_witness(rel, g):
 
 def _reflexive_witness(rel, g):
     for i in range(rel.n):
-        if (i, i) in rel.pairs:
+        if (i, i) in rel:
             return [str(g.events[i])]
     return None
 
@@ -138,7 +138,7 @@ def _sc_fence_order(g, d):
             return [("sc-totality", f"{len(fsc)} SC fences")], None
         if not _imms_sc_axioms(g, d, g.sc):
             return [("s-no-thin-air", _cycle_witness(d.ar_base | g.sc, g))], None
-        return [], tuple(sorted(g.sc.pairs))
+        return [], tuple(g.sc)
     if not fsc:
         cycle = _cycle_witness(d.ar_base, g)
         return ([], ()) if cycle is None else ([("s-no-thin-air", cycle)], None)
@@ -147,7 +147,7 @@ def _sc_fence_order(g, d):
                        for i in range(len(perm))
                        for j in range(i + 1, len(perm))))
         if _imms_sc_axioms(g, d, sc):
-            return [], tuple(sorted(sc.pairs))
+            return [], tuple(sc)
     return [("s-no-thin-air", "no total SC-fence order satisfies the axioms")], None
 
 

@@ -185,13 +185,27 @@ class Execution:
 
     @property
     def po(self):
+        """Event.precedes as bitset rows, read off the canonical order: the
+        init events come first and precede every other event, and each
+        thread's events are contiguous and in serial order."""
         def mk():
-            pairs = []
-            for i, a in enumerate(self.events):
-                for j, b in enumerate(self.events):
-                    if a.precedes(b):
-                        pairs.append((i, j))
-            return Rel(self.n, pairs)
+            events, n = self.events, self.n
+            rows = [0] * n
+            start = 0
+            while start < n and events[start].is_init:
+                start += 1
+            rest = (1 << n) - (1 << start)
+            for i in range(start):
+                rows[i] = rest
+            while start < n:
+                end = start
+                while end < n and events[end].tid == events[start].tid:
+                    end += 1
+                upto = 1 << end
+                for i in range(start, end):
+                    rows[i] = upto - (2 << i)
+                start = end
+            return Rel.from_rows(n, rows)
         return self._cached("po", mk)
 
     @property
@@ -327,33 +341,34 @@ class Execution:
             elif isinstance(lab, Fence) and lab.mode not in fence_modes:
                 out.append(f"fence mode: {lab}")
 
-        for r, w in self.rmw.pairs:
+        for r, w in self.rmw:
             if r not in self.R_ex or w not in self.W:
                 out.append(f"rmw shape: ({r},{w}) not R^ex × W")
             elif labs[r].loc != labs[w].loc:
                 out.append(f"rmw location: ({r},{w})")
-            elif (r, w) not in imm_po.pairs:
+            elif (r, w) not in imm_po:
                 out.append(f"rmw not imm(po): ({r},{w})")
+        rmw_writes = self.rmw.codom()
         for w in self.W_strong:
-            if w not in self.rmw.codom():
+            if w not in rmw_writes:
                 out.append(f"strong write outside codom(rmw): {w}")
 
         def check_shape(rel, name, pre, post):
-            for a, b in rel.pairs:
-                if a not in pre or b not in post or (a, b) not in po.pairs:
+            for a, b in rel:
+                if a not in pre or b not in post or (a, b) not in po:
                     out.append(f"{name} shape: ({a},{b})")
 
         check_shape(self.data, "data", self.R, self.W)
         check_shape(self.addr, "addr", self.R, self.RW)
         check_shape(self.ctrl, "ctrl", self.R, frozenset(range(self.n)))
-        if not self.ctrl.compose(po).pairs <= self.ctrl.pairs:
+        if self.ctrl.compose(po) - self.ctrl:
             out.append("ctrl;po ⊆ ctrl")
         check_shape(self.casdep, "casdep", self.R, self.R_ex)
-        if self.model != "imm" and self.casdep.pairs:
+        if self.model != "imm" and self.casdep:
             out.append(f"casdep present in {self.model} execution")
 
         seen = {}
-        for w, r in self.rf.pairs:
+        for w, r in self.rf:
             if w not in self.W or r not in self.R:
                 out.append(f"rf shape: ({w},{r})")
                 continue
@@ -365,7 +380,7 @@ class Execution:
                 out.append(f"rf functional: read {r}")
             seen[r] = w
 
-        for a, b in self.co.pairs:
+        for a, b in self.co:
             if a not in self.W or b not in self.W or labs[a].loc != labs[b].loc:
                 out.append(f"co loc: ({a},{b})")
         if not self.co.is_irreflexive() or not self.co.is_transitive():
@@ -373,7 +388,7 @@ class Execution:
 
         if self.sc is not None:
             fsc = self.F_sc
-            if not all(a in fsc and b in fsc for a, b in self.sc.pairs):
+            if not all(a in fsc and b in fsc for a, b in self.sc):
                 out.append("sc shape: outside F^sc × F^sc")
         return out
 
@@ -491,7 +506,7 @@ class Execution:
         def m(rel):
             return Rel(
                 len(keep),
-                ((remap[a], remap[b]) for a, b in rel.pairs if a in remap and b in remap),
+                ((remap[a], remap[b]) for a, b in rel if a in remap and b in remap),
             )
 
         if sc == "keep":
@@ -515,7 +530,7 @@ class Execution:
         def sig(rel):
             return tuple(
                 sorted(
-                    ((ev[a], ev[b]) for a, b in rel.pairs),
+                    ((ev[a], ev[b]) for a, b in rel),
                     key=lambda p: (p[0].key(), p[1].key()),
                 )
             )
@@ -537,7 +552,7 @@ class Execution:
                 continue
             if not self.co.is_total_on(writes):
                 raise ValueError(f"co not total on writes to {loc}")
-            maximal = [w for w in writes if not any((w, w2) in self.co.pairs for w2 in writes)]
+            maximal = [w for w in writes if not any((w, w2) in self.co for w2 in writes)]
             assert len(maximal) == 1
             out[loc] = self.labels[maximal[0]].val
         return out
@@ -555,9 +570,9 @@ class Execution:
             evs.append(desc)
         doc = {"schema": 1, "model": self.model, "events": evs}
         for name in ("rmw", "data", "addr", "ctrl", "casdep", "rf", "co"):
-            doc[name] = sorted(getattr(self, name).pairs)
+            doc[name] = list(getattr(self, name))
         if self.sc is not None:
-            doc["sc"] = sorted(self.sc.pairs)
+            doc["sc"] = list(self.sc)
         return doc
 
     def dumps(self):

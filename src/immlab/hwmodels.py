@@ -43,8 +43,7 @@ def _renumber_whole(g):
     )
 
 
-def _forward_close_ctrl(ctrl_pairs, po):
-    ctrl = Rel(po.n, ctrl_pairs)
+def _forward_close_ctrl(ctrl, po):
     return ctrl | ctrl.compose(po)
 
 
@@ -55,17 +54,17 @@ def split_release(g):
         return g
     po = g.po
     fences_rel = g.fences_geq("rel")
-    rmw_inv = {w: r for r, w in g.rmw.pairs}
+    rmw_inv = {w: r for r, w in g.rmw}
 
     new_events = []
     for w in sorted(g.W_rel):
         pre = po.preimage((w,))
         covered = False
         for f in fences_rel:
-            if (f, w) not in po.pairs:
+            if (f, w) not in po:
                 continue
             shield = po.preimage((f,)) | {f}
-            if all(e in shield or (e, w) in g.rmw.pairs for e in pre):
+            if all(e in shield or (e, w) in g.rmw for e in pre):
                 covered = True
                 break
         if covered:
@@ -85,14 +84,14 @@ def split_release(g):
         event_labels.append((e, Fence("rel")))
 
     def pairs(rel):
-        return [(g.events[a], g.events[b]) for a, b in rel.pairs]
+        return [(g.events[a], g.events[b]) for a, b in rel]
 
     out = Execution.build(
         event_labels, rmw=pairs(g.rmw), data=pairs(g.data), addr=pairs(g.addr),
         ctrl=pairs(g.ctrl), casdep=pairs(g.casdep), rf=pairs(g.rf),
         co=pairs(g.co), sc=None if g.sc is None else pairs(g.sc),
     )
-    closed = _forward_close_ctrl(out.ctrl.pairs, out.po)
+    closed = _forward_close_ctrl(out.ctrl, out.po)
     return Execution(
         out.events, out.labels, rmw=out.rmw, data=out.data, addr=out.addr,
         ctrl=closed, casdep=out.casdep, rf=out.rf, co=out.co, sc=out.sc,
@@ -107,14 +106,12 @@ def to_power(g):
     if g.W_rel:
         raise MappingError("release writes present; run split_release first")
     g = _renumber_whole(g)
-    po = g.po
-    rmw_pairs = g.rmw.pairs
 
     isync_after = set()
-    acq_rmw_reads = {r for r, w in rmw_pairs if r in g.R_acq}
+    acq_rmw_reads = {r for r, w in g.rmw if r in g.R_acq}
     for r in g.R_acq - g.rmw.dom():
         isync_after.add(r)
-    for r, w in rmw_pairs:
+    for r, w in g.rmw:
         if r in acq_rmw_reads:
             isync_after.add(w)
 
@@ -137,7 +134,7 @@ def to_power(g):
         return g.events[i]
 
     def pairs(rel):
-        return [(ev(a), ev(b)) for a, b in rel.pairs]
+        return [(ev(a), ev(b)) for a, b in rel]
 
     out = Execution.build(
         event_labels, rmw=pairs(g.rmw), data=pairs(g.data), addr=pairs(g.addr),
@@ -146,9 +143,9 @@ def to_power(g):
     # ctrl extensions range over the target's po so inserted isyncs are covered
     tpo = out.po
     tix = {e: i for i, e in enumerate(out.events)}
-    ctrl = set(out.ctrl.pairs)
-    t_rmw = out.rmw.pairs
-    t_data = out.data.pairs
+    ctrl = set(out.ctrl)
+    t_rmw = out.rmw
+    t_data = out.data
     # every acquire read controls all later events (ld;cmp;bc;isync)
     for r in g.R_acq:
         tr = tix[ev(r)]
@@ -163,17 +160,17 @@ def to_power(g):
                 continue
             ctrl.add((tr, b))
     # data into an exclusive write controls everything after that write
-    for x, w in g.data.pairs:
+    for x, w in g.data:
         if w in g.rmw.codom():
             tx, tw = tix[ev(x)], tix[ev(w)]
             for b in tpo.image((tw,)):
                 ctrl.add((tx, b))
     # CAS dependency controls everything after the exclusive read
-    for x, r in g.casdep.pairs:
+    for x, r in g.casdep:
         tx, tr = tix[ev(x)], tix[ev(r)]
         for b in tpo.image((tr,)):
             ctrl.add((tx, b))
-    closed = _forward_close_ctrl(ctrl, tpo)
+    closed = _forward_close_ctrl(Rel(out.n, ctrl), tpo)
     return Execution(
         out.events, out.labels, rmw=out.rmw, data=out.data, addr=out.addr,
         ctrl=closed, rf=out.rf, co=out.co, model="power",
@@ -188,8 +185,6 @@ _ARM_FENCE = {"acq": "ld", "rel": "sy", "acqrel": "sy", "sc": "sy"}
 def to_arm(g):
     """Canonical ARMv8 image; a dmb.ld is placed after each strong RMW write."""
     g = _renumber_whole(g)
-    po = g.po
-    rmw_pairs = g.rmw.pairs
 
     event_labels = []
     for i, (e, lab) in enumerate(zip(g.events, g.labels)):
@@ -207,7 +202,7 @@ def to_arm(g):
         return g.events[i]
 
     def pairs(rel):
-        return [(ev(a), ev(b)) for a, b in rel.pairs]
+        return [(ev(a), ev(b)) for a, b in rel]
 
     out = Execution.build(
         event_labels, rmw=pairs(g.rmw), data=pairs(g.data), addr=pairs(g.addr),
@@ -215,20 +210,20 @@ def to_arm(g):
     )
     tpo = out.po
     tix = {e: i for i, e in enumerate(out.events)}
-    ctrl = set(out.ctrl.pairs)
-    t_rmw = out.rmw.pairs
-    t_data = out.data.pairs
+    ctrl = set(out.ctrl)
+    t_rmw = out.rmw
+    t_data = out.data
     for r in g.R_ex:
         tr = tix[ev(r)]
         for b in tpo.image((tr,)):
             if (tr, b) in t_rmw and (tr, b) in t_data:
                 continue
             ctrl.add((tr, b))
-    for x, r in g.casdep.pairs:
+    for x, r in g.casdep:
         tx, tr = tix[ev(x)], tix[ev(r)]
         for b in tpo.image((tr,)):
             ctrl.add((tx, b))
-    closed = _forward_close_ctrl(ctrl, tpo)
+    closed = _forward_close_ctrl(Rel(out.n, ctrl), tpo)
     return Execution(
         out.events, out.labels, rmw=out.rmw, data=out.data, addr=out.addr,
         ctrl=closed, rf=out.rf, co=out.co, model="arm",
@@ -277,9 +272,8 @@ def power_ppo_fixpoint(gp, armv7=False):
         return id_RW.seq(po, gp.ident(gp.fences_with_mode(mode)), po, id_RW)
 
     sync = fence_order("sync")
-    lwsync = fence_order("lwsync") - Rel(
-        gp.n, ((a, b) for a in gp.W for b in gp.R)
-    )
+    lwsync = fence_order("lwsync")
+    lwsync = lwsync - lwsync.restrict(gp.W, gp.R)
     fence = sync | lwsync
     ctrl_isync = id_R.seq(gp.ctrl, gp.ident(gp.fences_with_mode("isync")), po)
     rdw = fre.compose(rfe) & po
@@ -402,7 +396,7 @@ def check_arm(ga):
 def _isync_points(g):
     """An isync follows each acquire read outside an rmw, and the write of
     each rmw whose read is an acquire."""
-    return (g.R_acq - g.rmw.dom()) | {w for r, w in g.rmw.pairs if r in g.R_acq}
+    return (g.R_acq - g.rmw.dom()) | {w for r, w in g.rmw if r in g.R_acq}
 
 
 def _acquire_read_ctrl(g):
@@ -420,12 +414,12 @@ def _exclusive_read_ctrl(g):
 def _data_to_exclusive_ctrl(g):
     """Data into an exclusive write controls every event after that write."""
     ex = g.rmw.codom()
-    return {(x, b) for x, w in g.data.pairs if w in ex for b in g.po.image((w,))}
+    return {(x, b) for x, w in g.data if w in ex for b in g.po.image((w,))}
 
 
 def _casdep_ctrl(g):
     """A CAS dependency controls every event after the exclusive read."""
-    return {(x, b) for x, r in g.casdep.pairs for b in g.po.image((r,))}
+    return {(x, b) for x, r in g.casdep for b in g.po.image((r,))}
 
 
 class _Target(NamedTuple):
@@ -479,7 +473,7 @@ def correspondence_check(src, target):
             out.append(f"inserted event {e} is not an f[{spec.fence}]")
 
     def lift(gr, rel):
-        return {(gr.events[a], gr.events[b]) for a, b in rel.pairs}
+        return {(gr.events[a], gr.events[b]) for a, b in rel}
 
     for name in ("rmw", "data", "addr", "rf", "co"):
         if lift(g, getattr(g, name)) != lift(target, getattr(target, name)):

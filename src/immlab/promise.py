@@ -226,7 +226,7 @@ def timestamp_map(g, issued=None):
                 rank += 1
                 t[w] = rank
     if issued is not None:
-        for w, w2 in g.co.restrict(issued, issued).pairs:
+        for w, w2 in g.co.restrict(issued, issued):
             assert t[w] <= t[w2], "timestamps disagree with co"
     return t
 
@@ -253,7 +253,7 @@ def _sim_invariants(g, tmap, covered, issued, ms):
     for w in init:
         if tmap.get(w, 0) != 0:
             problems.append("init timestamp not 0")
-    for w, w2 in g.co.restrict(issued, issued).pairs:
+    for w, w2 in g.co.restrict(issued, issued):
         if tmap[w] > tmap[w2]:
             problems.append(f"T disagrees with co on ({w},{w2})")
     for m in ms.memory:
@@ -279,7 +279,7 @@ def _sim_invariants(g, tmap, covered, issued, ms):
         for loc in g.locations():
             expect = 0
             for w in g.writes_to(loc):
-                if any((w, c) in vf.pairs for c in covered_here):
+                if vf.image((w,)) & covered_here:
                     expect = max(expect, tmap[w])
             if ts.v(loc) != expect:
                 problems.append(
@@ -332,7 +332,7 @@ def simulate_traversal(g, steps, program, unroll=8, check_invariants=True):
     check_relaxed(program)
     tmap = timestamp_map(g)
     ms = initial_machine(program, g.locations())
-    rf_src = {r: w for w, r in g.rf.pairs}
+    rf_src = {r: w for w, r in g.rf}
     covered = set(g.init_events)
     issued = set(g.init_events)
     trace = []

@@ -2,6 +2,10 @@
 
 Every consistency predicate in the package is a formula over these. Relations
 carry their universe size; ids are 0..n-1. All values are immutable.
+
+A relation is stored as a list of bitset rows: bit j of row i is set when
+(i, j) is in the relation. Every operation works on the rows; the set of
+pairs is built only when asked for (`pairs`), for JSON, witnesses and tests.
 """
 
 from __future__ import annotations
@@ -15,45 +19,78 @@ class UniverseMismatch(ValueError):
     pass
 
 
-class Rel:
-    """A binary relation over {0..n-1}, stored as a frozenset of pairs."""
+def _bits(mask):
+    """The set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    __slots__ = ("n", "pairs", "_rows")
+
+def _mask(members, n):
+    """Bitset of the members inside 0..n-1; others are ignored."""
+    mask = 0
+    for x in members:
+        if 0 <= x < n:
+            mask |= 1 << x
+    return mask
+
+
+def _new(n, rows):
+    """A relation over rows the caller hands over and no longer touches."""
+    rel = Rel.__new__(Rel)
+    rel.n = n
+    rel._rows = rows
+    rel._pairs = None
+    rel._inv = None
+    return rel
+
+
+class Rel:
+    """A binary relation over {0..n-1}, stored as a list of int bitset rows."""
+
+    __slots__ = ("n", "_rows", "_pairs", "_inv")
 
     def __init__(self, n, pairs=()):
-        self.n = n
-        self.pairs = pairs if isinstance(pairs, frozenset) else frozenset(pairs)
-        for x, y in self.pairs:
+        rows = [0] * n
+        for x, y in pairs:
             if not (0 <= x < n and 0 <= y < n):
                 raise ValueError(f"pair ({x},{y}) outside universe of size {n}")
-        self._rows = None
+            rows[x] |= 1 << y
+        self.n = n
+        self._rows = rows
+        self._pairs = None
+        self._inv = None
 
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
     def identity(n, members=None):
         if members is None:
-            members = range(n)
-        return Rel(n, ((x, x) for x in members))
+            return _new(n, [1 << x for x in range(n)])
+        rows = [0] * n
+        for x in members:
+            if not 0 <= x < n:
+                raise ValueError(f"pair ({x},{x}) outside universe of size {n}")
+            rows[x] = 1 << x
+        return _new(n, rows)
 
     @staticmethod
     def from_rows(n, rows):
-        pairs = set()
-        for i in range(n):
-            rest = rows[i]
-            while rest:
-                j = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                pairs.add((i, j))
-        return Rel(n, pairs)
+        rows = list(rows)
+        if len(rows) != n or any(r < 0 or r >> n for r in rows):
+            raise ValueError(f"rows do not describe a relation over {n} events")
+        return _new(n, rows)
 
     def rows(self):
-        if self._rows is None:
-            rows = [0] * self.n
-            for x, y in self.pairs:
-                rows[x] |= 1 << y
-            self._rows = rows
+        """The bitset rows; shared, so callers must not modify them."""
         return self._rows
+
+    @property
+    def pairs(self):
+        if self._pairs is None:
+            self._pairs = frozenset(self)
+        return self._pairs
 
     # -- set algebra -----------------------------------------------------------
 
@@ -63,55 +100,69 @@ class Rel:
 
     def __or__(self, other):
         self._check(other)
-        return Rel(self.n, self.pairs | other.pairs)
+        return _new(self.n, [a | b for a, b in zip(self._rows, other._rows)])
 
     def __and__(self, other):
         self._check(other)
-        return Rel(self.n, self.pairs & other.pairs)
+        return _new(self.n, [a & b for a, b in zip(self._rows, other._rows)])
 
     def __sub__(self, other):
         self._check(other)
-        return Rel(self.n, self.pairs - other.pairs)
+        return _new(self.n, [a & ~b for a, b in zip(self._rows, other._rows)])
 
     def __eq__(self, other):
-        return isinstance(other, Rel) and self.n == other.n and self.pairs == other.pairs
+        return isinstance(other, Rel) and self.n == other.n and self._rows == other._rows
 
     def __hash__(self):
-        return hash((self.n, self.pairs))
+        return hash((self.n, tuple(self._rows)))
 
     def __contains__(self, pair):
-        return pair in self.pairs
+        x, y = pair
+        return 0 <= x < self.n and 0 <= y < self.n and self._rows[x] >> y & 1 == 1
 
     def __len__(self):
-        return len(self.pairs)
+        return sum(r.bit_count() for r in self._rows)
 
     def __bool__(self):
-        return bool(self.pairs)
+        return any(self._rows)
 
     def __iter__(self):
-        return iter(sorted(self.pairs))
+        """Pairs in ascending order."""
+        for x, row in enumerate(self._rows):
+            for y in _bits(row):
+                yield (x, y)
 
     def __repr__(self):
-        return f"Rel({self.n}, {sorted(self.pairs)})"
+        return f"Rel({self.n}, {list(self)})"
 
     def inverse(self):
-        return Rel(self.n, ((y, x) for x, y in self.pairs))
+        if self._inv is None:
+            cols = [0] * self.n
+            for x, row in enumerate(self._rows):
+                bit = 1 << x
+                for y in _bits(row):
+                    cols[y] |= bit
+            # cached one way only: a cycle back would outlive refcounting
+            self._inv = _new(self.n, cols)
+        return self._inv
 
     def dom(self):
-        return frozenset(x for x, _ in self.pairs)
+        return frozenset(x for x, row in enumerate(self._rows) if row)
 
     def codom(self):
-        return frozenset(y for _, y in self.pairs)
+        acc = 0
+        for row in self._rows:
+            acc |= row
+        return frozenset(_bits(acc))
 
     # -- composition and closures ----------------------------------------------
 
     def compose(self, other):
         """Left composition self;other."""
         self._check(other)
-        if not self.pairs or not other.pairs:
-            return Rel(self.n)
-        rows = kernels.compose(self.rows(), other.rows(), self.n)
-        return Rel.from_rows(self.n, rows)
+        if not any(self._rows) or not any(other._rows):
+            return _new(self.n, [0] * self.n)
+        return _new(self.n, kernels.compose(self._rows, other._rows, self.n))
 
     def seq(self, *others):
         out = self
@@ -121,16 +172,16 @@ class Rel:
 
     def plus(self):
         """Transitive closure (least fixpoint of r ∪ r;r)."""
-        if not self.pairs:
+        if not any(self._rows):
             return self
-        return Rel.from_rows(self.n, kernels.transitive_closure(self.rows(), self.n))
+        return _new(self.n, kernels.transitive_closure(self._rows, self.n))
 
     def opt(self):
         """Reflexive closure: adds identity on the whole universe."""
-        return self | Rel.identity(self.n)
+        return _new(self.n, [row | 1 << x for x, row in enumerate(self._rows)])
 
     def star(self):
-        return self.plus() | Rel.identity(self.n)
+        return self.plus().opt()
 
     def closures(self):
         """(reflexive, transitive, reflexive-transitive) closures."""
@@ -143,66 +194,70 @@ class Rel:
     # -- predicates -------------------------------------------------------------
 
     def is_irreflexive(self):
-        return all(x != y for x, y in self.pairs)
+        return not any(row >> x & 1 for x, row in enumerate(self._rows))
 
     def is_acyclic(self):
-        if not self.pairs:
+        if not any(self._rows):
             return True
-        return not kernels.has_cycle(self.rows(), self.n)
+        return not kernels.has_cycle(self._rows, self.n)
 
     def is_transitive(self):
-        return self.compose(self).pairs <= self.pairs
+        return all(c & ~r == 0 for c, r in zip(self.compose(self)._rows, self._rows))
 
     def is_total_on(self, members):
         """Strict total order on members: total, and a strict order there."""
         members = frozenset(members)
-        restricted = self.restrict(members, members)
-        if not restricted.is_irreflexive() or not restricted.is_transitive():
-            return False
-        for x in members:
-            for y in members:
-                if x < y and (x, y) not in restricted.pairs and (y, x) not in restricted.pairs:
-                    return False
+        if any(not 0 <= x < self.n for x in members):
+            # no pair reaches an id outside the universe
+            return len(members) <= 1
+        # r is a strict total order on M iff, ranking the members by how many
+        # members they precede, each precedes exactly the members ranked
+        # after it
+        rows = self._rows
+        mask = _mask(members, self.n)
+        later = mask
+        for _, x in sorted(((-(rows[x] & mask).bit_count(), x) for x in members)):
+            later ^= 1 << x
+            if rows[x] & mask != later:
+                return False
         return True
 
     # -- restrictions -----------------------------------------------------------
 
     def restrict(self, a, b):
         """[A];r;[B]."""
-        a = frozenset(a)
-        b = frozenset(b)
-        return Rel(self.n, ((x, y) for x, y in self.pairs if x in a and y in b))
+        amask = _mask(a, self.n)
+        bmask = _mask(b, self.n)
+        return _new(self.n, [row & bmask if amask >> x & 1 else 0
+                             for x, row in enumerate(self._rows)])
 
     def restrict_loc(self, locmap):
         """Pairs whose endpoints have the same (non-None) location."""
-        return Rel(
-            self.n,
-            (
-                (x, y)
-                for x, y in self.pairs
-                if locmap[x] is not None and locmap[x] == locmap[y]
-            ),
-        )
+        at = {}
+        for x in range(self.n):
+            if locmap[x] is not None:
+                at[locmap[x]] = at.get(locmap[x], 0) | 1 << x
+        return _new(self.n, [row & at[locmap[x]] if locmap[x] is not None else 0
+                             for x, row in enumerate(self._rows)])
 
     def image(self, members):
-        members = frozenset(members)
-        return frozenset(y for x, y in self.pairs if x in members)
+        acc = 0
+        rows = self._rows
+        for x in members:
+            if 0 <= x < self.n:
+                acc |= rows[x]
+        return frozenset(_bits(acc))
 
     def preimage(self, members):
-        members = frozenset(members)
-        return frozenset(x for x, y in self.pairs if y in members)
+        return self.inverse().image(members)
 
     def find_cycle(self):
         """A shortest cycle (event list, first repeated) or None. BFS per node."""
         if self.is_acyclic():
             return None
-        adj = {}
-        for x, y in self.pairs:
-            adj.setdefault(x, []).append(y)
-        for a in adj:
-            adj[a].sort()
+        adj = {x: list(_bits(row)) for x, row in enumerate(self._rows) if row}
         best = None
-        for start in sorted(adj):
+        for start in adj:
             # BFS back to start
             parent = {start: None}
             queue = [start]
@@ -232,9 +287,9 @@ class Rel:
 
 
 def union_all(n, rels):
-    pairs = set()
+    rows = [0] * n
     for r in rels:
         if r.n != n:
             raise UniverseMismatch(f"universes differ: {n} vs {r.n}")
-        pairs |= r.pairs
-    return Rel(n, pairs)
+        rows = [a | b for a, b in zip(rows, r._rows)]
+    return _new(n, rows)

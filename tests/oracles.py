@@ -1,4 +1,5 @@
-"""Independent oracles: matrix algebra via numpy, naive set saturation, DFS.
+"""Independent oracles: matrix algebra via numpy, naive set saturation, DFS,
+and PairRel, a relation stored as a frozenset of pairs.
 
 These deliberately avoid immlab.relalg so each check has two routes.
 """
@@ -96,3 +97,176 @@ def power_fixpoint_oracle(seeds, armv7=False):
             if len(target) != before:
                 changed = True
     return ii, ic, ci, cc
+
+
+class PairRel:
+    """The reference for immlab.relalg.Rel: the same interface over a
+    frozenset of pairs, with composition, closure and cycle detection done by
+    the set and matrix oracles above instead of the bitset kernels."""
+
+    def __init__(self, n, pairs=()):
+        self.n = n
+        self.pairs = frozenset(pairs)
+        for x, y in self.pairs:
+            if not (0 <= x < n and 0 <= y < n):
+                raise ValueError(f"pair ({x},{y}) outside universe of size {n}")
+
+    @staticmethod
+    def identity(n, members=None):
+        if members is None:
+            members = range(n)
+        return PairRel(n, ((x, x) for x in members))
+
+    @staticmethod
+    def from_rows(n, rows):
+        return PairRel(n, ((i, j) for i in range(n) for j in range(n) if rows[i] >> j & 1))
+
+    def rows(self):
+        rows = [0] * self.n
+        for x, y in self.pairs:
+            rows[x] |= 1 << y
+        return rows
+
+    def __or__(self, other):
+        return PairRel(self.n, self.pairs | other.pairs)
+
+    def __and__(self, other):
+        return PairRel(self.n, self.pairs & other.pairs)
+
+    def __sub__(self, other):
+        return PairRel(self.n, self.pairs - other.pairs)
+
+    def __eq__(self, other):
+        return isinstance(other, PairRel) and self.n == other.n and self.pairs == other.pairs
+
+    def __hash__(self):
+        return hash((self.n, self.pairs))
+
+    def __contains__(self, pair):
+        return pair in self.pairs
+
+    def __len__(self):
+        return len(self.pairs)
+
+    def __bool__(self):
+        return bool(self.pairs)
+
+    def __iter__(self):
+        return iter(sorted(self.pairs))
+
+    def __repr__(self):
+        return f"Rel({self.n}, {sorted(self.pairs)})"
+
+    def inverse(self):
+        return PairRel(self.n, ((y, x) for x, y in self.pairs))
+
+    def dom(self):
+        return frozenset(x for x, _ in self.pairs)
+
+    def codom(self):
+        return frozenset(y for _, y in self.pairs)
+
+    def compose(self, other):
+        return PairRel(self.n, _compose(self.pairs, other.pairs))
+
+    def seq(self, *others):
+        out = self
+        for r in others:
+            out = out.compose(r)
+        return out
+
+    def plus(self):
+        return PairRel(self.n, matrix_closure(self.pairs, self.n))
+
+    def opt(self):
+        return self | PairRel.identity(self.n)
+
+    def star(self):
+        return self.plus() | PairRel.identity(self.n)
+
+    def closures(self):
+        return (self.opt(), self.plus(), self.star())
+
+    def immediate(self):
+        return self - self.compose(self)
+
+    def is_irreflexive(self):
+        return all(x != y for x, y in self.pairs)
+
+    def is_acyclic(self):
+        return not dfs_has_cycle(self.pairs, self.n)
+
+    def is_transitive(self):
+        return self.compose(self).pairs <= self.pairs
+
+    def is_total_on(self, members):
+        members = frozenset(members)
+        restricted = self.restrict(members, members)
+        if not restricted.is_irreflexive() or not restricted.is_transitive():
+            return False
+        for x in members:
+            for y in members:
+                if x < y and (x, y) not in restricted.pairs and (y, x) not in restricted.pairs:
+                    return False
+        return True
+
+    def restrict(self, a, b):
+        a = frozenset(a)
+        b = frozenset(b)
+        return PairRel(self.n, ((x, y) for x, y in self.pairs if x in a and y in b))
+
+    def restrict_loc(self, locmap):
+        return PairRel(self.n, ((x, y) for x, y in self.pairs
+                                if locmap[x] is not None and locmap[x] == locmap[y]))
+
+    def image(self, members):
+        members = frozenset(members)
+        return frozenset(y for x, y in self.pairs if x in members)
+
+    def preimage(self, members):
+        members = frozenset(members)
+        return frozenset(x for x, y in self.pairs if y in members)
+
+    def find_cycle(self):
+        """A shortest cycle (event list, first repeated) or None. BFS per node."""
+        if self.is_acyclic():
+            return None
+        adj = {}
+        for x, y in self.pairs:
+            adj.setdefault(x, []).append(y)
+        for a in adj:
+            adj[a].sort()
+        best = None
+        for start in sorted(adj):
+            parent = {start: None}
+            queue = [start]
+            found = False
+            while queue and not found:
+                nxt = []
+                for u in queue:
+                    for v in adj.get(u, ()):
+                        if v == start:
+                            cycle = [start]
+                            w = u
+                            while w is not None:
+                                cycle.append(w)
+                                w = parent[w]
+                            cycle.reverse()
+                            if best is None or len(cycle) < len(best):
+                                best = cycle
+                            found = True
+                            break
+                        if v not in parent:
+                            parent[v] = u
+                            nxt.append(v)
+                    if found:
+                        break
+                queue = nxt
+        return best
+
+
+def pair_union_all(n, rels):
+    pairs = set()
+    for r in rels:
+        pairs |= r.pairs
+    return PairRel(n, pairs)

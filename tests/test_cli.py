@@ -157,3 +157,50 @@ class TestOther:
     def test_fuzz_seed_required(self, capsys):
         with pytest.raises(SystemExit):
             main(["fuzz", "--count", "1"])
+
+
+class TestBadArguments:
+    @pytest.mark.parametrize("argv, message", [
+        (("traverse", "lb-data.litmus", "--graph-index", "99"),
+         "--graph-index out of range (0..3)"),
+        (("traverse", "lb-data.litmus", "--graph-index", "-1"),
+         "--graph-index out of range (0..3)"),
+        (("simulate", "lb-data.litmus", "--graph-index", "99"),
+         "--graph-index out of range (0..3)"),
+        (("certify", "lb-data.litmus", "--graph-index", "99", "--step", "0", "--thread", "0"),
+         "--graph-index out of range (0..3)"),
+        (("certify", "lb-data.litmus", "--step", "0", "--thread", "9"),
+         "--thread out of range (0..1)"),
+        (("certify", "lb-data.litmus", "--step", "0", "--thread", "-1"),
+         "--thread out of range (0..1)"),
+    ])
+    def test_index_out_of_range_is_reported(self, capsys, argv, message):
+        command, name, *rest = argv
+        code = main([command, str(CORPUS_DIR / name), *rest])
+        captured = capsys.readouterr()
+        assert code == 1 and message in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("flag", ["--armv7", "--power-at-axiom"])
+    def test_power_flags_need_the_power_model(self, capsys, flag):
+        code = main(["check", str(CORPUS_DIR / "mp.litmus"), "--model", "imm", flag])
+        captured = capsys.readouterr()
+        assert code == 2 and "--model power" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("fuzz", "--seed", "1", "--count", "2", "--checks", "mapping"),
+         "unknown check 'mapping' (choose from inclusions, mappings, promise)"),
+        (("run", str(CORPUS_DIR), "--models", "imm,imx"),
+         "unknown model 'imx' (choose from imm, imms, c11, rc11, power, arm)"),
+    ])
+    def test_unknown_names_are_rejected(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2 and message in captured.err
+        assert captured.out == ""
+
+    def test_known_model_subset_still_runs(self, capsys, tmp_path):
+        (tmp_path / "mp.litmus").write_text((CORPUS_DIR / "mp.litmus").read_text())
+        code, out = run_cli(capsys, "run", str(tmp_path), "--models", "imm,arm", "--json")
+        assert code == 0
+        assert sorted(json.loads(out)["tests"][0]["models"]) == ["arm", "imm"]

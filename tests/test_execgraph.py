@@ -164,6 +164,35 @@ class TestDerived:
                 assert d.detour.pairs <= g.po.pairs
 
 
+class TestProgramOrder:
+    @staticmethod
+    def precedes_pairs(g):
+        return {(i, j) for i, a in enumerate(g.events)
+                for j, b in enumerate(g.events) if a.precedes(b)}
+
+    def test_po_is_precedes_on_corpus_and_mapped_graphs(self, corpus_candidates):
+        from immlab.hwmodels import split_release, to_arm, to_power
+
+        for name, cands in corpus_candidates.items():
+            for c in cands[:8]:
+                g = c.execution
+                split = split_release(g)
+                for graph in (g, split, to_power(split), to_arm(g), g.restrict_thread(0)):
+                    assert graph.po.pairs == self.precedes_pairs(graph), name
+
+    def test_po_with_half_steps_and_no_init(self):
+        g = Execution.build([
+            (Event(2, 0), Write("rlx", 0, 1)),
+            (Event(0, 1, 1), Fence("rel")),
+            (Event(0, 0), Read("rlx", 0, 0)),
+            (Event(0, 1), Write("rlx", 1, 1)),
+            (Event(0, 2), Write("rlx", 0, 2)),
+        ])
+        assert g.po.pairs == self.precedes_pairs(g)
+        assert len(g.po) == 6
+        assert Execution.build([]).po == Rel(0)
+
+
 class TestRestrictThread:
     def test_mp_thread0(self, corpus, corpus_candidates):
         g = weak_mp(corpus, corpus_candidates)

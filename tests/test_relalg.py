@@ -4,9 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from immlab.relalg import Rel, UniverseMismatch
+from immlab.relalg import Rel, UniverseMismatch, union_all
 
-from oracles import dfs_has_cycle, hasse_oracle, matrix_closure, matrix_compose
+from oracles import (
+    PairRel,
+    dfs_has_cycle,
+    hasse_oracle,
+    matrix_closure,
+    matrix_compose,
+    pair_union_all,
+)
 
 
 def rel(n, *pairs):
@@ -159,3 +166,141 @@ def test_immediate_of_total_order_regenerates():
         rng.shuffle(perm)
         total = Rel(n, ((perm[i], perm[j]) for i in range(n) for j in range(i + 1, n)))
         assert total.immediate().plus() == total
+
+
+# -- differential check against the pair-set reference --------------------------
+
+
+def random_pairs(rng, n):
+    """Random pairs, biased towards the shapes the predicates care about:
+    strict total orders on a subset, closed relations and sparse noise."""
+    shape = rng.randrange(4)
+    density = rng.choice((0.05, 0.15, 0.3, 0.6))
+    noise = {(a, b) for a in range(n) for b in range(n) if rng.random() < density}
+    if shape == 0 or n == 0:
+        return noise
+    members = [x for x in range(n) if rng.random() < 0.6]
+    rng.shuffle(members)
+    order = {(members[i], members[j])
+             for i in range(len(members)) for j in range(i + 1, len(members))}
+    if shape == 1:
+        return order
+    if shape == 2:
+        return order | {p for p in noise if rng.random() < 0.1}
+    return PairRel(n, noise).plus().pairs
+
+
+def random_members(rng, n):
+    """A member set, sometimes holding ids outside the universe."""
+    out = {x for x in range(n) if rng.random() < 0.5}
+    if rng.random() < 0.2:
+        out.add(rng.choice((-1, n, n + 3)))
+    return out
+
+
+def assert_same(got, want):
+    """A Rel result against its PairRel reference, by pairs and order."""
+    assert isinstance(got, Rel)
+    assert got.n == want.n
+    assert got.pairs == want.pairs
+    assert list(got) == list(want)
+    assert len(got) == len(want) and bool(got) == bool(want)
+
+
+def test_rel_matches_pair_set_reference():
+    rng = random.Random(11)
+    checked = 0
+    for trial in range(400):
+        n = rng.randint(0, 12)
+        pa, pb = random_pairs(rng, n), random_pairs(rng, n)
+        a, b = Rel(n, pa), Rel(n, pb)
+        ra, rb = PairRel(n, pa), PairRel(n, pb)
+        members, others = random_members(rng, n), random_members(rng, n)
+        locmap = [rng.choice((None, 0, 1, 2)) for _ in range(n)]
+
+        assert repr(a) == repr(ra)
+        assert a.rows() == ra.rows()
+        assert_same(Rel.from_rows(n, ra.rows()), ra)
+        assert_same(Rel.identity(n), PairRel.identity(n))
+        inside = {x for x in members if 0 <= x < n}
+        assert_same(Rel.identity(n, inside), PairRel.identity(n, inside))
+        for got, want in (
+            (a | b, ra | rb), (a & b, ra & rb), (a - b, ra - rb),
+            (a.inverse(), ra.inverse()), (a.inverse().inverse(), ra),
+            (a.compose(b), ra.compose(rb)), (a.seq(b, a), ra.seq(rb, ra)),
+            (a.plus(), ra.plus()), (a.opt(), ra.opt()), (a.star(), ra.star()),
+            (a.immediate(), ra.immediate()),
+            (a.restrict(members, others), ra.restrict(members, others)),
+            (a.restrict_loc(locmap), ra.restrict_loc(locmap)),
+            (union_all(n, [a, b, a.inverse()]), pair_union_all(n, [ra, rb, ra.inverse()])),
+            (union_all(n, []), pair_union_all(n, [])),
+        ):
+            assert_same(got, want)
+        for got, want in zip(a.closures(), ra.closures()):
+            assert_same(got, want)
+        assert a.dom() == ra.dom() and a.codom() == ra.codom()
+        assert a.image(members) == ra.image(members)
+        assert a.preimage(members) == ra.preimage(members)
+        assert a.is_irreflexive() == ra.is_irreflexive()
+        assert a.is_acyclic() == ra.is_acyclic()
+        assert a.is_transitive() == ra.is_transitive()
+        assert a.is_total_on(members) == ra.is_total_on(members)
+        assert a.is_total_on(inside) == ra.is_total_on(inside)
+        assert a.find_cycle() == ra.find_cycle()
+        for x in range(-2, n + 2):
+            for y in range(-2, n + 2):
+                assert ((x, y) in a) == ((x, y) in ra)
+        assert (a == b) == (ra == rb)
+        assert a == Rel(n, ra.pairs) and hash(a) == hash(Rel(n, ra.pairs))
+        assert a != ra and a != Rel(n + 1, pa)
+        if a == b:
+            assert hash(a) == hash(b)
+        checked += 1
+    assert checked == 400
+
+
+def test_total_on_reference_over_all_small_relations():
+    # every relation over 3 events, against every member set
+    n = 3
+    all_pairs = [(a, b) for a in range(n) for b in range(n)]
+    member_sets = [{x for x in range(n) if k >> x & 1} for k in range(1 << n)]
+    for bits in range(1 << len(all_pairs)):
+        pairs = [p for i, p in enumerate(all_pairs) if bits >> i & 1]
+        r, ref = Rel(n, pairs), PairRel(n, pairs)
+        for members in member_sets:
+            assert r.is_total_on(members) == ref.is_total_on(members)
+        assert r.is_transitive() == ref.is_transitive()
+
+
+def test_results_do_not_share_rows_with_operands():
+    a = Rel(3, [(0, 1)])
+    b = a | Rel(3)
+    star = a.star()
+    assert b.rows() is not a.rows() and star.rows() is not a.rows()
+    assert a == Rel(3, [(0, 1)])
+
+
+@pytest.mark.parametrize("pairs", [[(0, 3)], [(3, 0)], [(-1, 0)], [(0, -1)]])
+def test_pairs_outside_the_universe_are_rejected(pairs):
+    with pytest.raises(ValueError):
+        Rel(3, pairs)
+
+
+@pytest.mark.parametrize("members", [[3], [-1], [0, 5]])
+def test_identity_outside_the_universe_is_rejected(members):
+    with pytest.raises(ValueError):
+        Rel.identity(3, members)
+
+
+@pytest.mark.parametrize("rows", [[0, 0], [0, 0, 8], [0, -1, 0]])
+def test_rows_outside_the_universe_are_rejected(rows):
+    with pytest.raises(ValueError):
+        Rel.from_rows(3, rows)
+
+
+def test_set_algebra_universe_mismatch():
+    for op in ("__or__", "__and__", "__sub__"):
+        with pytest.raises(UniverseMismatch):
+            getattr(Rel(3), op)(Rel(4))
+    with pytest.raises(UniverseMismatch):
+        union_all(3, [Rel(3), Rel(4)])
