@@ -25,6 +25,7 @@ from .program import (
     eval_expr,
     expr_regs,
 )
+from .relalg import Rel
 
 
 @dataclass(frozen=True)
@@ -205,8 +206,6 @@ def thread_graphs(sprog, tid, values, unroll=8):
 class Candidate:
     execution: Execution
     final_regs: dict  # tid -> register map
-    rf_choice: tuple
-    co_choice: tuple
 
 
 @dataclass
@@ -220,35 +219,31 @@ class EnumerationReport:
         return self.truncated_threads == 0 and not self.truncated_candidates
 
 
-def _assemble(program, combo):
-    """Build the event skeleton for one tuple of terminal thread runs."""
-    event_labels = []
-    locals_to_event = {}
+def _assemble(combo):
+    """The skeleton of one tuple of terminal thread runs, given in tid order:
+    its events in canonical order (init events first by location, then each
+    thread's events in order), their labels, and the rmw, data, addr, ctrl
+    and casdep relations every completion of it shares."""
+    locs = sorted({rec.label.loc for res in combo for rec in res.events
+                   if rec.label.loc is not None})
+    events = [Event.init(loc) for loc in locs]
+    labels = [Write("rlx", loc, 0, "normal") for loc in locs]
+    n = len(locs) + sum(len(res.events) for res in combo)
+    rows = {name: [0] * n for name in ("rmw", "data", "addr", "ctrl", "casdep")}
     for res in combo:
+        base = len(events)
         for idx, rec in enumerate(res.events):
-            ev = Event(res.tid, idx)
-            locals_to_event[(res.tid, idx)] = ev
-            event_labels.append((ev, rec.label))
-    used_locs = {lab.loc for _, lab in event_labels if lab.loc is not None}
-    for loc in sorted(used_locs):
-        event_labels.append((Event.init(loc), Write("rlx", loc, 0, "normal")))
-
-    rmw, data, addr, ctrl, casdep = [], [], [], [], []
-    for res in combo:
-        for idx, rec in enumerate(res.events):
-            tgt = locals_to_event[(res.tid, idx)]
+            bit = 1 << len(events)
+            events.append(Event(res.tid, idx))
+            labels.append(rec.label)
             if rec.rmw_from is not None:
-                rmw.append((locals_to_event[(res.tid, rec.rmw_from)], tgt))
-            for src in rec.data:
-                data.append((locals_to_event[(res.tid, src)], tgt))
-            for src in rec.addr:
-                addr.append((locals_to_event[(res.tid, src)], tgt))
-            for src in rec.ctrl:
-                ctrl.append((locals_to_event[(res.tid, src)], tgt))
-            for src in rec.casdep:
-                casdep.append((locals_to_event[(res.tid, src)], tgt))
+                rows["rmw"][base + rec.rmw_from] |= bit
+            for name in ("data", "addr", "ctrl", "casdep"):
+                for src in getattr(rec, name):
+                    rows[name][base + src] |= bit
     # ctrl is forward-closed by construction: the control set only grows
-    return event_labels, rmw, data, addr, ctrl, casdep
+    shared = {name: Rel.from_rows(n, r) for name, r in rows.items()}
+    return tuple(events), tuple(labels), shared
 
 
 def candidate_executions(program, unroll=8, max_candidates=None, report=None):
@@ -264,8 +259,7 @@ def candidate_executions(program, unroll=8, max_candidates=None, report=None):
 
     emitted = 0
     for combo in itertools.product(*per_thread):
-        skeleton = _assemble(program, combo)
-        for cand in _complete(program, combo, *skeleton):
+        for cand in _complete(combo, *_assemble(combo)):
             yield cand
             emitted += 1
             report.candidates = emitted
@@ -274,54 +268,50 @@ def candidate_executions(program, unroll=8, max_candidates=None, report=None):
                 return
 
 
-def _complete(program, combo, event_labels, rmw, data, addr, ctrl, casdep):
-    """Enumerate rf and co completions over a fixed event skeleton."""
-    events = [e for e, _ in event_labels]
-    labels = {e: lab for e, lab in event_labels}
-    reads = sorted((e for e, lab in event_labels if lab.kind == "r"), key=Event.key)
-    writes = [e for e, lab in event_labels if lab.kind == "w"]
+def _complete(combo, events, labels, shared):
+    """Enumerate rf and co completions over a fixed event skeleton: every
+    read takes each same-location, same-value write in event order, and
+    for each such choice every location's non-init writes take each
+    permutation after its init write."""
+    n = len(labels)
+    reads = [i for i, lab in enumerate(labels) if lab.kind == "r"]
+    writes = [i for i, lab in enumerate(labels) if lab.kind == "w"]
 
-    writers_of = {}
+    writers_of = []
     for r in reads:
         lab = labels[r]
-        cands = sorted(
-            (w for w in writes if labels[w].loc == lab.loc and labels[w].val == lab.val),
-            key=Event.key,
-        )
+        cands = [w for w in writes if labels[w].loc == lab.loc and labels[w].val == lab.val]
         if not cands:
             return
-        writers_of[r] = cands
+        writers_of.append(cands)
 
     by_loc = {}
     for w in writes:
         by_loc.setdefault(labels[w].loc, []).append(w)
-    co_parts = []
+    co_parts = []  # per location, per order: (write, writes it precedes) pairs
     for loc in sorted(by_loc):
-        ws = sorted(by_loc[loc], key=Event.key)
-        inits = [w for w in ws if w.is_init]
-        rest = [w for w in ws if not w.is_init]
-        co_parts.append([tuple(inits + list(perm)) for perm in itertools.permutations(rest)])
+        inits = [w for w in by_loc[loc] if events[w].is_init]
+        rest = [w for w in by_loc[loc] if not events[w].is_init]
+        orders = [inits + list(perm) for perm in itertools.permutations(rest)]
+        co_parts.append([
+            [(w, sum(1 << v for v in order[i + 1:])) for i, w in enumerate(order)]
+            for order in orders
+        ])
 
     final_regs = {res.tid: dict(res.phi) for res in combo}
 
-    for rf_combo in itertools.product(*(writers_of[r] for r in reads)):
-        rf = list(zip(rf_combo, reads))
+    for rf_combo in itertools.product(*writers_of):
+        rf = [0] * n
+        for w, r in zip(rf_combo, reads):
+            rf[w] |= 1 << r
+        rf = Rel.from_rows(n, rf)
         for co_combo in itertools.product(*co_parts):
-            co = []
+            co = [0] * n
             for order in co_combo:
-                for i in range(len(order)):
-                    for j in range(i + 1, len(order)):
-                        co.append((order[i], order[j]))
-            execution = Execution.build(
-                event_labels, rmw=rmw, data=data, addr=addr, ctrl=ctrl,
-                casdep=casdep, rf=rf, co=co,
-            )
-            yield Candidate(
-                execution=execution,
-                final_regs=final_regs,
-                rf_choice=tuple(rf),
-                co_choice=tuple(co_combo),
-            )
+                for w, later in order:
+                    co[w] = later
+            execution = Execution(events, labels, rf=rf, co=Rel.from_rows(n, co), **shared)
+            yield Candidate(execution=execution, final_regs=final_regs)
 
 
 def assertion_values(candidate, program):

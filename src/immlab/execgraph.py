@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 
 from .program import FENCE_MODES, READ_MODES, WRITE_MODES, mode_leq
-from .relalg import Rel
+from .relalg import Rel, remapping
 
 INIT_TID = -1
 
@@ -97,26 +97,21 @@ class DerivedRels:
     po: Rel
     rfi: Rel
     rfe: Rel
-    coi: Rel
     coe: Rel
     fr: Rel
-    fri: Rel
     fre: Rel
     eco: Rel
     rs: Rel
-    release: Rel
     sw: Rel
     hb: Rel
     deps: Rel
     ppo: Rel
     bob: Rel
-    fwbob: Rel
     detour: Rel
     psc: Rel
     ar: Rel
     ar_base: Rel
     rs_rc11: Rel
-    release_rc11: Rel
     sw_rc11: Rel
     hb_rc11: Rel
     psc_rc11: Rel
@@ -153,7 +148,9 @@ class Execution:
     @staticmethod
     def build(event_labels, rmw=(), data=(), addr=(), ctrl=(), casdep=(), rf=(),
               co=(), sc=None, model="imm"):
-        """Construct from (event, label) pairs and event-level relation pairs."""
+        """Construct from (event, label) pairs in any order and event-level
+        relation pairs: the reference constructor for tests and fixtures,
+        since enumeration and the mappings build their graphs on rows."""
         ordered = sorted(event_labels, key=lambda el: el[0].key())
         events = [e for e, _ in ordered]
         if len(set(events)) != len(events):
@@ -286,14 +283,6 @@ class Execution:
     def fences_geq(self, mode):
         return frozenset(i for i in self.F if mode_leq(mode, self.labels[i].mode))
 
-    def events_geq(self, mode):
-        """E^⊒mode: accesses and fences at least as strong as mode."""
-        out = set()
-        for i, lab in enumerate(self.labels):
-            if lab.mode is not None and mode_leq(mode, lab.mode):
-                out.add(i)
-        return frozenset(out)
-
     def writes_to(self, loc):
         return frozenset(i for i in self.W if self.labels[i].loc == loc)
 
@@ -413,10 +402,8 @@ class Execution:
 
         rfi = rf & po
         rfe = rf - po
-        coi = co & po
         coe = co - po
         fr = rf.inverse().compose(co)
-        fri = fr & po
         fre = fr - po
         eco = rf | co.compose(rf.opt()) | fr.compose(rf.opt())
 
@@ -452,7 +439,6 @@ class Execution:
             | id_F.compose(po)
             | id_Wrel.seq(po_loc, id_W)
         )
-        fwbob = id_Wrel.seq(po_loc, id_W) | id_F.compose(po)
         detour = coe.compose(rfe) & po
         psc = id_Fsc.seq(hb, eco, hb, id_Fsc)
         strong_order = ident(self.W_strong).seq(po, id_W)
@@ -469,10 +455,9 @@ class Execution:
         vf_rlx = rf.opt().compose(po.opt())
 
         return DerivedRels(
-            po=po, rfi=rfi, rfe=rfe, coi=coi, coe=coe, fr=fr, fri=fri, fre=fre,
-            eco=eco, rs=rs, release=release, sw=sw, hb=hb, deps=deps, ppo=ppo,
-            bob=bob, fwbob=fwbob, detour=detour, psc=psc, ar=ar, ar_base=ar_base,
-            rs_rc11=rs_rc11, release_rc11=release_rc11, sw_rc11=sw_rc11,
+            po=po, rfi=rfi, rfe=rfe, coe=coe, fr=fr, fre=fre, eco=eco, rs=rs,
+            sw=sw, hb=hb, deps=deps, ppo=ppo, bob=bob, detour=detour, psc=psc,
+            ar=ar, ar_base=ar_base, rs_rc11=rs_rc11, sw_rc11=sw_rc11,
             hb_rc11=hb_rc11, psc_rc11=psc_rc11, ar_rc11=ar_rc11, vf_rlx=vf_rlx,
         )
 
@@ -501,13 +486,10 @@ class Execution:
 
     def _restricted(self, keep, rf=None, co=None, sc="keep"):
         keep = sorted(keep)
-        remap = {old: new for new, old in enumerate(keep)}
-
-        def m(rel):
-            return Rel(
-                len(keep),
-                ((remap[a], remap[b]) for a, b in rel if a in remap and b in remap),
-            )
+        index = [None] * self.n
+        for new, old in enumerate(keep):
+            index[old] = new
+        m = remapping(index, len(keep))
 
         if sc == "keep":
             new_sc = None if self.sc is None else m(self.sc)

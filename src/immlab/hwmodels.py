@@ -6,7 +6,11 @@ and its POWER or ARM image.
 Mappings are graph-level: each source event keeps its identity, inserted
 barriers take half-step serial numbers, and the mapped graph is the minimal
 one satisfying the correspondence conditions (correspondence_check accepts
-non-minimal targets too).
+non-minimal targets too). split_release, to_power and to_arm share one
+fence-insertion routine: it relabels the accesses, places each fence at a
+known position, moves every relation's rows along the resulting monotone
+index map (relalg.remapping), and extends ctrl over the new program order. A
+two-row table gives the POWER and ARM labels, fences and ctrl rules.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Callable, NamedTuple
 from .consistency import Verdict, atomicity, check_imm, checker_for, evaluate
 from .enumeration import candidate_executions
 from .execgraph import Event, Execution, Fence, Read, Write
-from .relalg import Rel, union_all
+from .relalg import Rel, remapping, union_all
 
 
 class MappingError(ValueError):
@@ -43,8 +47,37 @@ def _renumber_whole(g):
     )
 
 
-def _forward_close_ctrl(ctrl, po):
-    return ctrl | ctrl.compose(po)
+def _insert_fences(g, inserts, relabel, model, ctrl_rules=()):
+    """g with each (position, event, fence label) of inserts placed before
+    the old event at that position (g.n for the end), every non-init label
+    passed through relabel, and every relation carried along the monotone
+    old→new index map. Each ctrl rule maps g to source relations (A, X):
+    the new ctrl gains A;po minus X, over the new po, and is forward-closed.
+    casdep and the sc order exist only in imm graphs."""
+    inserts = sorted(inserts, key=lambda ins: ins[0])
+    events, labels, index = [], [], []
+    k = 0
+    for i in range(g.n + 1):
+        while k < len(inserts) and inserts[k][0] == i:
+            events.append(inserts[k][1])
+            labels.append(inserts[k][2])
+            k += 1
+        if i < g.n:
+            index.append(len(events))
+            events.append(g.events[i])
+            labels.append(g.labels[i] if g.events[i].is_init else relabel(g.labels[i]))
+    n = len(events)
+    carry = remapping(index, n)
+    po = Execution(events, labels).po
+    ctrl = union_all(n, [carry(g.ctrl)] + [carry(a).compose(po) - carry(x)
+                                           for a, x in (rule(g) for rule in ctrl_rules)])
+    imm = model == "imm"
+    return Execution(
+        events, labels, rmw=carry(g.rmw), data=carry(g.data), addr=carry(g.addr),
+        ctrl=ctrl | ctrl.compose(po), casdep=carry(g.casdep) if imm else None,
+        rf=carry(g.rf), co=carry(g.co),
+        sc=carry(g.sc) if imm and g.sc is not None else None, model=model,
+    )
 
 
 def split_release(g):
@@ -56,7 +89,7 @@ def split_release(g):
     fences_rel = g.fences_geq("rel")
     rmw_inv = {w: r for r, w in g.rmw}
 
-    new_events = []
+    inserts = []
     for w in sorted(g.W_rel):
         pre = po.preimage((w,))
         covered = False
@@ -73,161 +106,83 @@ def split_release(g):
         ev = g.events[anchor]
         if ev.half != 0:
             raise MappingError("split_release expects whole serial numbers")
-        new_events.append(Event(ev.tid, ev.whole - 1, 1))
+        inserts.append((anchor, Event(ev.tid, ev.whole - 1, 1), Fence("rel")))
 
-    event_labels = []
-    for e, lab in zip(g.events, g.labels):
-        if isinstance(lab, Write) and lab.mode == "rel":
-            lab = Write("rlx", lab.loc, lab.val, lab.rmw_mode)
-        event_labels.append((e, lab))
-    for e in new_events:
-        event_labels.append((e, Fence("rel")))
+    def relabel(lab):
+        if lab.kind == "w" and lab.mode == "rel":
+            return Write("rlx", lab.loc, lab.val, lab.rmw_mode)
+        return lab
 
-    def pairs(rel):
-        return [(g.events[a], g.events[b]) for a, b in rel]
-
-    out = Execution.build(
-        event_labels, rmw=pairs(g.rmw), data=pairs(g.data), addr=pairs(g.addr),
-        ctrl=pairs(g.ctrl), casdep=pairs(g.casdep), rf=pairs(g.rf),
-        co=pairs(g.co), sc=None if g.sc is None else pairs(g.sc),
-    )
-    closed = _forward_close_ctrl(out.ctrl, out.po)
-    return Execution(
-        out.events, out.labels, rmw=out.rmw, data=out.data, addr=out.addr,
-        ctrl=closed, casdep=out.casdep, rf=out.rf, co=out.co, sc=out.sc,
-    )
+    return _insert_fences(g, inserts, relabel, "imm")
 
 
-_POWER_FENCE = {"acq": "lwsync", "rel": "lwsync", "acqrel": "lwsync", "sc": "sync"}
+# The label tables are the compilation schemes themselves, shared with the
+# correspondence check; the inserted fences and the ctrl rules are stated
+# twice, once here and once there.
+_POWER_MODES = {
+    "r": {"rlx": None, "acq": None},
+    "w": {"rlx": None},
+    "f": {"acq": "lwsync", "rel": "lwsync", "acqrel": "lwsync", "sc": "sync"},
+}
+_ARM_MODES = {
+    "r": {"rlx": "rlx", "acq": "Q"},
+    "w": {"rlx": "rlx", "rel": "L"},
+    "f": {"acq": "ld", "rel": "sy", "acqrel": "sy", "sc": "sy"},
+}
+
+
+class _Mapping(NamedTuple):
+    modes: dict  # label kind -> {source mode: target mode}
+    fence_after: Callable  # source graph -> events an inserted fence follows
+    fence: str  # the inserted fence's mode
+    ctrl: tuple  # source graph -> (A, X): the target's ctrl gains A;po minus X
+
+
+# an exclusive read controls every later event but a fadd's own write, and a
+# CAS dependency every event after its exclusive read
+_RMW_CTRL = (lambda g: (g.ident(g.R_ex), g.rmw & g.data), lambda g: (g.casdep, Rel(g.n)))
+_MAPPINGS = {
+    # ld;cmp;bc;isync: an isync after each acquire read outside an rmw and
+    # after the write of each acquire rmw, and the read controls every later
+    # event but its own rmw write; data into an exclusive write controls
+    # every event after that write
+    "power": _Mapping(
+        _POWER_MODES, lambda g: (g.R_acq - g.rmw.dom()) | g.rmw.image(g.R_acq), "isync",
+        (lambda g: (g.ident(g.R_acq), g.rmw),
+         lambda g: (g.data.compose(g.ident(g.rmw.codom())), Rel(g.n))) + _RMW_CTRL,
+    ),
+    # a dmb.ld after each strong rmw write
+    "arm": _Mapping(_ARM_MODES, lambda g: g.W_strong, "ld", _RMW_CTRL),
+}
+
+
+def _to_target(g, model):
+    spec = _MAPPINGS[model]
+    g = _renumber_whole(g)
+    inserts = [(i + 1, Event(g.events[i].tid, g.events[i].whole, 1), Fence(spec.fence))
+               for i in spec.fence_after(g)]
+    read, write, fence = spec.modes["r"], spec.modes["w"], spec.modes["f"]
+
+    def relabel(lab):
+        if lab.kind == "r":
+            return Read(read[lab.mode], lab.loc, lab.val, lab.ex)
+        if lab.kind == "w":
+            return Write(write[lab.mode], lab.loc, lab.val, None)
+        return Fence(fence[lab.mode])
+
+    return _insert_fences(g, inserts, relabel, model, spec.ctrl)
 
 
 def to_power(g):
     """Canonical POWER image of a release-free execution."""
     if g.W_rel:
         raise MappingError("release writes present; run split_release first")
-    g = _renumber_whole(g)
-
-    isync_after = set()
-    acq_rmw_reads = {r for r, w in g.rmw if r in g.R_acq}
-    for r in g.R_acq - g.rmw.dom():
-        isync_after.add(r)
-    for r, w in g.rmw:
-        if r in acq_rmw_reads:
-            isync_after.add(w)
-
-    event_labels = []
-    inserted = {}
-    for i, (e, lab) in enumerate(zip(g.events, g.labels)):
-        if isinstance(lab, Read):
-            plab = Read(None, lab.loc, lab.val, lab.ex)
-        elif isinstance(lab, Write):
-            plab = Write(None, lab.loc, lab.val, None) if not e.is_init else lab
-        else:
-            plab = Fence(_POWER_FENCE[lab.mode])
-        event_labels.append((e, plab))
-        if i in isync_after:
-            f = Event(e.tid, e.whole, 1)
-            inserted[i] = f
-            event_labels.append((f, Fence("isync")))
-
-    def ev(i):
-        return g.events[i]
-
-    def pairs(rel):
-        return [(ev(a), ev(b)) for a, b in rel]
-
-    out = Execution.build(
-        event_labels, rmw=pairs(g.rmw), data=pairs(g.data), addr=pairs(g.addr),
-        ctrl=pairs(g.ctrl), rf=pairs(g.rf), co=pairs(g.co), model="power",
-    )
-    # ctrl extensions range over the target's po so inserted isyncs are covered
-    tpo = out.po
-    tix = {e: i for i, e in enumerate(out.events)}
-    ctrl = set(out.ctrl)
-    t_rmw = out.rmw
-    t_data = out.data
-    # every acquire read controls all later events (ld;cmp;bc;isync)
-    for r in g.R_acq:
-        tr = tix[ev(r)]
-        for b in tpo.image((tr,)):
-            if (tr, b) not in t_rmw:
-                ctrl.add((tr, b))
-    # exclusive reads control later events, except a fadd's own write
-    for r in g.R_ex:
-        tr = tix[ev(r)]
-        for b in tpo.image((tr,)):
-            if (tr, b) in t_rmw and (tr, b) in t_data:
-                continue
-            ctrl.add((tr, b))
-    # data into an exclusive write controls everything after that write
-    for x, w in g.data:
-        if w in g.rmw.codom():
-            tx, tw = tix[ev(x)], tix[ev(w)]
-            for b in tpo.image((tw,)):
-                ctrl.add((tx, b))
-    # CAS dependency controls everything after the exclusive read
-    for x, r in g.casdep:
-        tx, tr = tix[ev(x)], tix[ev(r)]
-        for b in tpo.image((tr,)):
-            ctrl.add((tx, b))
-    closed = _forward_close_ctrl(Rel(out.n, ctrl), tpo)
-    return Execution(
-        out.events, out.labels, rmw=out.rmw, data=out.data, addr=out.addr,
-        ctrl=closed, rf=out.rf, co=out.co, model="power",
-    )
-
-
-_ARM_READ = {"rlx": "rlx", "acq": "Q"}
-_ARM_WRITE = {"rlx": "rlx", "rel": "L"}
-_ARM_FENCE = {"acq": "ld", "rel": "sy", "acqrel": "sy", "sc": "sy"}
+    return _to_target(g, "power")
 
 
 def to_arm(g):
     """Canonical ARMv8 image; a dmb.ld is placed after each strong RMW write."""
-    g = _renumber_whole(g)
-
-    event_labels = []
-    for i, (e, lab) in enumerate(zip(g.events, g.labels)):
-        if isinstance(lab, Read):
-            alab = Read(_ARM_READ[lab.mode], lab.loc, lab.val, lab.ex)
-        elif isinstance(lab, Write):
-            alab = Write(_ARM_WRITE[lab.mode], lab.loc, lab.val, None) if not e.is_init else lab
-        else:
-            alab = Fence(_ARM_FENCE[lab.mode])
-        event_labels.append((e, alab))
-        if i in g.W_strong:
-            event_labels.append((Event(e.tid, e.whole, 1), Fence("ld")))
-
-    def ev(i):
-        return g.events[i]
-
-    def pairs(rel):
-        return [(ev(a), ev(b)) for a, b in rel]
-
-    out = Execution.build(
-        event_labels, rmw=pairs(g.rmw), data=pairs(g.data), addr=pairs(g.addr),
-        ctrl=pairs(g.ctrl), rf=pairs(g.rf), co=pairs(g.co), model="arm",
-    )
-    tpo = out.po
-    tix = {e: i for i, e in enumerate(out.events)}
-    ctrl = set(out.ctrl)
-    t_rmw = out.rmw
-    t_data = out.data
-    for r in g.R_ex:
-        tr = tix[ev(r)]
-        for b in tpo.image((tr,)):
-            if (tr, b) in t_rmw and (tr, b) in t_data:
-                continue
-            ctrl.add((tr, b))
-    for x, r in g.casdep:
-        tx, tr = tix[ev(x)], tix[ev(r)]
-        for b in tpo.image((tr,)):
-            ctrl.add((tx, b))
-    closed = _forward_close_ctrl(Rel(out.n, ctrl), tpo)
-    return Execution(
-        out.events, out.labels, rmw=out.rmw, data=out.data, addr=out.addr,
-        ctrl=closed, rf=out.rf, co=out.co, model="arm",
-    )
+    return _to_target(g, "arm")
 
 
 # -- POWER consistency --------------------------------------------------------------
@@ -431,14 +386,12 @@ class _Target(NamedTuple):
 
 _TARGETS = {
     "power": _Target(
-        {"r": {"rlx": None, "acq": None}, "w": {"rlx": None}, "f": _POWER_FENCE},
-        _isync_points, "isync",
+        _POWER_MODES, _isync_points, "isync",
         (("acquire-read", _acquire_read_ctrl), ("exclusive-read", _exclusive_read_ctrl),
          ("data-to-exclusive", _data_to_exclusive_ctrl), ("casdep", _casdep_ctrl)),
     ),
     "arm": _Target(
-        {"r": _ARM_READ, "w": _ARM_WRITE, "f": _ARM_FENCE},
-        lambda g: g.W_strong, "ld",
+        _ARM_MODES, lambda g: g.W_strong, "ld",
         (("exclusive-read", _exclusive_read_ctrl), ("casdep", _casdep_ctrl)),
     ),
 }

@@ -1,11 +1,6 @@
-"""Kernel backend selection: compiled extension if built, else pure Python."""
+"""The bitset kernels: transitive closure, composition and cycle detection
+over int rows, in pure Python (pure.py)."""
 
-try:
-    from . import _bitrel as backend  # type: ignore[attr-defined]
-except ImportError:
-    from . import pure as backend
+from .pure import compose, has_cycle, transitive_closure
 
-transitive_closure = backend.transitive_closure
-compose = backend.compose
-has_cycle = backend.has_cycle
-BACKEND = backend.NAME
+BACKEND = "pure"

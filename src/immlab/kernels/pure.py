@@ -5,8 +5,6 @@ edge. Closure is bitset Floyd-Warshall; the boolean-matrix-power oracle lives
 in the test suite, not here.
 """
 
-NAME = "pure"
-
 
 def transitive_closure(rows, n):
     out = list(rows)

@@ -293,3 +293,31 @@ def union_all(n, rels):
             raise UniverseMismatch(f"universes differ: {n} vs {r.n}")
         rows = [a | b for a, b in zip(rows, r._rows)]
     return _new(n, rows)
+
+
+def remapping(index, n):
+    """The function carrying a relation to a universe of n events: id x
+    becomes index[x], or is dropped where index[x] is None. Ids that stay
+    consecutive move together, so a few inserted or removed events cost a
+    few shifts per row."""
+    runs = []  # [first old id, width mask, first new id]
+    for x, y in enumerate(index):
+        if y is None:
+            continue
+        if runs and x == last_x + 1 and y == last_y + 1:
+            runs[-1][1] = runs[-1][1] << 1 | 1
+        else:
+            runs.append([x, 1, y])
+        last_x, last_y = x, y
+
+    def carry(rel):
+        rows = [0] * n
+        for x, row in enumerate(rel._rows):
+            if row and index[x] is not None:
+                acc = 0
+                for start, width, to in runs:
+                    acc |= (row >> start & width) << to
+                rows[index[x]] = acc
+        return _new(n, rows)
+
+    return carry

@@ -1,10 +1,17 @@
 """Independent oracles: matrix algebra via numpy, naive set saturation, DFS,
-and PairRel, a relation stored as a frozenset of pairs.
+PairRel, a relation stored as a frozenset of pairs, and pair_built_candidates,
+the candidate stream built from event pairs through Execution.build.
 
-These deliberately avoid immlab.relalg so each check has two routes.
+The relation oracles deliberately avoid immlab.relalg so each check has two
+routes.
 """
 
+import itertools
+
 import numpy as np
+
+from immlab.enumeration import thread_graphs
+from immlab.execgraph import Event, Execution, Write
 
 
 def matrix_of(pairs, n):
@@ -270,3 +277,46 @@ def pair_union_all(n, rels):
     for r in rels:
         pairs |= r.pairs
     return PairRel(n, pairs)
+
+
+def pair_built_candidates(program, unroll=8):
+    """(execution, final registers) for every candidate, in the order of
+    enumeration.candidate_executions, with each skeleton kept as (event,
+    label) pairs and event-pair relations and each completion made by
+    Execution.build."""
+    values = program.candidate_values()
+    per_thread = [thread_graphs(body, tid, values, unroll)[0]
+                  for tid, body in enumerate(program.threads)]
+    for combo in itertools.product(*per_thread):
+        event_labels = []
+        rels = {"rmw": [], "data": [], "addr": [], "ctrl": [], "casdep": []}
+        for res in combo:
+            for idx, rec in enumerate(res.events):
+                ev = Event(res.tid, idx)
+                event_labels.append((ev, rec.label))
+                if rec.rmw_from is not None:
+                    rels["rmw"].append((Event(res.tid, rec.rmw_from), ev))
+                for name in ("data", "addr", "ctrl", "casdep"):
+                    rels[name] += [(Event(res.tid, src), ev) for src in getattr(rec, name)]
+        for loc in sorted({lab.loc for _, lab in event_labels if lab.loc is not None}):
+            event_labels.append((Event.init(loc), Write("rlx", loc, 0, "normal")))
+        label = dict(event_labels)
+        reads = sorted((e for e in label if label[e].kind == "r"), key=Event.key)
+        writes = sorted((e for e in label if label[e].kind == "w"), key=Event.key)
+        writers = [[w for w in writes
+                    if (label[w].loc, label[w].val) == (label[r].loc, label[r].val)]
+                   for r in reads]
+        co_orders = []
+        for loc in sorted({label[w].loc for w in writes}):
+            ws = [w for w in writes if label[w].loc == loc]
+            rest = [w for w in ws if not w.is_init]
+            co_orders.append([[w for w in ws if w.is_init] + list(perm)
+                              for perm in itertools.permutations(rest)])
+        regs = {res.tid: res.phi for res in combo}
+        for rf_choice in itertools.product(*writers):
+            for orders in itertools.product(*co_orders):
+                co = [(a, b) for order in orders
+                      for i, a in enumerate(order) for b in order[i + 1:]]
+                g = Execution.build(event_labels, rf=list(zip(rf_choice, reads)), co=co,
+                                    **rels)
+                yield g, regs

@@ -11,6 +11,8 @@ from immlab.enumeration import (
 from immlab.execgraph import Read, Write
 from immlab.program import parse_litmus
 
+from oracles import pair_built_candidates
+
 
 class TestThreadStep:
     def test_load_appends_read_and_tracks_register(self, corpus):
@@ -185,6 +187,13 @@ class TestCandidates:
                 for loc in g.locations():
                     assert g.co.is_total_on(g.writes_to(loc)), name
                 assert g.is_initialized(), name
+
+    def test_row_built_candidates_match_pair_built(self, corpus, corpus_candidates):
+        # the rows filled per candidate against Execution.build over event pairs
+        for name, test in corpus.items():
+            built = [(g.to_json(), regs) for g, regs in pair_built_candidates(test.program)]
+            rows = [(c.execution.to_json(), c.final_regs) for c in corpus_candidates[name]]
+            assert rows == built, name
 
     def test_deterministic_order(self, corpus):
         a = [c.execution.signature() for c in candidate_executions(corpus["mp"].program)]

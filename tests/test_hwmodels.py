@@ -117,10 +117,12 @@ class TestToPower:
         assert (feeder, trailing) in p.ctrl.pairs
 
     def test_correspondence_check_clean(self, corpus_candidates):
-        for name in ("mp", "lb-addr", "atomicity", "strong-rmw", "iriw-sc"):
-            for c in corpus_candidates[name][:12]:
+        for name, cands in corpus_candidates.items():
+            for c in cands:
                 src = split_release(c.execution)
-                assert correspondence_check(src, to_power(src)) == [], name
+                p = to_power(src)
+                assert src.wellformed() == [] and p.wellformed() == [], name
+                assert correspondence_check(src, p) == [], name
 
     def test_correspondence_check_rejects_label_tampering(self, corpus_candidates):
         src = split_release(corpus_candidates["mp"][0].execution)
@@ -241,10 +243,12 @@ class TestToArm:
         assert a.labels[ix["(1,0)"]].mode == "Q"  # acquire read
 
     def test_correspondence_check_clean(self, corpus_candidates):
-        for name in ("mp", "strong-rmw", "casdep", "iriw-ra"):
-            for c in corpus_candidates[name][:12]:
+        for name, cands in corpus_candidates.items():
+            for c in cands:
                 g = c.execution
-                assert correspondence_check(g, to_arm(g)) == [], name
+                a = to_arm(g)
+                assert a.wellformed() == [], name
+                assert correspondence_check(g, a) == [], name
 
     def test_correspondence_check_rejects_rf_co_tampering(self, corpus_candidates):
         g = corpus_candidates["mp"][0].execution

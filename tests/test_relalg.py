@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from immlab.relalg import Rel, UniverseMismatch, union_all
+from immlab.relalg import Rel, UniverseMismatch, remapping, union_all
 
 from oracles import (
     PairRel,
@@ -134,6 +134,21 @@ class TestSetAlgebra:
     def test_identity_composes(self):
         r = rel(4, (1, 2), (2, 3))
         assert Rel.identity(4, {1}).compose(r) == rel(4, (1, 2))
+
+    def test_remapping_matches_pairs(self):
+        # inserted, dropped and reordered ids against the mapped pair set
+        rng = random.Random(5)
+        for _ in range(200):
+            n = rng.randint(0, 10)
+            r = random_rel(rng, n)
+            m = n + rng.randint(0, 3)
+            index = rng.sample(range(m), n)
+            if rng.random() < 0.5:
+                index.sort()
+            index = [y if rng.random() < 0.8 else None for y in index]
+            want = {(index[a], index[b]) for a, b in r.pairs
+                    if index[a] is not None and index[b] is not None}
+            assert remapping(index, m)(r) == Rel(m, want)
 
 
 small_rels = st.builds(
