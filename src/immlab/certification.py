@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .enumeration import ThreadState, thread_step
 from .execgraph import Execution, Read, Write
-from .relalg import Rel
+from .relalg import Rel, remapping, remapping_onto
 from .traversal import Traversal, TraversalConfig
 
 
@@ -36,17 +36,15 @@ def determined(g, covered, issued):
 
 def cert_events(g, tc, tid, fragment="full"):
     """Events of the certification graph, as source-graph ids."""
-    po = g.po
     thread_issued = tc.issued & g.thread_events(tid)
-    keep = set(tc.covered) | set(tc.issued) | po.preimage(thread_issued)
+    keep = set(tc.covered) | set(tc.issued) | g.po.preimage(thread_issued)
     if fragment == "full":
         other_issued = tc.issued - g.thread_events(tid) - g.init_events
         rmw_reads = g.rmw.restrict(range(g.n), other_issued).dom()
         # init sources are always kept, so only genuine program writes count
         # as "local non-RMW" sources that force the read part out
         non_rmw_writes = g.W - g.rmw.codom() - g.init_events
-        rfi = g.rf & po
-        local_from_plain = rfi.restrict(non_rmw_writes, range(g.n)).codom()
+        local_from_plain = g.derive().rfi.restrict(non_rmw_writes, range(g.n)).codom()
         keep |= rmw_reads - local_from_plain
     return frozenset(keep)
 
@@ -219,11 +217,7 @@ def build_cert_graph(g, tc, tid, sprog=None, sc=None, fragment="full", unroll=8)
 
     keep_sorted = tuple(sorted(keep))
     remap = {old: new for new, old in enumerate(keep_sorted)}
-    n = len(keep_sorted)
-
-    def m(rel):
-        return Rel(n, ((remap[a], remap[b]) for a, b in rel
-                       if a in remap and b in remap))
+    m = remapping_onto(keep_sorted, g.n)
 
     rmw_crt = g.rmw.restrict(range(g.n), det)
     labels = [new_labels.get(e, g.labels[e]) for e in keep_sorted]
@@ -267,10 +261,8 @@ def check_cert_compl(g, tc, cg, sprog=None, unroll=8):
         if not any((i, d) in po_opt for d in det_local):
             out.append(f"event {gp.events[i]} has no po path to a determined event")
 
-    def m(rel):
-        return Rel(gp.n, ((remap[a], remap[b]) for a, b in rel
-                          if a in remap and b in remap))
-
+    m = remapping_onto(keep, g.n)
+    lift = remapping(keep, g.n)  # graph ids back to source ids
     if gp.ctrl != m(g.ctrl):
         out.append("ctrl is not the source restriction")
     for name, rel, crt in (("addr", g.addr, gp.addr), ("data", g.data, gp.data)):
@@ -291,7 +283,7 @@ def check_cert_compl(g, tc, cg, sprog=None, unroll=8):
         out.append("rmw is not rmw;[D]")
 
     # non-determined writes sit co-last or immediately before a same-thread write
-    coi = gp.co & gp.po
+    coi = gp.derive().coi
     imm_co = gp.co.immediate()
     for w in sorted(gp.W - det_local):
         after_det = [d for d in det_local if (w, d) in gp.co]
@@ -303,7 +295,7 @@ def check_cert_compl(g, tc, cg, sprog=None, unroll=8):
     # non-determined reads take the co-maximal visible write
     rf_src = {r: w for w, r in gp.rf}
     src_bvf = g.bvf(cg.determined, sc=cg.source_sc, fragment=cg.fragment)
-    co_crt_src = Rel(g.n, ((keep[a], keep[b]) for a, b in gp.co))
+    co_crt_src = lift(gp.co)
     for r_local in sorted(gp.R - det_local):
         r = keep[r_local]
         loc = g.loc_of[r]
@@ -330,7 +322,7 @@ def check_cert_compl(g, tc, cg, sprog=None, unroll=8):
 
     if sprog is not None:
         try:
-            relabeled = reexecute_labels(g, cg.tid, set(keep), _lift_rf(g, gp, keep),
+            relabeled = reexecute_labels(g, cg.tid, set(keep), lift(gp.rf),
                                          sprog, unroll=unroll)
         except CertificationError as err:
             out.append(f"thread {cg.tid} does not re-execute: {err}")
@@ -342,10 +334,6 @@ def check_cert_compl(g, tc, cg, sprog=None, unroll=8):
         if g.tid_of(e) not in (cg.tid, -1) and e not in det:
             out.append(f"other-thread event {g.events[e]} is not determined")
     return out
-
-
-def _lift_rf(g, gp, keep):
-    return Rel(g.n, ((keep[a], keep[b]) for a, b in gp.rf))
 
 
 def certification_traversal(cg, check_configs=True):

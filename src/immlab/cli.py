@@ -26,12 +26,35 @@ from .promise import simulate_traversal
 from .traversal import Traversal, replay
 
 
+def _int_at_least(low):
+    """argparse type: an int no smaller than low."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+def _thread_counts(text):
+    """argparse type: a comma-separated list of positive ints."""
+    parse = _int_at_least(1)
+    try:
+        return tuple(parse(part) for part in text.split(","))
+    except argparse.ArgumentTypeError as err:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated positive ints, got {text!r} ({err})") from None
+
+
 def _common(parser):
-    parser.add_argument("--max-val", type=int, default=None,
+    parser.add_argument("--max-val", type=_int_at_least(0), default=None,
                         help="override the litmus value bound")
-    parser.add_argument("--unroll", type=int, default=8,
+    parser.add_argument("--unroll", type=_int_at_least(1), default=8,
                         help="per-thread loop unroll bound")
-    parser.add_argument("--max-candidates", type=int, default=None,
+    parser.add_argument("--max-candidates", type=_int_at_least(1), default=None,
                         help="cap the candidate stream")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--dump-graph", metavar="DIR", default=None,
@@ -402,7 +425,7 @@ def cmd_run(args):
 
 def cmd_fuzz(args):
     cfg = FuzzConfig(
-        threads=tuple(int(t) for t in args.threads.split(",")),
+        threads=args.threads,
         max_instr=args.max_instr,
         relaxed_only=args.relaxed,
         max_candidates_per_program=args.per_program,
@@ -489,17 +512,18 @@ def main(argv=None):
     p.add_argument("--models", default=None,
                    type=_name_list(consistency.MODELS, "model"),
                    help=f"comma-separated subset of {','.join(consistency.MODELS)}")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     _common(p)
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("fuzz", help="random programs through the property sweep")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=int, default=50)
-    p.add_argument("--threads", default="2,3")
+    p.add_argument("--count", type=_int_at_least(1), default=50)
+    p.add_argument("--threads", type=_thread_counts, default="2,3",
+                   help="comma-separated thread counts to draw from")
     p.add_argument("--max-instr", type=int, default=4)
     p.add_argument("--relaxed", action="store_true")
-    p.add_argument("--per-program", type=int, default=400)
+    p.add_argument("--per-program", type=_int_at_least(1), default=400)
     p.add_argument("--checks", default=CHECKS, type=_name_list(CHECKS, "check"),
                    help=f"comma-separated subset of {','.join(CHECKS)}")
     _common(p)

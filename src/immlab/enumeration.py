@@ -247,7 +247,10 @@ def _assemble(combo):
 
 
 def candidate_executions(program, unroll=8, max_candidates=None, report=None):
-    """Stream candidate full executions in deterministic lexicographic order."""
+    """Stream candidate full executions in deterministic lexicographic order,
+    at most max_candidates of them (at least 1) when a cap is given."""
+    if max_candidates is not None and max_candidates < 1:
+        raise ValueError(f"max_candidates must be at least 1, got {max_candidates}")
     values = program.candidate_values()
     if report is None:
         report = EnumerationReport()

@@ -4,7 +4,15 @@ An execution is a finite event set with labels and primitive relations
 (rmw, data, addr, ctrl, casdep, rf, co, optional sc). Program order is
 derived from event identities: initialization events precede everything,
 events of one thread are ordered by serial number. Executions are immutable
-after construction; derived relations are computed once and cached.
+after construction.
+
+Derived relations are stated once each, as rows of a definition table
+(name -> (g, rels) -> Rel, the shape of the axiom rows in `consistency`),
+and read through a namespace (an instance of the `Derived` class that
+`namespace(table)` makes) that computes an entry the first time its name is
+read. `BASE_RELS` holds the relations every model reads; `IMM_RELS` extends
+it with the IMM and RC11 relations, and `hwmodels` extends it with the POWER
+and ARM ones.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ import json
 from dataclasses import dataclass
 
 from .program import FENCE_MODES, READ_MODES, WRITE_MODES, mode_leq
-from .relalg import Rel, remapping
+from .relalg import Rel, remapping_onto
 
 INIT_TID = -1
 
@@ -92,31 +100,129 @@ class Fence:
     loc = None
 
 
-@dataclass
-class DerivedRels:
-    po: Rel
-    rfi: Rel
-    rfe: Rel
-    coe: Rel
-    fr: Rel
-    fre: Rel
-    eco: Rel
-    rs: Rel
-    sw: Rel
-    hb: Rel
-    deps: Rel
-    ppo: Rel
-    bob: Rel
-    detour: Rel
-    psc: Rel
-    ar: Rel
-    ar_base: Rel
-    rs_rc11: Rel
-    sw_rc11: Rel
-    hb_rc11: Rel
-    psc_rc11: Rel
-    ar_rc11: Rel
-    vf_rlx: Rel
+def program_order(events):
+    """Event.precedes over events in canonical order, as bitset rows: the
+    init events come first and precede every other event, and each thread's
+    events are contiguous and in serial order."""
+    n = len(events)
+    rows = [0] * n
+    start = 0
+    while start < n and events[start].is_init:
+        start += 1
+    rest = (1 << n) - (1 << start)
+    for i in range(start):
+        rows[i] = rest
+    while start < n:
+        end = start
+        while end < n and events[end].tid == events[start].tid:
+            end += 1
+        upto = 1 << end
+        for i in range(start, end):
+            rows[i] = upto - (2 << i)
+        start = end
+    return Rel.from_rows(n, rows)
+
+
+class Derived:
+    """The derived relations of one graph g, read as attributes; the classes
+    `namespace` makes from tables add the attributes. Computed relations are
+    kept in store (a fresh dict by default). The store holds relations only,
+    so a graph can keep it to share its relations between namespaces without
+    a reference cycle, which would leave every checked graph to the cyclic
+    collector."""
+
+    __slots__ = ("g", "__dict__")
+
+    def __init__(self, g, store=None):
+        self.g = g
+        if store is not None:
+            self.__dict__ = store
+
+
+class _Entry:
+    """A table entry as an attribute: computed from (g, rels) on the first
+    read and stored under its name, which shadows the entry from then on."""
+
+    __slots__ = ("name", "define")
+
+    def __init__(self, name, define):
+        self.name = name
+        self.define = define
+
+    def __get__(self, rels, owner=None):
+        if rels is None:
+            return self
+        rel = rels.__dict__[self.name] = self.define(rels.g, rels)
+        return rel
+
+
+def namespace(table):
+    """The Derived class whose attributes are the entries of table
+    (name -> (g, rels) -> Rel); reading a name outside it raises
+    AttributeError."""
+    entries = {name: _Entry(name, define) for name, define in table.items()}
+    return type("Derived", (Derived,), {"__slots__": (), **entries})
+
+
+BASE_RELS = {
+    "rfi": lambda g, r: g.rf & g.po,
+    "rfe": lambda g, r: g.rf - g.po,
+    "coi": lambda g, r: g.co & g.po,
+    "coe": lambda g, r: g.co - g.po,
+    "fr": lambda g, r: g.rf.inverse().compose(g.co),
+    "fre": lambda g, r: r.fr - g.po,
+    "detour": lambda g, r: r.coe.compose(r.rfe) & g.po,
+}
+
+
+def _sw(g, rs, rf):
+    """([W^rel] ∪ [F^⊒rel];po);rs;rf;([R^acq] ∪ po;[F^⊒acq])"""
+    release = g.ident(g.W_rel) | g.ident(g.fences_geq("rel")).compose(g.po)
+    acquire = g.ident(g.R_acq) | g.po.compose(g.ident(g.fences_geq("acq")))
+    return release.seq(rs, rf, acquire)
+
+
+def _psc(g, hb, eco):
+    """[F^sc];hb;eco;hb;[F^sc]"""
+    id_fsc = g.ident(g.F_sc)
+    return id_fsc.seq(hb, eco, hb, id_fsc)
+
+
+IMM_RELS = BASE_RELS | {
+    "eco": lambda g, r: g.rf | g.co.compose(g.rf.opt()) | r.fr.compose(g.rf.opt()),
+    "rs": lambda g, r: (
+        g.ident(g.W).seq(g.po_loc, g.ident(g.W))
+        | g.ident(g.W).compose(g.po_loc.opt().seq(g.rf, g.rmw).star())
+    ),
+    "sw": lambda g, r: _sw(g, r.rs, r.rfi | g.po_loc.opt().compose(r.rfe)),
+    "hb": lambda g, r: (g.po | r.sw).plus(),
+    "deps": lambda g, r: (
+        g.data | g.ctrl | g.addr.compose(g.po.opt()) | g.casdep
+        | g.ident(g.R_ex).compose(g.po)
+    ),
+    "ppo": lambda g, r: g.ident(g.R).seq((r.deps | r.rfi).plus(), g.ident(g.W)),
+    "bob": lambda g, r: (
+        g.po.compose(g.ident(g.W_rel))
+        | g.ident(g.R_acq).compose(g.po)
+        | g.po.compose(g.ident(g.F))
+        | g.ident(g.F).compose(g.po)
+        | g.ident(g.W_rel).seq(g.po_loc, g.ident(g.W))
+    ),
+    "psc": lambda g, r: _psc(g, r.hb, r.eco),
+    "ar_base": lambda g, r: (
+        r.rfe | r.bob | r.ppo | r.detour | g.ident(g.W_strong).seq(g.po, g.ident(g.W))
+    ),
+    "ar": lambda g, r: r.ar_base | r.psc,
+    "rs_rc11": lambda g, r: (
+        g.ident(g.W).seq(g.po_loc.opt(), g.ident(g.W)).compose(g.rf.compose(g.rmw).star())
+    ),
+    "sw_rc11": lambda g, r: _sw(g, r.rs_rc11, g.rf),
+    "hb_rc11": lambda g, r: (g.po | r.sw_rc11).plus(),
+    "psc_rc11": lambda g, r: _psc(g, r.hb_rc11, r.eco),
+    "ar_rc11": lambda g, r: r.ar_base | r.psc_rc11,
+    "vf_rlx": lambda g, r: g.rf.opt().compose(g.po.opt()),
+}
+_IMM = namespace(IMM_RELS)
 
 
 class Execution:
@@ -182,28 +288,7 @@ class Execution:
 
     @property
     def po(self):
-        """Event.precedes as bitset rows, read off the canonical order: the
-        init events come first and precede every other event, and each
-        thread's events are contiguous and in serial order."""
-        def mk():
-            events, n = self.events, self.n
-            rows = [0] * n
-            start = 0
-            while start < n and events[start].is_init:
-                start += 1
-            rest = (1 << n) - (1 << start)
-            for i in range(start):
-                rows[i] = rest
-            while start < n:
-                end = start
-                while end < n and events[end].tid == events[start].tid:
-                    end += 1
-                upto = 1 << end
-                for i in range(start, end):
-                    rows[i] = upto - (2 << i)
-                start = end
-            return Rel.from_rows(n, rows)
-        return self._cached("po", mk)
+        return self._cached("po", lambda: program_order(self.events))
 
     @property
     def loc_of(self):
@@ -389,77 +474,11 @@ class Execution:
     # -- derived relations ------------------------------------------------------------
 
     def derive(self):
+        """The IMM and RC11 relations of this graph, each computed when first
+        read through any namespace this returns."""
         if self.model != "imm":
             raise ValueError("derived relations are defined for imm executions")
-        return self._cached("derived", self._derive)
-
-    def _derive(self):
-        n = self.n
-        po = self.po
-        po_loc = self.po_loc
-        rf, co, rmw = self.rf, self.co, self.rmw
-        ident = self.ident
-
-        rfi = rf & po
-        rfe = rf - po
-        coe = co - po
-        fr = rf.inverse().compose(co)
-        fre = fr - po
-        eco = rf | co.compose(rf.opt()) | fr.compose(rf.opt())
-
-        W, R, F = self.W, self.R, self.F
-        id_W, id_R, id_F = ident(W), ident(R), ident(F)
-        id_Wrel = ident(self.W_rel)
-        id_Racq = ident(self.R_acq)
-        id_Fsuprel = ident(self.fences_geq("rel"))
-        id_Fsupacq = ident(self.fences_geq("acq"))
-        id_Fsc = ident(self.F_sc)
-
-        rs = id_W.seq(po_loc, id_W) | id_W.compose(
-            po_loc.opt().seq(rf, rmw).star()
-        )
-        release = (id_Wrel | id_Fsuprel.compose(po)).compose(rs)
-        sw = release.compose(rfi | po_loc.opt().compose(rfe)).compose(
-            id_Racq | po.compose(id_Fsupacq)
-        )
-        hb = (po | sw).plus()
-
-        deps = (
-            self.data
-            | self.ctrl
-            | self.addr.compose(po.opt())
-            | self.casdep
-            | ident(self.R_ex).compose(po)
-        )
-        ppo = id_R.seq((deps | rfi).plus(), id_W)
-        bob = (
-            po.compose(id_Wrel)
-            | id_Racq.compose(po)
-            | po.compose(id_F)
-            | id_F.compose(po)
-            | id_Wrel.seq(po_loc, id_W)
-        )
-        detour = coe.compose(rfe) & po
-        psc = id_Fsc.seq(hb, eco, hb, id_Fsc)
-        strong_order = ident(self.W_strong).seq(po, id_W)
-        ar_base = rfe | bob | ppo | detour | strong_order
-        ar = ar_base | psc
-
-        rs_rc11 = id_W.seq(po_loc.opt(), id_W).compose(rf.compose(rmw).star())
-        release_rc11 = (id_Wrel | id_Fsuprel.compose(po)).compose(rs_rc11)
-        sw_rc11 = release_rc11.compose(rf).compose(id_Racq | po.compose(id_Fsupacq))
-        hb_rc11 = (po | sw_rc11).plus()
-        psc_rc11 = id_Fsc.seq(hb_rc11, eco, hb_rc11, id_Fsc)
-        ar_rc11 = ar_base | psc_rc11
-
-        vf_rlx = rf.opt().compose(po.opt())
-
-        return DerivedRels(
-            po=po, rfi=rfi, rfe=rfe, coe=coe, fr=fr, fre=fre, eco=eco, rs=rs,
-            sw=sw, hb=hb, deps=deps, ppo=ppo, bob=bob, detour=detour, psc=psc,
-            ar=ar, ar_base=ar_base, rs_rc11=rs_rc11, sw_rc11=sw_rc11,
-            hb_rc11=hb_rc11, psc_rc11=psc_rc11, ar_rc11=ar_rc11, vf_rlx=vf_rlx,
-        )
+        return _IMM(self, self._cached("derived", dict))
 
     def bvf(self, determined, sc=None, fragment="full"):
         """Certification visibility into non-determined reads.
@@ -486,10 +505,7 @@ class Execution:
 
     def _restricted(self, keep, rf=None, co=None, sc="keep"):
         keep = sorted(keep)
-        index = [None] * self.n
-        for new, old in enumerate(keep):
-            index[old] = new
-        m = remapping(index, len(keep))
+        m = remapping_onto(keep, self.n)
 
         if sc == "keep":
             new_sc = None if self.sc is None else m(self.sc)

@@ -1,7 +1,12 @@
 """Hardware-side picture: release splitting, the POWER/ARM graph mappings,
-the POWER and ARMv8 models as axiom tables (decided by
-consistency.evaluate), and the correspondence check between a source graph
-and its POWER or ARM image.
+the POWER and ARMv8 models, and the correspondence check between a source
+graph and its POWER or ARM image.
+
+Each model is two tables: its relations (POWER_RELS, ARM_RELS), which extend
+execgraph.BASE_RELS and are read through an execgraph.namespace, and
+its axioms, decided by consistency.evaluate. POWER's ii/ic/ci/cc are the one
+exception: they are a simultaneous fixpoint, which power_ppo_fixpoint
+computes and stores in the namespace it returns.
 
 Mappings are graph-level: each source event keeps its identity, inserted
 barriers take half-step serial numbers, and the mapped graph is the minimal
@@ -15,12 +20,13 @@ two-row table gives the POWER and ARM labels, fences and ctrl rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .consistency import Verdict, atomicity, check_imm, checker_for, evaluate
 from .enumeration import candidate_executions
-from .execgraph import Event, Execution, Fence, Read, Write
+from .execgraph import (
+    BASE_RELS, Event, Execution, Fence, Read, Write, namespace, program_order,
+)
 from .relalg import Rel, remapping, union_all
 
 
@@ -68,7 +74,7 @@ def _insert_fences(g, inserts, relabel, model, ctrl_rules=()):
             labels.append(g.labels[i] if g.events[i].is_init else relabel(g.labels[i]))
     n = len(events)
     carry = remapping(index, n)
-    po = Execution(events, labels).po
+    po = program_order(events)
     ctrl = union_all(n, [carry(g.ctrl)] + [carry(a).compose(po) - carry(x)
                                            for a, x in (rule(g) for rule in ctrl_rules)])
     imm = model == "imm"
@@ -188,56 +194,53 @@ def to_arm(g):
 # -- POWER consistency --------------------------------------------------------------
 
 
-@dataclass
-class PowerRels:
-    fr: Rel
-    fre: Rel
-    coe: Rel
-    sync: Rel
-    lwsync: Rel
-    fence: Rel
-    ctrl_isync: Rel
-    rdw: Rel
-    detour: Rel
-    ii: Rel
-    ic: Rel
-    ci: Rel
-    cc: Rel
-    ppo: Rel
-    hb: Rel
-    prop1: Rel
-    prop2: Rel
-    prop: Rel
+def _fence_order(g, mode):
+    """[RW];po;[F^mode];po;[RW]"""
+    id_rw = g.ident(g.RW)
+    return id_rw.seq(g.po, g.ident(g.fences_with_mode(mode)), g.po, id_rw)
+
+
+def _lwsync(order, g):
+    """An lwsync orders every pair but a write before a later read."""
+    return order - order.restrict(g.W, g.R)
+
+
+def _ppo(id_r, ii, ic, id_w):
+    """[R];ii;[R] ∪ [R];ic;[W]"""
+    return id_r.seq(ii, id_r) | id_r.seq(ic, id_w)
+
+
+def _with_mode(g, members, mode):
+    """The identity on the members labelled with mode."""
+    return g.ident(i for i in members if g.labels[i].mode == mode)
+
+
+# ii/ic/ci/cc are not entries: power_ppo_fixpoint computes them together
+POWER_RELS = BASE_RELS | {
+    "sync": lambda g, r: _fence_order(g, "sync"),
+    "lwsync": lambda g, r: _lwsync(_fence_order(g, "lwsync"), g),
+    "fence": lambda g, r: r.sync | r.lwsync,
+    "ctrl_isync": lambda g, r: g.ident(g.R).seq(
+        g.ctrl, g.ident(g.fences_with_mode("isync")), g.po),
+    "rdw": lambda g, r: r.fre.compose(r.rfe) & g.po,
+    "ppo": lambda g, r: _ppo(g.ident(g.R), r.ii, r.ic, g.ident(g.W)),
+    "hb": lambda g, r: r.ppo | r.fence | r.rfe,
+    "prop1": lambda g, r: g.ident(g.W).seq(r.rfe.opt(), r.fence, r.hb.star(), g.ident(g.W)),
+    "prop2": lambda g, r: (r.coe | r.fre).opt().seq(
+        r.rfe.opt(), r.fence.compose(r.hb.star()).opt(), r.sync, r.hb.star()),
+    "prop": lambda g, r: r.prop1 | r.prop2,
+}
+_POWER = namespace(POWER_RELS)
 
 
 def power_ppo_fixpoint(gp, armv7=False):
-    """Least simultaneous fixpoint of the ii/ic/ci/cc rule table, and the
-    relations the POWER axioms are stated over."""
-    po = gp.po
-    rf, co = gp.rf, gp.co
-    rfi = rf & po
-    rfe = rf - po
-    coe = co - po
-    fr = rf.inverse().compose(co)
-    fre = fr - po
-    id_RW = gp.ident(gp.RW)
-    id_R, id_W = gp.ident(gp.R), gp.ident(gp.W)
-
-    def fence_order(mode):
-        return id_RW.seq(po, gp.ident(gp.fences_with_mode(mode)), po, id_RW)
-
-    sync = fence_order("sync")
-    lwsync = fence_order("lwsync")
-    lwsync = lwsync - lwsync.restrict(gp.W, gp.R)
-    fence = sync | lwsync
-    ctrl_isync = id_R.seq(gp.ctrl, gp.ident(gp.fences_with_mode("isync")), po)
-    rdw = fre.compose(rfe) & po
-    detour = coe.compose(rfe) & po
-
-    ii = gp.addr | gp.data | rdw | rfi
+    """The POWER relations of gp (POWER_RELS) with ii/ic/ci/cc stored: the
+    least simultaneous fixpoint of their rule table."""
+    r = _POWER(gp)
+    ii = gp.addr | gp.data | r.rdw | r.rfi
     ic = Rel(gp.n)
-    ci = ctrl_isync | detour
-    cc = gp.data | gp.ctrl | gp.addr.compose(po.opt())
+    ci = r.ctrl_isync | r.detour
+    cc = gp.data | gp.ctrl | gp.addr.compose(gp.po.opt())
     if not armv7:
         cc = cc | gp.po_loc
 
@@ -250,18 +253,8 @@ def power_ppo_fixpoint(gp, armv7=False):
             break
         ii, ic, ci, cc = ii2, ic2, ci2, cc2
 
-    ppo = id_R.seq(ii, id_R) | id_R.seq(ic, id_W)
-    hb = ppo | fence | rfe
-    prop1 = id_W.seq(rfe.opt(), fence, hb.star(), id_W)
-    prop2 = (coe | fre).opt().seq(
-        rfe.opt(), fence.compose(hb.star()).opt(), sync, hb.star()
-    )
-    return PowerRels(
-        fr=fr, fre=fre, coe=coe,
-        sync=sync, lwsync=lwsync, fence=fence, ctrl_isync=ctrl_isync, rdw=rdw,
-        detour=detour, ii=ii, ic=ic, ci=ci, cc=cc, ppo=ppo, hb=hb,
-        prop1=prop1, prop2=prop2, prop=prop1 | prop2,
-    )
+    r.ii, r.ic, r.ci, r.cc = ii, ic, ci, cc
+    return r
 
 
 def _at_order(gp, rels):
@@ -290,45 +283,22 @@ def check_power(gp, at_axiom=False, armv7=False):
 # -- ARM consistency ----------------------------------------------------------------
 
 
-@dataclass
-class ArmRels:
-    fr: Rel
-    fre: Rel
-    coe: Rel
-    obs: Rel
-    dob: Rel
-    aob: Rel
-    bob: Rel
-
-
-def arm_relations(ga):
-    """The relations the ARMv8 axioms are stated over."""
-    po = ga.po
-    rf, co = ga.rf, ga.co
-    rfi, rfe = rf & po, rf - po
-    coi, coe = co & po, co - po
-    fr = rf.inverse().compose(co)
-    fre = fr - po
-    id_W = ga.ident(ga.W)
-    w_ex = ga.rmw.codom()
-    r_q = frozenset(i for i in ga.R if ga.labels[i].mode == "Q")
-    w_l = frozenset(i for i in ga.W if ga.labels[i].mode == "L")
-    return ArmRels(
-        fr=fr, fre=fre, coe=coe,
-        obs=rfe | fre | coe,
-        dob=(
-            (ga.addr | ga.data).compose(rfi.opt())
-            | (ga.ctrl | ga.data).seq(id_W, coi.opt())
-            | ga.addr.seq(po, id_W)
-        ),
-        aob=ga.rmw | ga.ident(w_ex).seq(rfi, ga.ident(r_q)),
-        bob=(
-            po.seq(ga.ident(ga.fences_with_mode("sy")), po)
-            | ga.ident(ga.R).seq(po, ga.ident(ga.fences_with_mode("ld")), po)
-            | ga.ident(r_q).compose(po)
-            | po.seq(ga.ident(w_l), coi.opt())
-        ),
-    )
+ARM_RELS = BASE_RELS | {
+    "obs": lambda g, r: r.rfe | r.fre | r.coe,
+    "dob": lambda g, r: (
+        (g.addr | g.data).compose(r.rfi.opt())
+        | (g.ctrl | g.data).seq(g.ident(g.W), r.coi.opt())
+        | g.addr.seq(g.po, g.ident(g.W))
+    ),
+    "aob": lambda g, r: g.rmw | g.ident(g.rmw.codom()).seq(r.rfi, _with_mode(g, g.R, "Q")),
+    "bob": lambda g, r: (
+        g.po.seq(g.ident(g.fences_with_mode("sy")), g.po)
+        | g.ident(g.R).seq(g.po, g.ident(g.fences_with_mode("ld")), g.po)
+        | _with_mode(g, g.R, "Q").compose(g.po)
+        | g.po.seq(_with_mode(g, g.W, "L"), r.coi.opt())
+    ),
+}
+_ARM = namespace(ARM_RELS)
 
 
 ARM = (
@@ -339,7 +309,7 @@ ARM = (
 
 
 def check_arm(ga):
-    return Verdict("arm", evaluate(ARM, ga, arm_relations(ga)))
+    return Verdict("arm", evaluate(ARM, ga, _ARM(ga)))
 
 
 # -- the correspondence check ---------------------------------------------------------

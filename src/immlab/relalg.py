@@ -321,3 +321,12 @@ def remapping(index, n):
         return _new(n, rows)
 
     return carry
+
+
+def remapping_onto(keep, n):
+    """remapping from a universe of n events onto the ascending ids keep,
+    renumbered 0..len(keep)-1; every other id is dropped."""
+    index = [None] * n
+    for new, old in enumerate(keep):
+        index[old] = new
+    return remapping(index, len(keep))

@@ -33,14 +33,18 @@ class TravStep:
     event: int
     partner: int | None = None  # the rmw write of an rmw-cover
 
-    def events_covered(self):
-        if self.kind == "cover":
-            return (self.event,)
-        if self.kind == "release-cover":
-            return (self.event,)
-        if self.kind == "rmw-cover":
-            return (self.event, self.partner)
-        return ()
+    def apply(self, tc):
+        """The configuration after this step: a cover covers the event, an
+        issue issues the write, a release-cover does both to a release
+        write, and an rmw-cover covers the read and its write and issues
+        that write."""
+        covered, issued = {
+            "cover": ((self.event,), ()),
+            "issue": ((), (self.event,)),
+            "release-cover": ((self.event,), (self.event,)),
+            "rmw-cover": ((self.event, self.partner), (self.partner,)),
+        }[self.kind]
+        return TraversalConfig(tc.covered.union(covered), tc.issued.union(issued))
 
     def to_json(self, g):
         doc = {"kind": self.kind, "event": str(g.events[self.event])}
@@ -62,7 +66,7 @@ class Traversal:
         self.sc = sc
         if fragment == "full" and g.F_sc and not sc.is_total_on(g.F_sc):
             raise TraversalError("SC fences present but no total sc order supplied")
-        po = d.po
+        po = g.po
         ext = d.detour | d.rfe
         self.req_fwbob = (
             g.ident(g.W_rel).compose(g.po_loc) | g.ident(g.F).compose(po)
@@ -151,24 +155,15 @@ class Traversal:
         for e in sorted(self.coverable_set(tc) - tc.covered):
             w = self.rmw_write.get(e)
             if w is None:
-                steps.append((TravStep("cover", e),
-                              TraversalConfig(tc.covered | {e}, tc.issued)))
-            elif w in tc.issued:
-                steps.append((TravStep("rmw-cover", e, w),
-                              TraversalConfig(tc.covered | {e, w}, tc.issued)))
-            elif w in g.W_rel:
-                steps.append((TravStep("rmw-cover", e, w),
-                              TraversalConfig(tc.covered | {e, w}, tc.issued | {w})))
+                steps.append(TravStep("cover", e))
+            elif w in tc.issued or w in g.W_rel:
+                steps.append(TravStep("rmw-cover", e, w))
         for w in sorted(g.W_rel - tc.covered):
             if g.po.preimage((w,)) <= tc.covered:
-                steps.append((TravStep("release-cover", w),
-                              TraversalConfig(tc.covered | {w}, tc.issued | {w})))
+                steps.append(TravStep("release-cover", w))
         for w in sorted(self.issuable_set(tc) - tc.issued - g.W_rel):
-            steps.append((TravStep("issue", w), TraversalConfig(tc.covered, tc.issued | {w})))
-        return steps
-
-    def trav_step(self, tc):
-        return self.enabled_steps(tc)
+            steps.append(TravStep("issue", w))
+        return [(step, step.apply(tc)) for step in steps]
 
     # -- small steps and the next-step search ------------------------------------------
 
@@ -289,22 +284,5 @@ def replay(g, steps):
     """Apply recorded steps from the initial config; returns the final config."""
     tc = TraversalConfig(g.init_events, g.init_events)
     for step in steps:
-        covered = set(tc.covered)
-        issued = set(tc.issued)
-        if step.kind == "cover":
-            covered.add(step.event)
-        elif step.kind == "issue":
-            issued.add(step.event)
-        elif step.kind == "release-cover":
-            covered.add(step.event)
-            issued.add(step.event)
-        elif step.kind == "rmw-cover":
-            covered.add(step.event)
-            covered.add(step.partner)
-            issued.add(step.partner)
-        tc = TraversalConfig(frozenset(covered), frozenset(issued))
+        tc = step.apply(tc)
     return tc
-
-
-def traverse_to_completion(g, sc=None, start=None):
-    return Traversal(g, sc=sc).traverse(start=start)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from immlab.cli import main
+from immlab.enumeration import candidate_executions
 
 from conftest import CORPUS_DIR
 
@@ -198,6 +199,41 @@ class TestBadArguments:
         captured = capsys.readouterr()
         assert exit_info.value.code == 2 and message in captured.err
         assert captured.out == ""
+
+    MP = str(CORPUS_DIR / "mp.litmus")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("enumerate", MP, "--max-candidates", "0"), "--max-candidates: must be at least 1"),
+        (("enumerate", MP, "--max-candidates", "-3"), "--max-candidates: must be at least 1"),
+        (("check", MP, "--model", "imm", "--max-val", "-1"), "--max-val: must be at least 0"),
+        (("enumerate", MP, "--unroll", "0"), "--unroll: must be at least 1"),
+        (("run", str(CORPUS_DIR), "--jobs", "0"), "--jobs: must be at least 1"),
+        (("fuzz", "--seed", "1", "--count", "0"), "--count: must be at least 1"),
+        (("fuzz", "--seed", "1", "--per-program", "0"), "--per-program: must be at least 1"),
+        (("fuzz", "--seed", "1", "--threads", "a"), "--threads: expected comma-separated"),
+        (("fuzz", "--seed", "1", "--threads", "0"), "--threads: expected comma-separated"),
+        (("fuzz", "--seed", "1", "--threads", "2,-1"), "--threads: expected comma-separated"),
+        (("check", MP, "--model", "imm", "--max-candidates", "x"), "invalid int value: 'x'"),
+    ])
+    def test_out_of_range_bounds_are_rejected(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2 and message in captured.err
+        assert captured.out == ""
+
+    def test_lowest_bounds_still_run(self, capsys):
+        code, out = run_cli(capsys, "enumerate", self.MP, "--max-candidates", "1",
+                            "--max-val", "0", "--unroll", "1", "--json")
+        assert code == 0 and json.loads(out)["candidates"] == 1
+        code, out = run_cli(capsys, "fuzz", "--seed", "5", "--count", "1", "--threads", "1",
+                            "--per-program", "1", "--checks", "inclusions", "--json")
+        assert code == 0 and json.loads(out)["candidates"] <= 1
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_candidate_cap_below_one_raises(self, corpus, cap):
+        with pytest.raises(ValueError, match="max_candidates must be at least 1"):
+            list(candidate_executions(corpus["mp"].program, max_candidates=cap))
 
     def test_known_model_subset_still_runs(self, capsys, tmp_path):
         (tmp_path / "mp.litmus").write_text((CORPUS_DIR / "mp.litmus").read_text())

@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from immlab.consistency import check_imm
-from immlab.enumeration import assertion_holds
-from immlab.execgraph import Event, Execution, Fence, Read, Write
+from immlab.consistency import check_c11, check_imm
+from immlab.enumeration import assertion_holds, candidate_executions
+from immlab.execgraph import IMM_RELS, Event, Execution, Fence, Read, Write, namespace
 from immlab.relalg import Rel
 
 
@@ -162,6 +162,51 @@ class TestDerived:
                 assert d.ppo.pairs <= id_r.seq(g.po, id_w).pairs
                 assert d.bob.pairs <= g.po.pairs
                 assert d.detour.pairs <= g.po.pairs
+
+
+class TestDerivedNamespace:
+    @staticmethod
+    def fresh_graphs(corpus):
+        """Every corpus candidate, enumerated anew so nothing is derived yet."""
+        return [c.execution for t in corpus.values()
+                for c in candidate_executions(t.program)]
+
+    def test_entry_computed_once_on_first_read(self, corpus_candidates):
+        g = corpus_candidates["mp"][0].execution
+        calls = []
+        d = namespace({"rfe": lambda g, r: calls.append(1) or g.rf - g.po})(g)
+        assert "rfe" not in vars(d)
+        assert d.rfe is d.rfe and d.rfe == g.rf - g.po
+        assert calls == [1]
+
+    def test_unknown_name_raises_attribute_error(self, corpus_candidates):
+        d = corpus_candidates["mp"][0].execution.derive()
+        with pytest.raises(AttributeError, match="nonesuch"):
+            d.nonesuch
+        assert not hasattr(d, "ii")  # a POWER relation, outside the IMM table
+        assert getattr(d, "nonesuch", None) is None
+
+    def test_derive_is_cached_and_imm_only(self, corpus_candidates):
+        g = corpus_candidates["mp"][0].execution
+        assert g.derive().hb is g.derive().hb
+        assert vars(g.derive()) is vars(g.derive())
+        g2 = Execution(g.events, g.labels, model="arm")
+        with pytest.raises(ValueError, match="defined for imm executions"):
+            g2.derive()
+
+    def test_check_imm_builds_no_rc11_relation(self, corpus):
+        rc11_only = [name for name in IMM_RELS if name.endswith("_rc11")] + ["vf_rlx"]
+        assert len(rc11_only) == 6
+        for g in self.fresh_graphs(corpus):
+            check_imm(g)
+            built = vars(g.derive())
+            assert "ar" in built and not built.keys() & set(rc11_only)
+
+    def test_check_c11_builds_no_ar_or_ppo(self, corpus):
+        for g in self.fresh_graphs(corpus):
+            check_c11(g)
+            built = vars(g.derive())
+            assert "hb_rc11" in built and not built.keys() & {"ar", "ppo"}
 
 
 class TestProgramOrder:

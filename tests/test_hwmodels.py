@@ -5,9 +5,11 @@ import pytest
 
 from immlab.consistency import check_imm
 from immlab.enumeration import assertion_holds, candidate_executions
-from immlab.execgraph import Event, Execution, Fence
+from immlab.execgraph import IMM_RELS, Event, Execution, Fence, namespace
 from immlab.fuzz import FuzzConfig, random_program
 from immlab.hwmodels import (
+    ARM_RELS,
+    POWER_RELS,
     MappingError,
     check_arm,
     check_power,
@@ -283,6 +285,26 @@ class TestCheckArm:
             co=[(Event.init(0), Event(0, 0))],
         )
         assert check_arm(to_arm(g)).consistent
+
+
+def test_every_table_entry_is_a_relation(corpus_candidates):
+    """Each entry of the IMM/RC11, POWER and ARM tables, read or not by an
+    axiom, evaluates to a relation over the graph's events."""
+    def check(rels, names, g):
+        for name in names:
+            rel = getattr(rels, name)
+            assert isinstance(rel, Rel) and rel.n == g.n, name
+
+    for cands in corpus_candidates.values():
+        for c in cands:
+            g = c.execution
+            split = split_release(g)
+            for src in (g, split):
+                check(src.derive(), IMM_RELS, src)
+            gp = to_power(split)
+            check(power_ppo_fixpoint(gp), list(POWER_RELS) + ["ii", "ic", "ci", "cc"], gp)
+            ga = to_arm(g)
+            check(namespace(ARM_RELS)(ga), ARM_RELS, ga)
 
 
 class TestEmpiricalTheorems:

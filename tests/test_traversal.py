@@ -3,7 +3,7 @@ import pytest
 from immlab.consistency import check_imm, check_imms, sc_witness_rel
 from immlab.enumeration import assertion_holds, candidate_executions
 from immlab.program import parse_litmus
-from immlab.traversal import Traversal, TraversalConfig, TraversalError, replay
+from immlab.traversal import Traversal, TravStep, TraversalConfig, TraversalError, replay
 
 
 def annotated_graph(corpus, corpus_candidates, name):
@@ -246,6 +246,30 @@ class TestSteps:
                 trav = Traversal(g, sc=sc)
                 steps = trav.traverse()
                 assert replay(g, steps) == trav.final_config(), name
+
+    def test_step_kinds_apply(self):
+        tc = TraversalConfig(frozenset({0}), frozenset({0, 3}))
+        assert TravStep("cover", 2).apply(tc) == TraversalConfig({0, 2}, {0, 3})
+        assert TravStep("issue", 4).apply(tc) == TraversalConfig({0}, {0, 3, 4})
+        assert TravStep("release-cover", 4).apply(tc) == TraversalConfig({0, 4}, {0, 3, 4})
+        assert TravStep("rmw-cover", 1, 3).apply(tc) == TraversalConfig({0, 1, 3}, {0, 3})
+        assert TravStep("rmw-cover", 1, 5).apply(tc) == TraversalConfig({0, 1, 5}, {0, 3, 5})
+
+    def test_replay_follows_every_prefix(self, corpus_candidates):
+        # each recorded step's configuration is the replay of its prefix
+        for name in ("lb-data", "mp", "atomicity", "strong-rmw"):
+            for c in corpus_candidates[name]:
+                g = c.execution
+                v = check_imms(g)
+                if not v.consistent:
+                    continue
+                trav = Traversal(g, sc=sc_witness_rel(g, v))
+                tc = trav.initial_config()
+                steps = []
+                while tc != trav.final_config():
+                    step, tc = trav.enabled_steps(tc)[0]
+                    steps.append(step)
+                    assert replay(g, steps) == tc, name
 
 
 class TestCorpusTotality:
