@@ -191,12 +191,6 @@ class CertGraph:
     source_sc: Rel | None = None
     fragment: str = "full"
 
-    def to_graph_id(self, source_id):
-        return self.keep.index(source_id)
-
-    def determined_local(self):
-        return frozenset(self.keep.index(e) for e in self.determined)
-
 
 def build_cert_graph(g, tc, tid, sprog=None, sc=None, fragment="full", unroll=8):
     """Compose events, coherence, reads-from, and re-labeling into the

@@ -501,24 +501,11 @@ class Execution:
     def restrict_thread(self, tid):
         """Thread-local restriction: events of one thread, rf = co = ∅."""
         keep = sorted(self.thread_events(tid))
-        return self._restricted(keep, rf=Rel(self.n), co=Rel(self.n), sc=None)
-
-    def _restricted(self, keep, rf=None, co=None, sc="keep"):
-        keep = sorted(keep)
         m = remapping_onto(keep, self.n)
-
-        if sc == "keep":
-            new_sc = None if self.sc is None else m(self.sc)
-        else:
-            new_sc = None if sc is None else m(sc)
         return Execution(
-            [self.events[i] for i in keep],
-            [self.labels[i] for i in keep],
+            [self.events[i] for i in keep], [self.labels[i] for i in keep],
             rmw=m(self.rmw), data=m(self.data), addr=m(self.addr),
-            ctrl=m(self.ctrl), casdep=m(self.casdep),
-            rf=m(rf if rf is not None else self.rf),
-            co=m(co if co is not None else self.co),
-            sc=new_sc, model=self.model,
+            ctrl=m(self.ctrl), casdep=m(self.casdep), model=self.model,
         )
 
     def signature(self):
@@ -607,17 +594,6 @@ class Execution:
     def loads(text):
         return Execution.from_json(json.loads(text))
 
-    def pretty(self, loc_names=None):
-        def locname(loc):
-            if loc_names and 0 <= loc < len(loc_names):
-                return loc_names[loc]
-            return f"loc{loc}"
-
-        lines = []
-        for i, (e, lab) in enumerate(zip(self.events, self.labels)):
-            lines.append(f"  [{i}] {e}: {_label_str(lab, locname)}")
-        return "\n".join(lines)
-
 
 def _label_to_json(lab):
     if isinstance(lab, Read):
@@ -634,13 +610,3 @@ def _label_from_json(doc):
     if doc["kind"] == "w":
         return Write(doc["mode"], doc["loc"], doc["val"], doc.get("rmw_mode", "normal"))
     return Fence(doc["mode"])
-
-
-def _label_str(lab, locname):
-    if isinstance(lab, Read):
-        ex = ",ex" if lab.ex else ""
-        return f"R[{lab.mode}{ex}] {locname(lab.loc)} = {lab.val}"
-    if isinstance(lab, Write):
-        strong = ",strong" if lab.rmw_mode == "strong" else ""
-        return f"W[{lab.mode}{strong}] {locname(lab.loc)} := {lab.val}"
-    return f"F[{lab.mode}]"

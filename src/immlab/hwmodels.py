@@ -4,9 +4,9 @@ graph and its POWER or ARM image.
 
 Each model is two tables: its relations (POWER_RELS, ARM_RELS), which extend
 execgraph.BASE_RELS and are read through an execgraph.namespace, and
-its axioms, decided by consistency.evaluate. POWER's ii/ic/ci/cc are the one
-exception: they are a simultaneous fixpoint, which power_ppo_fixpoint
-computes and stores in the namespace it returns.
+its axioms, decided by consistency.evaluate. POWER's ii/ic/ci/cc are the four
+blocks of one transitive closure over two copies of the events (see
+power_ppo_fixpoint), which stores them in the namespace it returns.
 
 Mappings are graph-level: each source event keeps its identity, inserted
 barriers take half-step serial numbers, and the mapped graph is the minimal
@@ -35,31 +35,24 @@ class MappingError(ValueError):
 
 
 def _renumber_whole(g):
-    """Order-preserving renumbering so every serial number is whole."""
-    if all(e.is_init or e.half == 0 for e in g.events):
-        return g
-    counters = {}
-    new_events = []
-    for e in g.events:
-        if e.is_init:
-            new_events.append(e)
-            continue
-        k = counters.get(e.tid, 0)
-        counters[e.tid] = k + 1
-        new_events.append(Event(e.tid, k))
-    return Execution(
-        new_events, g.labels, rmw=g.rmw, data=g.data, addr=g.addr, ctrl=g.ctrl,
-        casdep=g.casdep, rf=g.rf, co=g.co, sc=g.sc, model=g.model,
-    )
+    """g's events renumbered, in order, so every serial number is whole (a
+    thread's events are contiguous); g's relations are index-based and hold
+    for them unchanged."""
+    if all(e.half == 0 for e in g.events):
+        return g.events
+    first = {}
+    return tuple(e if e.is_init else Event(e.tid, i - first.setdefault(e.tid, i))
+                 for i, e in enumerate(g.events))
 
 
-def _insert_fences(g, inserts, relabel, model, ctrl_rules=()):
-    """g with each (position, event, fence label) of inserts placed before
-    the old event at that position (g.n for the end), every non-init label
-    passed through relabel, and every relation carried along the monotone
-    old→new index map. Each ctrl rule maps g to source relations (A, X):
-    the new ctrl gains A;po minus X, over the new po, and is forward-closed.
-    casdep and the sc order exist only in imm graphs."""
+def _insert_fences(g, old_events, inserts, relabel, model, ctrl_rules=()):
+    """g, its events named old_events, with each (position, event, fence
+    label) of inserts placed before the old event at that position (g.n for
+    the end), every non-init label passed through relabel, and every relation
+    carried along the monotone old→new index map. Each ctrl rule maps g to
+    source relations (A, X): the new ctrl gains A;po minus X, over the new
+    po, and is forward-closed. casdep and the sc order exist only in imm
+    graphs."""
     inserts = sorted(inserts, key=lambda ins: ins[0])
     events, labels, index = [], [], []
     k = 0
@@ -70,8 +63,8 @@ def _insert_fences(g, inserts, relabel, model, ctrl_rules=()):
             k += 1
         if i < g.n:
             index.append(len(events))
-            events.append(g.events[i])
-            labels.append(g.labels[i] if g.events[i].is_init else relabel(g.labels[i]))
+            events.append(old_events[i])
+            labels.append(g.labels[i] if old_events[i].is_init else relabel(g.labels[i]))
     n = len(events)
     carry = remapping(index, n)
     po = program_order(events)
@@ -119,7 +112,7 @@ def split_release(g):
             return Write("rlx", lab.loc, lab.val, lab.rmw_mode)
         return lab
 
-    return _insert_fences(g, inserts, relabel, "imm")
+    return _insert_fences(g, g.events, inserts, relabel, "imm")
 
 
 # The label tables are the compilation schemes themselves, shared with the
@@ -164,8 +157,8 @@ _MAPPINGS = {
 
 def _to_target(g, model):
     spec = _MAPPINGS[model]
-    g = _renumber_whole(g)
-    inserts = [(i + 1, Event(g.events[i].tid, g.events[i].whole, 1), Fence(spec.fence))
+    events = _renumber_whole(g)
+    inserts = [(i + 1, Event(events[i].tid, events[i].whole, 1), Fence(spec.fence))
                for i in spec.fence_after(g)]
     read, write, fence = spec.modes["r"], spec.modes["w"], spec.modes["f"]
 
@@ -176,7 +169,7 @@ def _to_target(g, model):
             return Write(write[lab.mode], lab.loc, lab.val, None)
         return Fence(fence[lab.mode])
 
-    return _insert_fences(g, inserts, relabel, model, spec.ctrl)
+    return _insert_fences(g, events, inserts, relabel, model, spec.ctrl)
 
 
 def to_power(g):
@@ -235,25 +228,30 @@ _POWER = namespace(POWER_RELS)
 
 def power_ppo_fixpoint(gp, armv7=False):
     """The POWER relations of gp (POWER_RELS) with ii/ic/ci/cc stored: the
-    least simultaneous fixpoint of their rule table."""
+    least fixpoint of their rule table, as one transitive closure.
+
+    Node x stands for event x in state i and node n+x for x in state c, so
+    that (x, y) ∈ st is an edge from x in state s to y in state t. Every rule
+    of the table composes xy;yz ⊆ xz, and the inclusions ci ⊆ ii ⊆ ic and
+    ci ⊆ cc ⊆ ic each take a free ε-step from i to c, at the start or at the
+    end. The least fixpoint is therefore (ε?;B;ε?)⁺, where B holds the seeds
+    ii₀, ci₀ and cc₀ (ic₀ is empty) as blocks: row x is ii₀|ci₀ in the low
+    half and ii₀|ci₀|cc₀ in the high half, row n+x is ci₀ in the low half
+    and ci₀|cc₀ in the high half. ii, ic, ci and cc are the four n×n blocks
+    of the closure. armv7 drops po_loc from the cc seed."""
     r = _POWER(gp)
-    ii = gp.addr | gp.data | r.rdw | r.rfi
-    ic = Rel(gp.n)
-    ci = r.ctrl_isync | r.detour
-    cc = gp.data | gp.ctrl | gp.addr.compose(gp.po.opt())
+    n = gp.n
+    ii0 = gp.addr | gp.data | r.rdw | r.rfi
+    ci0 = r.ctrl_isync | r.detour
+    cc0 = gp.data | gp.ctrl | gp.addr.compose(gp.po.opt())
     if not armv7:
-        cc = cc | gp.po_loc
-
-    while True:
-        ii2 = ii | ci | ic.compose(ci) | ii.compose(ii)
-        ic2 = ic | ii2 | cc | ic.compose(cc) | ii2.compose(ic)
-        ci2 = ci | ci.compose(ii2) | cc.compose(ci)
-        cc2 = cc | ci2 | ci2.compose(ic2) | cc.compose(cc)
-        if (ii2, ic2, ci2, cc2) == (ii, ic, ci, cc):
-            break
-        ii, ic, ci, cc = ii2, ic2, ci2, cc2
-
-    r.ii, r.ic, r.ci, r.cc = ii, ic, ci, cc
+        cc0 = cc0 | gp.po_loc
+    rows = [a | (a | c) << n for a, c in zip((ii0 | ci0).rows(), cc0.rows())]
+    rows += [a | (a | c) << n for a, c in zip(ci0.rows(), cc0.rows())]
+    closed = Rel.from_rows(2 * n, rows).plus().rows()
+    mask = (1 << n) - 1
+    r.ii, r.ic, r.ci, r.cc = (Rel.from_rows(n, [row >> shift & mask for row in half])
+                              for half in (closed[:n], closed[n:]) for shift in (0, n))
     return r
 
 
@@ -374,14 +372,14 @@ def correspondence_check(src, target):
     if target.model not in _TARGETS:
         raise ValueError(f"no correspondence conditions for {target.model!r} graphs")
     spec = _TARGETS[target.model]
-    g = _renumber_whole(src)
-    inserted = sorted((Event(g.events[i].tid, g.events[i].whole, 1)
-                       for i in spec.fence_after(g)), key=Event.key)
-    if set(target.events) != set(g.events) | set(inserted):
+    events = _renumber_whole(src)
+    inserted = sorted((Event(events[i].tid, events[i].whole, 1)
+                       for i in spec.fence_after(src)), key=Event.key)
+    if set(target.events) != set(events) | set(inserted):
         return ["event set mismatch"]
 
     out = []
-    for e, lab in zip(g.events, g.labels):
+    for e, lab in zip(events, src.labels):
         tlab = target.labels[target.index_of(e)]
         modes = spec.modes[lab.kind]
         ok = (tlab.kind, tlab.loc, getattr(tlab, "val", None)) == \
@@ -395,19 +393,19 @@ def correspondence_check(src, target):
         if tlab.kind != "f" or tlab.mode != spec.fence:
             out.append(f"inserted event {e} is not an f[{spec.fence}]")
 
-    def lift(gr, rel):
-        return {(gr.events[a], gr.events[b]) for a, b in rel}
+    def lift(names, rel):
+        return {(names[a], names[b]) for a, b in rel}
 
     for name in ("rmw", "data", "addr", "rf", "co"):
-        if lift(g, getattr(g, name)) != lift(target, getattr(target, name)):
+        if lift(events, getattr(src, name)) != lift(target.events, getattr(target, name)):
             out.append(f"{name} changed")
-    ctrl = lift(target, target.ctrl)
-    if not lift(g, g.ctrl) <= ctrl:
+    ctrl = lift(target.events, target.ctrl)
+    if not lift(events, src.ctrl) <= ctrl:
         out.append("source ctrl dropped")
     for name, obligation in spec.ctrl:
-        for x, b in sorted(obligation(g)):
-            if (g.events[x], g.events[b]) not in ctrl:
-                out.append(f"{name} ctrl missing: ({g.events[x]},{g.events[b]})")
+        for x, b in sorted(obligation(src)):
+            if (events[x], events[b]) not in ctrl:
+                out.append(f"{name} ctrl missing: ({events[x]},{events[b]})")
     return out
 
 

@@ -205,14 +205,6 @@ class Program:
     locations: list  # declared location names, index = numeric location
     max_val: int = 2
 
-    def loc_number(self, name):
-        return self.locations.index(name)
-
-    def loc_name(self, number):
-        if 0 <= number < len(self.locations):
-            return self.locations[number]
-        return f"loc{number}"
-
     def thread_regs(self, tid):
         regs = set()
         for inst in self.threads[tid]:

@@ -76,7 +76,6 @@ class Traversal:
         self.req_strong = g.ident(g.W_strong).compose(po)
         self.rf_src = {r: w for w, r in g.rf}
         self.rmw_write = {r: w for r, w in g.rmw}
-        self.ar_s_plus = (d.ar_base | sc).plus()
 
     # -- the two side conditions -------------------------------------------------
 
@@ -193,8 +192,9 @@ class Traversal:
                     )
                 return ("issue", n)
         pending = sorted(g.W - tc.issued)
+        ar_s_plus = (self.d.ar_base | self.sc).plus()
         for w in pending:
-            if not any((w2, w) in self.ar_s_plus for w2 in pending if w2 != w):
+            if not any((w2, w) in ar_s_plus for w2 in pending if w2 != w):
                 if not self.issuable(tc.covered, tc.issued, w):
                     raise TraversalError(
                         f"ar-minimal write {g.events[w]} is not issuable; "

@@ -162,7 +162,8 @@ class TestCheckPower:
         v = check_power(g)
         assert "sc-per-loc" in v.axioms()
 
-    def test_fixpoint_matches_naive_oracle(self):
+    @pytest.mark.parametrize("armv7", [False, True])
+    def test_fixpoint_matches_naive_oracle(self, armv7):
         rng = random.Random(99)
         cfg = FuzzConfig(threads=(2, 3), max_instr=3)
         checked = 0
@@ -170,14 +171,27 @@ class TestCheckPower:
             program = random_program(rng, cfg)
             for cand in candidate_executions(program, max_candidates=4):
                 gp = to_power(split_release(cand.execution))
-                rels = power_ppo_fixpoint(gp)
+                rels = power_ppo_fixpoint(gp, armv7=armv7)
                 seeds = _fixpoint_seeds(gp)
-                ii, ic, ci, cc = power_fixpoint_oracle(seeds)
+                ii, ic, ci, cc = power_fixpoint_oracle(seeds, armv7=armv7)
                 assert rels.ii.pairs == ii
                 assert rels.ic.pairs == ic
                 assert rels.ci.pairs == ci
                 assert rels.cc.pairs == cc
                 checked += 1
+
+    @pytest.mark.parametrize("armv7", [False, True])
+    def test_fixpoint_matches_oracle_on_every_corpus_image(self, corpus_candidates, armv7):
+        checked = 0
+        for name, cands in corpus_candidates.items():
+            for c in cands:
+                gp = to_power(split_release(c.execution))
+                rels = power_ppo_fixpoint(gp, armv7=armv7)
+                oracle = power_fixpoint_oracle(_fixpoint_seeds(gp), armv7=armv7)
+                assert (rels.ii.pairs, rels.ic.pairs, rels.ci.pairs, rels.cc.pairs) \
+                    == oracle, name
+                checked += 1
+        assert checked == 247
 
     def test_fixpoint_inclusions(self, corpus_candidates):
         for name in ("mp", "iriw-sc", "strong-rmw"):
