@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .enumeration import ThreadState, thread_step
+from .enumeration import ThreadState, step_budget, thread_step
 from .execgraph import Execution, Read, Write
 from .relalg import Rel, remapping, remapping_onto
 from .traversal import Traversal, TraversalConfig
@@ -34,22 +34,21 @@ def determined(g, covered, issued):
     return frozenset(covered) | chain.preimage(issued)
 
 
-def cert_events(g, tc, tid, fragment="full"):
+def cert_events(g, tc, tid):
     """Events of the certification graph, as source-graph ids."""
     thread_issued = tc.issued & g.thread_events(tid)
     keep = set(tc.covered) | set(tc.issued) | g.po.preimage(thread_issued)
-    if fragment == "full":
-        other_issued = tc.issued - g.thread_events(tid) - g.init_events
-        rmw_reads = g.rmw.restrict(range(g.n), other_issued).dom()
-        # init sources are always kept, so only genuine program writes count
-        # as "local non-RMW" sources that force the read part out
-        non_rmw_writes = g.W - g.rmw.codom() - g.init_events
-        local_from_plain = g.derive().rfi.restrict(non_rmw_writes, range(g.n)).codom()
-        keep |= rmw_reads - local_from_plain
+    other_issued = tc.issued - g.thread_events(tid) - g.init_events
+    rmw_reads = g.rmw.restrict(range(g.n), other_issued).dom()
+    # init sources are always kept, so only genuine program writes count
+    # as "local non-RMW" sources that force the read part out
+    non_rmw_writes = g.W - g.rmw.codom() - g.init_events
+    local_from_plain = g.derive().rfi.restrict(non_rmw_writes, range(g.n)).codom()
+    keep |= rmw_reads - local_from_plain
     return frozenset(keep)
 
 
-def cert_determined(g, tc, tid, keep, fragment="full"):
+def cert_determined(g, tc, tid, keep):
     """The determined set used by the construction (with the acquire extension)."""
     d = g.derive()
     base = (
@@ -57,9 +56,8 @@ def cert_determined(g, tc, tid, keep, fragment="full"):
         | set(tc.issued)
         | {e for e in keep if g.tid_of(e) != tid}
         | d.rfi.opt().compose(d.ppo).preimage(tc.issued)
+        | d.rfe.restrict(range(g.n), g.R_acq).codom()
     )
-    if fragment == "full":
-        base |= d.rfe.restrict(range(g.n), g.R_acq).codom()
     return frozenset(base) & keep
 
 
@@ -91,11 +89,11 @@ def cert_co(g, tc, tid, keep):
     return co
 
 
-def cert_rf(g, tc, tid, keep, det, sc=None, fragment="full"):
+def cert_rf(g, tc, tid, keep, det, sc=None):
     """rf of the certification graph: determined edges kept, other reads
     re-sourced from the co-maximal visible write."""
     co_crt = cert_co(g, tc, tid, keep)
-    bvf = g.bvf(det, sc=sc, fragment=fragment)
+    bvf = g.bvf(det, sc=sc)
     pairs = set()
     for w, r in g.rf:
         if r in det:
@@ -139,7 +137,7 @@ def reexecute_labels(g, tid, keep, rf_crt, sprog, unroll=8):
     )
     sources = {r: w for w, r in rf_crt}
     new_labels = {}
-    budget = max(1, unroll * max(1, len(sprog)))
+    budget = step_budget(sprog, unroll)
     st = ThreadState(list(sprog), tid)
     emitted = 0
     while emitted < len(target):
@@ -189,22 +187,16 @@ class CertGraph:
     source_tc: TraversalConfig
     tid: int
     source_sc: Rel | None = None
-    fragment: str = "full"
 
 
-def build_cert_graph(g, tc, tid, sprog=None, sc=None, fragment="full", unroll=8):
-    """Compose events, coherence, reads-from, and re-labeling into the
-    certification graph and its traversal configuration."""
-    keep = cert_events(g, tc, tid, fragment)
-    det = cert_determined(g, tc, tid, keep, fragment)
-    rf_crt, co_crt = cert_rf(g, tc, tid, keep, det, sc=sc, fragment=fragment)
-    needs_relabel = any(e not in det for e in keep if g.tid_of(e) == tid)
-    if sprog is not None:
-        new_labels = reexecute_labels(g, tid, keep, rf_crt, sprog, unroll=unroll)
-    elif not needs_relabel:
-        new_labels = {}
-    else:
-        raise CertificationError("re-execution needs the thread's program")
+def build_cert_graph(g, tc, tid, sprog, sc=None, unroll=8):
+    """Compose events, coherence, reads-from, and re-labeling (thread tid's
+    program sprog re-run with pinned reads) into the certification graph and
+    its traversal configuration."""
+    keep = cert_events(g, tc, tid)
+    det = cert_determined(g, tc, tid, keep)
+    rf_crt, co_crt = cert_rf(g, tc, tid, keep, det, sc=sc)
+    new_labels = reexecute_labels(g, tid, keep, rf_crt, sprog, unroll=unroll)
     for e in det:
         if e in new_labels and new_labels[e] != g.labels[e]:
             raise ShapeChangeError(f"determined event {g.events[e]} changed label")
@@ -228,11 +220,11 @@ def build_cert_graph(g, tc, tid, sprog=None, sc=None, fragment="full", unroll=8)
     return CertGraph(
         graph=graph, keep=keep_sorted, determined=det,
         tc=TraversalConfig(covered, issued), source_tc=tc, tid=tid,
-        source_sc=sc, fragment=fragment,
+        source_sc=sc,
     )
 
 
-def check_cert_compl(g, tc, cg, sprog=None, unroll=8):
+def check_cert_compl(g, tc, cg, sprog, unroll=8):
     """The certification-completeness clauses, adapted to this construction
     (dependency clauses source-restricted; coherence preservation on issued
     determined writes; the visibility formula in place of the undefined
@@ -288,7 +280,7 @@ def check_cert_compl(g, tc, cg, sprog=None, unroll=8):
 
     # non-determined reads take the co-maximal visible write
     rf_src = {r: w for w, r in gp.rf}
-    src_bvf = g.bvf(cg.determined, sc=cg.source_sc, fragment=cg.fragment)
+    src_bvf = g.bvf(cg.determined, sc=cg.source_sc)
     co_crt_src = lift(gp.co)
     for r_local in sorted(gp.R - det_local):
         r = keep[r_local]
@@ -314,27 +306,26 @@ def check_cert_compl(g, tc, cg, sprog=None, unroll=8):
     if wf:
         out.append(f"certification graph ill-formed: {wf}")
 
-    if sprog is not None:
-        try:
-            relabeled = reexecute_labels(g, cg.tid, set(keep), lift(gp.rf),
-                                         sprog, unroll=unroll)
-        except CertificationError as err:
-            out.append(f"thread {cg.tid} does not re-execute: {err}")
-        else:
-            for e, lab in relabeled.items():
-                if gp.labels[remap[e]] != lab:
-                    out.append(f"re-executed label mismatch at {g.events[e]}")
+    try:
+        relabeled = reexecute_labels(g, cg.tid, set(keep), lift(gp.rf),
+                                     sprog, unroll=unroll)
+    except CertificationError as err:
+        out.append(f"thread {cg.tid} does not re-execute: {err}")
+    else:
+        for e, lab in relabeled.items():
+            if gp.labels[remap[e]] != lab:
+                out.append(f"re-executed label mismatch at {g.events[e]}")
     for e in keep:
         if g.tid_of(e) not in (cg.tid, -1) and e not in det:
             out.append(f"other-thread event {g.events[e]} is not determined")
     return out
 
 
-def certification_traversal(cg, check_configs=True):
+def certification_traversal(cg):
     """Traverse the certification graph from its configuration; all steps must
     belong to the certified thread."""
     trav = Traversal(cg.graph, sc=cg.graph.sc)
-    steps = trav.traverse(start=cg.tc, check_configs=check_configs)
+    steps = trav.traverse(start=cg.tc)
     foreign = [s for s in steps if cg.graph.events[s.event].tid != cg.tid]
     if foreign:
         raise CertificationError(f"certification made foreign steps: {foreign}")

@@ -22,7 +22,7 @@ from .enumeration import (
 )
 from .fuzz import CHECKS, FuzzConfig, fuzz_run
 from .program import ParseError, parse_litmus
-from .promise import simulate_traversal
+from .promise import PromiseError, simulate_traversal
 from .traversal import Traversal, replay
 
 
@@ -49,16 +49,25 @@ def _thread_counts(text):
             f"expected comma-separated positive ints, got {text!r} ({err})") from None
 
 
-def _common(parser):
-    parser.add_argument("--max-val", type=_int_at_least(0), default=None,
-                        help="override the litmus value bound")
-    parser.add_argument("--unroll", type=_int_at_least(1), default=8,
-                        help="per-thread loop unroll bound")
-    parser.add_argument("--max-candidates", type=_int_at_least(1), default=None,
-                        help="cap the candidate stream")
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--dump-graph", metavar="DIR", default=None,
-                        help="write graphs as JSON into DIR")
+# flags shared between subcommands; each subcommand takes the ones it reads
+_FLAGS = {
+    "--max-val": dict(type=_int_at_least(0), default=None,
+                      help="override the litmus value bound"),
+    "--unroll": dict(type=_int_at_least(1), default=8,
+                     help="per-thread loop unroll bound"),
+    "--max-candidates": dict(type=_int_at_least(1), default=None,
+                             help="cap the candidate stream"),
+    "--json": dict(action="store_true", help="machine-readable output"),
+    "--dump-graph": dict(metavar="DIR", default=None,
+                         help="write graphs as JSON into DIR"),
+}
+# the flags of every subcommand that searches the candidates of one test
+_SEARCH = ("--max-val", "--unroll", "--max-candidates", "--json")
+
+
+def _flags(parser, *names):
+    for name in names:
+        parser.add_argument(name, **_FLAGS[name])
 
 
 def _load(args):
@@ -210,32 +219,39 @@ def cmd_map(args):
     return 0 if problems == 0 else 1
 
 
-def _consistent_candidates(test, unroll, max_candidates):
-    """IMM_S-consistent candidates with their SC witness, enumeration order."""
+def _consistent_candidates(test, unroll, max_candidates, report):
+    """IMM_S-consistent candidates with their SC witness, enumeration order;
+    report records whether the search was complete."""
     out = []
     for cand in candidate_executions(test.program, unroll=unroll,
-                                     max_candidates=max_candidates):
+                                     max_candidates=max_candidates, report=report):
         v = consistency.check_imms(cand.execution)
         if v.consistent:
             out.append((cand, sc_witness_rel(cand.execution, v)))
     return out
 
 
-def _pick_graph(graphs, index):
-    """graphs[index], or None once the reason there is none is reported."""
+def _pick_graph(graphs, index, report):
+    """graphs[index], or None once the reason there is none is reported;
+    graphs come from the search that report describes."""
+    truncated = "" if report.complete else (
+        " (the search was truncated: raise --unroll or --max-candidates)")
     if not graphs:
-        print("no consistent candidate executions", file=sys.stderr)
+        print("no consistent candidate executions" + truncated, file=sys.stderr)
         return None
     if not 0 <= index < len(graphs):
-        print(f"--graph-index out of range (0..{len(graphs) - 1})", file=sys.stderr)
+        print(f"--graph-index out of range (0..{len(graphs) - 1}){truncated}",
+              file=sys.stderr)
         return None
     return graphs[index]
 
 
 def cmd_traverse(args):
     test = _load(args)
-    picked = _pick_graph(_consistent_candidates(test, args.unroll, args.max_candidates),
-                         args.graph_index)
+    report = EnumerationReport()
+    picked = _pick_graph(
+        _consistent_candidates(test, args.unroll, args.max_candidates, report),
+        args.graph_index, report)
     if picked is None:
         return 1
     cand, sc = picked
@@ -257,8 +273,10 @@ def cmd_certify(args):
     if not 0 <= args.thread < threads:
         print(f"--thread out of range (0..{threads - 1})", file=sys.stderr)
         return 1
-    picked = _pick_graph(_consistent_candidates(test, args.unroll, args.max_candidates),
-                         args.graph_index)
+    report = EnumerationReport()
+    picked = _pick_graph(
+        _consistent_candidates(test, args.unroll, args.max_candidates, report),
+        args.graph_index, report)
     if picked is None:
         return 1
     cand, sc = picked
@@ -269,12 +287,10 @@ def cmd_certify(args):
         print(f"--step out of range (0..{len(steps)})", file=sys.stderr)
         return 1
     tc = replay(g, steps[: args.step])
+    sprog = test.program.threads[args.thread]
     try:
-        cg = build_cert_graph(g, tc, args.thread,
-                              sprog=test.program.threads[args.thread],
-                              sc=sc, unroll=args.unroll)
-        diags = check_cert_compl(g, tc, cg, sprog=test.program.threads[args.thread],
-                                 unroll=args.unroll)
+        cg = build_cert_graph(g, tc, args.thread, sprog, sc=sc, unroll=args.unroll)
+        diags = check_cert_compl(g, tc, cg, sprog, unroll=args.unroll)
         imms_ok = consistency.check_imms(cg.graph).consistent
     except CertificationError as err:
         _emit(args, {"schema": 1, "error": str(err)}, f"certification failed: {err}")
@@ -298,18 +314,24 @@ def cmd_certify(args):
 
 def cmd_simulate(args):
     test = _load(args)
+    report = EnumerationReport()
     graphs = [
-        (cand, sc) for cand, sc in _consistent_candidates(test, args.unroll,
-                                                          args.max_candidates)
+        (cand, sc)
+        for cand, sc in _consistent_candidates(test, args.unroll, args.max_candidates,
+                                               report)
         if consistency.check_imm(cand.execution).consistent
     ]
-    picked = _pick_graph(graphs, args.graph_index)
+    picked = _pick_graph(graphs, args.graph_index, report)
     if picked is None:
         return 1
     cand, sc = picked
     g = cand.execution
     steps = Traversal(g, sc=sc).traverse()
-    trace, outcome = simulate_traversal(g, steps, test.program, unroll=args.unroll)
+    try:
+        trace, outcome = simulate_traversal(g, steps, test.program, unroll=args.unroll)
+    except PromiseError as err:
+        print(f"simulation failed: {err}", file=sys.stderr)
+        return 1
     if args.trace or not args.json:
         for line in trace:
             print(json.dumps(line))
@@ -453,7 +475,7 @@ def main(argv=None):
 
     p = sub.add_parser("enumerate", help="enumerate candidate executions")
     p.add_argument("file")
-    _common(p)
+    _flags(p, *_SEARCH, "--dump-graph")
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("check", help="check a litmus assertion under a model")
@@ -463,26 +485,26 @@ def main(argv=None):
                    help="re-enable the co ∪ [At];po;[At] acyclicity axiom")
     p.add_argument("--armv7", action="store_true",
                    help="weaken the dependency order to the ARMv7 variant")
-    _common(p)
+    _flags(p, *_SEARCH)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("outcomes", help="outcome set under a model")
     p.add_argument("file")
     p.add_argument("--model", required=True, choices=consistency.MODELS)
-    _common(p)
+    _flags(p, *_SEARCH)
     p.set_defaults(fn=cmd_outcomes)
 
     p = sub.add_parser("map", help="map candidates to a hardware model")
     p.add_argument("file")
     p.add_argument("--target", required=True, choices=("power", "arm"))
-    _common(p)
+    _flags(p, *_SEARCH, "--dump-graph")
     p.set_defaults(fn=cmd_map)
 
     p = sub.add_parser("traverse", help="traverse a consistent execution")
     p.add_argument("file")
     p.add_argument("--graph-index", type=int, default=0)
     p.add_argument("--trace", action="store_true")
-    _common(p)
+    _flags(p, *_SEARCH)
     p.set_defaults(fn=cmd_traverse)
 
     p = sub.add_parser("certify", help="build and check a certification graph")
@@ -490,21 +512,21 @@ def main(argv=None):
     p.add_argument("--graph-index", type=int, default=0)
     p.add_argument("--step", type=int, required=True)
     p.add_argument("--thread", type=int, required=True)
-    _common(p)
+    _flags(p, *_SEARCH, "--dump-graph")
     p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("simulate", help="drive the promise machine over a graph")
     p.add_argument("file")
     p.add_argument("--graph-index", type=int, default=0)
     p.add_argument("--trace", action="store_true")
-    _common(p)
+    _flags(p, *_SEARCH)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("compare", help="compare two models on one test")
     p.add_argument("file")
     p.add_argument("model_a", choices=consistency.MODELS)
     p.add_argument("model_b", choices=consistency.MODELS)
-    _common(p)
+    _flags(p, *_SEARCH)
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("run", help="run a corpus against its expectations")
@@ -513,7 +535,7 @@ def main(argv=None):
                    type=_name_list(consistency.MODELS, "model"),
                    help=f"comma-separated subset of {','.join(consistency.MODELS)}")
     p.add_argument("--jobs", type=_int_at_least(1), default=1)
-    _common(p)
+    _flags(p, "--unroll", "--max-candidates", "--json")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("fuzz", help="random programs through the property sweep")
@@ -521,12 +543,12 @@ def main(argv=None):
     p.add_argument("--count", type=_int_at_least(1), default=50)
     p.add_argument("--threads", type=_thread_counts, default="2,3",
                    help="comma-separated thread counts to draw from")
-    p.add_argument("--max-instr", type=int, default=4)
+    p.add_argument("--max-instr", type=_int_at_least(1), default=4)
     p.add_argument("--relaxed", action="store_true")
     p.add_argument("--per-program", type=_int_at_least(1), default=400)
     p.add_argument("--checks", default=CHECKS, type=_name_list(CHECKS, "check"),
                    help=f"comma-separated subset of {','.join(CHECKS)}")
-    _common(p)
+    _flags(p, "--unroll", "--json")
     p.set_defaults(fn=cmd_fuzz)
 
     args = parser.parse_args(argv)

@@ -172,13 +172,20 @@ class ThreadResult:
     terminal: bool
 
 
+def step_budget(sprog, unroll):
+    """How many instruction steps one run of thread program sprog may take:
+    unroll passes over it, at least one step. A run that needs more is
+    truncated in enumeration, and replay and certification stop there too."""
+    return max(1, unroll * max(1, len(sprog)))
+
+
 def thread_graphs(sprog, tid, values, unroll=8):
     """All thread-local graphs reachable within the step budget.
 
     Returns (results, truncated_count); results hold terminal runs only,
     sorted by their read-value choice sequence.
     """
-    budget = max(1, unroll * max(1, len(sprog)))
+    budget = step_budget(sprog, unroll)
     results = []
     truncated = 0
     stack = [ThreadState(list(sprog), tid)]
@@ -333,22 +340,3 @@ def assertion_holds(candidate, test):
     env = assertion_values(candidate, test.program)
     return all(env.get(name) == value for name, value in test.assertion)
 
-
-def outcomes(program, model, unroll=8, max_candidates=None, check=None, report=None):
-    """Outcome maps of all model-consistent initialized full candidates."""
-    from . import consistency  # local import to avoid a cycle
-
-    if check is None:
-        check = consistency.checker_for(model)
-    seen = set()
-    out = []
-    for cand in candidate_executions(program, unroll=unroll,
-                                     max_candidates=max_candidates, report=report):
-        if not check(cand.execution).consistent:
-            continue
-        o = cand.execution.outcome(locations=range(len(program.locations)))
-        key = tuple(sorted(o.items()))
-        if key not in seen:
-            seen.add(key)
-            out.append(o)
-    return out

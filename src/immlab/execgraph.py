@@ -233,9 +233,9 @@ class Execution:
         self.events = tuple(events)
         n = len(self.events)
         self.n = n
-        for i in range(1, n):
-            if not self.events[i - 1].key() < self.events[i].key():
-                raise ValueError("events not in canonical order")
+        keys = [e.key() for e in self.events]
+        if not all(a < b for a, b in zip(keys, keys[1:])):
+            raise ValueError("events not in canonical order")
         self.labels = tuple(labels)
         if len(self.labels) != n:
             raise ValueError("labels misaligned")
@@ -480,17 +480,11 @@ class Execution:
             raise ValueError("derived relations are defined for imm executions")
         return _IMM(self, self._cached("derived", dict))
 
-    def bvf(self, determined, sc=None, fragment="full"):
-        """Certification visibility into non-determined reads.
-
-        Full: (rf;[D])^? ; (hb;[F^sc])^? ; sc^? ; hb with the RC11 hb.
-        Relaxed: (rf;[D])^? ; po.
-        """
+    def bvf(self, determined, sc=None):
+        """Certification visibility into non-determined reads:
+        (rf;[D])^? ; (hb;[F^sc])^? ; sc^? ; hb with the RC11 hb."""
         rf_d = self.rf.compose(self.ident(determined)).opt()
-        if fragment == "relaxed":
-            return rf_d.compose(self.po)
-        d = self.derive()
-        hb = d.hb_rc11
+        hb = self.derive().hb_rc11
         sc_rel = sc if sc is not None else Rel(self.n)
         return rf_d.seq(
             hb.compose(self.ident(self.F_sc)).opt(), sc_rel.opt(), hb
@@ -574,9 +568,6 @@ class Execution:
                 whole, half = desc["sn"]
                 events.append(Event(desc["tid"], whole, half))
             labels.append(_label_from_json(desc["label"]))
-        order = sorted(range(len(events)), key=lambda i: events[i].key())
-        if order != list(range(len(events))):
-            raise ValueError("fixture events must be listed in canonical order")
         n = len(events)
 
         def rel(name):

@@ -31,14 +31,15 @@ from .promise import simulate_traversal
 from .traversal import Traversal
 
 
+LOCATIONS = ("x", "y", "z")
+MAX_VAL = 2
+
+
 @dataclass
 class FuzzConfig:
     threads: tuple = (2, 3)
     max_instr: int = 4
-    locations: int = 3
-    max_val: int = 2
     relaxed_only: bool = False
-    allow_rmw: bool = True
     max_candidates_per_program: int = 400
 
 
@@ -59,8 +60,7 @@ def random_program(rng, cfg):
                     sc_budget -= 1
             body.append(inst)
         threads.append(body)
-    names = ["x", "y", "z", "w", "u"][: cfg.locations]
-    return Program(threads=threads, locations=names, max_val=cfg.max_val)
+    return Program(threads=threads, locations=list(LOCATIONS), max_val=MAX_VAL)
 
 
 def _value_expr(rng, regs):
@@ -76,7 +76,7 @@ def _value_expr(rng, regs):
 
 
 def _random_inst(rng, cfg, tid, regs, at, length):
-    loc = Lit(rng.randrange(cfg.locations))
+    loc = Lit(rng.randrange(len(LOCATIONS)))
     roll = rng.random()
     if cfg.relaxed_only:
         if roll < 0.45:
@@ -91,14 +91,14 @@ def _random_inst(rng, cfg, tid, regs, at, length):
         reg = f"r{tid}{len(regs)}"
         regs.append(reg)
         return Load(rng.choice(("rlx", "rlx", "acq")), reg, loc)
-    if roll < 0.78 and cfg.allow_rmw:
+    if roll < 0.78:
         reg = f"r{tid}{len(regs)}"
         regs.append(reg)
         return Fadd(
             rng.choice(("rlx", "acq")), rng.choice(("rlx", "rel")),
             rng.choice(("normal", "strong")), reg, loc, Lit(1),
         )
-    if roll < 0.84 and cfg.allow_rmw:
+    if roll < 0.84:
         reg = f"r{tid}{len(regs)}"
         regs.append(reg)
         return Cas(

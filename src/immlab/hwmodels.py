@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .consistency import Verdict, atomicity, check_imm, checker_for, evaluate
-from .enumeration import candidate_executions
+from .consistency import Verdict, atomicity, evaluate
 from .execgraph import (
     BASE_RELS, Event, Execution, Fence, Read, Write, namespace, program_order,
 )
@@ -409,7 +408,7 @@ def correspondence_check(src, target):
     return out
 
 
-# -- composed model checkers and the empirical theorems -------------------------------
+# -- composed model checkers -----------------------------------------------------------
 
 
 def check_imm_via_power(g, at_axiom=False, armv7=False):
@@ -419,26 +418,3 @@ def check_imm_via_power(g, at_axiom=False, armv7=False):
 def check_imm_via_arm(g):
     return check_arm(to_arm(g))
 
-
-def empirical_mapping_theorem(program, target, unroll=8, max_candidates=None):
-    """Hardware-consistency of the mapped graph must imply IMM-consistency.
-
-    Returns a report dict; any counterexample is a bug in the mapping or the
-    checkers, not expected behavior.
-    """
-    if target not in _TARGETS:
-        raise ValueError(target)
-    check = checker_for(target)
-    checked = 0
-    counterexamples = []
-    for cand in candidate_executions(program, unroll=unroll, max_candidates=max_candidates):
-        g = cand.execution
-        checked += 1
-        if check(g).consistent:
-            iv = check_imm(g)
-            if not iv.consistent:
-                counterexamples.append({
-                    "graph": g.to_json(),
-                    "imm_violations": iv.axioms(),
-                })
-    return {"target": target, "checked": checked, "counterexamples": counterexamples}

@@ -279,9 +279,8 @@ class LitmusTest:
 
 
 class ParseError(ValueError):
-    def __init__(self, message, line=None, column=None):
+    def __init__(self, message, line=None):
         self.line = line
-        self.column = column
         where = f" (line {line})" if line is not None else ""
         super().__init__(message + where)
 
@@ -392,7 +391,7 @@ def _parse_modes(spec, lineno, n_modes):
 
 
 def _subst_locs(expr, loc_names):
-    """Rewrite declared location names inside an address expression to numbers."""
+    """Rewrite declared location names inside an expression to numbers."""
     if isinstance(expr, Reg) and expr.name in loc_names:
         return Lit(loc_names[expr.name])
     if isinstance(expr, BinOp):
@@ -529,7 +528,7 @@ def parse_litmus(text, path=None):
 
 
 def _parse_instruction(line, lineno, loc_names):
-    def loc_expr(text):
+    def expr(text):
         return _subst_locs(parse_expr(text, lineno), loc_names)
 
     if ":=" in line:
@@ -537,7 +536,7 @@ def _parse_instruction(line, lineno, loc_names):
         reg = reg.strip()
         if not reg.isidentifier():
             raise ParseError(f"bad register name {reg!r}", lineno)
-        return Assign(reg, _subst_locs(parse_expr(rhs, lineno), loc_names))
+        return Assign(reg, expr(rhs))
     parts = line.split()
     head = parts[0]
     if head == "if":
@@ -547,7 +546,7 @@ def _parse_instruction(line, lineno, loc_names):
             raise ParseError("if expects 'goto N'", lineno) from None
         cond = " ".join(parts[1:goto_at])
         target = int(parts[goto_at + 1])
-        return IfGoto(_subst_locs(parse_expr(cond, lineno), loc_names), target)
+        return IfGoto(expr(cond), target)
     if "[" not in head or not head.endswith("]"):
         raise ParseError(f"unrecognized instruction {line!r}", lineno)
     mnemonic, modes_spec = head[:-1].split("[", 1)
@@ -558,14 +557,14 @@ def _parse_instruction(line, lineno, loc_names):
             raise ParseError(f"bad write mode {mode!r}", lineno)
         if len(rest) < 2:
             raise ParseError("w[o] expects: loc value", lineno)
-        return Store(mode, loc_expr(rest[0]), _subst_locs(parse_expr(" ".join(rest[1:]), lineno), loc_names))
+        return Store(mode, expr(rest[0]), expr(" ".join(rest[1:])))
     if mnemonic == "r":
         (mode,), _ = _parse_modes(modes_spec, lineno, 1)
         if mode not in READ_MODES:
             raise ParseError(f"bad read mode {mode!r}", lineno)
         if len(rest) < 2:
             raise ParseError("r[o] expects: reg loc", lineno)
-        return Load(mode, rest[0], loc_expr(" ".join(rest[1:])))
+        return Load(mode, rest[0], expr(" ".join(rest[1:])))
     if mnemonic == "f":
         (mode,), _ = _parse_modes(modes_spec, lineno, 1)
         if mode not in FENCE_MODES:
@@ -577,22 +576,14 @@ def _parse_instruction(line, lineno, loc_names):
             raise ParseError(f"bad fadd modes [{modes_spec}]", lineno)
         if len(rest) != 3:
             raise ParseError("fadd expects: reg loc addend", lineno)
-        return Fadd(rmode, wmode, rmw, rest[0], loc_expr(rest[1]), _subst_locs(parse_expr(rest[2], lineno), loc_names))
+        return Fadd(rmode, wmode, rmw, rest[0], expr(rest[1]), expr(rest[2]))
     if mnemonic == "cas":
         (rmode, wmode), rmw = _parse_modes(modes_spec, lineno, 2)
         if rmode not in READ_MODES or wmode not in WRITE_MODES:
             raise ParseError(f"bad cas modes [{modes_spec}]", lineno)
         if len(rest) != 4:
             raise ParseError("cas expects: reg loc expected new", lineno)
-        return Cas(
-            rmode,
-            wmode,
-            rmw,
-            rest[0],
-            loc_expr(rest[1]),
-            _subst_locs(parse_expr(rest[2], lineno), loc_names),
-            _subst_locs(parse_expr(rest[3], lineno), loc_names),
-        )
+        return Cas(rmode, wmode, rmw, rest[0], expr(rest[1]), expr(rest[2]), expr(rest[3]))
     raise ParseError(f"unrecognized instruction {line!r}", lineno)
 
 

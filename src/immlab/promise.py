@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .enumeration import ThreadState, thread_step
+from .enumeration import ThreadState, step_budget, thread_step
 from .program import Cas, Fadd, FenceInst, Load, Store
 
 
@@ -150,7 +150,7 @@ def certify(ts, memory, unroll=8):
     above the view at their location (up to one past the current maximum).
     Returns True/False, or "inconclusive" when the step budget pruned a branch.
     """
-    budget = max(1, unroll * max(1, len(ts.sigma.sprog)))
+    budget = step_budget(ts.sigma.sprog, unroll)
     seen = set()
     pruned = [False]
 
@@ -208,7 +208,7 @@ def certify(ts, memory, unroll=8):
     return ok
 
 
-def timestamp_map(g, issued=None):
+def timestamp_map(g):
     """Coherence ranks as timestamps; initialization writes get 0."""
     t = {}
     for loc in g.locations():
@@ -225,9 +225,6 @@ def timestamp_map(g, issued=None):
             else:
                 rank += 1
                 t[w] = rank
-    if issued is not None:
-        for w, w2 in g.co.restrict(issued, issued):
-            assert t[w] <= t[w2], "timestamps disagree with co"
     return t
 
 
@@ -244,7 +241,7 @@ def machine_outcome(ms):
     return {loc: val for loc, (_, val) in out.items()}
 
 
-def _sim_invariants(g, tmap, covered, issued, ms):
+def _sim_invariants(g, tmap, covered, issued, ms, unroll):
     """The per-thread simulation relation, asserted over every thread."""
     problems = []
     d = g.derive()
@@ -291,20 +288,20 @@ def _sim_invariants(g, tmap, covered, issued, ms):
             emitted[k].label != g.labels[e] for k, e in enumerate(targets)
         ):
             problems.append(f"thread {tid} state does not match covered events")
-        if not _can_reach(g, tid, ts.sigma):
+        if not _can_reach(g, tid, ts.sigma, unroll):
             problems.append(f"thread {tid} cannot reach its full graph")
     return problems
 
 
-def _can_reach(g, tid, sigma):
+def _can_reach(g, tid, sigma, unroll):
     """Replaying the remaining instructions with graph-pinned reads must
-    reproduce the thread's restriction of g."""
+    reproduce the thread's restriction of g within the step budget that
+    enumeration gave the thread."""
     targets = sorted(g.thread_events(tid), key=lambda i: g.events[i].sn)
     probe = sigma.copy()
     k = len(probe.events)
-    budget = len(probe.sprog) * 64 + 64
-    while k < len(targets) and budget:
-        budget -= 1
+    budget = step_budget(probe.sprog, unroll)
+    while k < len(targets) and probe.steps < budget:
         if probe.terminal:
             return False
         if probe.needs_value():
@@ -315,19 +312,20 @@ def _can_reach(g, tid, sigma):
             if rec.label != g.labels[targets[k]]:
                 return False
             k += 1
-    while budget and not probe.terminal and not probe.needs_value():
+    while probe.steps < budget and not probe.terminal and not probe.needs_value():
         thread_step(probe)
-        budget -= 1
         if len(probe.events) > len(targets):
             return False
     return probe.terminal and k == len(targets)
 
 
-def simulate_traversal(g, steps, program, unroll=8, check_invariants=True):
+def simulate_traversal(g, steps, program, unroll=8):
     """Drive the machine along a traversal; returns (trace, outcome).
 
     issue ↦ promise (certified at once); cover of a read ↦ read from the
-    issued source's message; cover of an issued write ↦ fulfill.
+    issued source's message; cover of an issued write ↦ fulfill. The
+    simulation invariants are checked at the start and after every step,
+    each thread within the step budget of unroll passes over its program.
     """
     check_relaxed(program)
     tmap = timestamp_map(g)
@@ -338,9 +336,8 @@ def simulate_traversal(g, steps, program, unroll=8, check_invariants=True):
     trace = []
 
     def run_invariants(where):
-        if not check_invariants:
-            return
-        problems = _sim_invariants(g, tmap, frozenset(covered), frozenset(issued), ms)
+        problems = _sim_invariants(g, tmap, frozenset(covered), frozenset(issued), ms,
+                                   unroll)
         if problems:
             raise SimulationError(f"simulation invariant broken after {where}: {problems}")
 

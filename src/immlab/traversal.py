@@ -3,8 +3,9 @@
 A configuration is a pair of event sets (covered, issued). Steps follow the
 four-rule system (issue / cover / release-cover / rmw-cover); the small-step
 variant and the next-step search back the existence argument. Fences and SC
-order participate through the full issuable/coverable conditions; a fragment
-flag restricts both to their relaxed versions.
+order participate through the full issuable/coverable conditions. Every
+configuration a traversal reaches is checked against the configuration
+invariants.
 """
 
 from __future__ import annotations
@@ -56,15 +57,14 @@ class TravStep:
 class Traversal:
     """Per-graph state for issuable/coverable queries with a fixed sc order."""
 
-    def __init__(self, g, sc=None, fragment="full"):
+    def __init__(self, g, sc=None):
         self.g = g
-        self.fragment = fragment
         d = g.derive()
         self.d = d
         if sc is None:
             sc = Rel(g.n)
         self.sc = sc
-        if fragment == "full" and g.F_sc and not sc.is_total_on(g.F_sc):
+        if g.F_sc and not sc.is_total_on(g.F_sc):
             raise TraversalError("SC fences present but no total sc order supplied")
         po = g.po
         ext = d.detour | d.rfe
@@ -89,8 +89,6 @@ class Traversal:
             src = self.rf_src.get(e)
             return src is not None and src in issued
         if e in g.F:
-            if self.fragment == "relaxed":
-                return False
             if g.labels[e].mode != "sc":
                 return True
             return self.sc.preimage((e,)) <= covered
@@ -100,8 +98,6 @@ class Traversal:
         g = self.g
         if w not in g.W:
             return False
-        if self.fragment == "relaxed":
-            return self.d.rfe.compose(self.d.ppo).preimage((w,)) <= issued
         return (
             self.req_fwbob.preimage((w,)) <= covered
             and self.req_ppo.preimage((w,)) <= issued
@@ -235,18 +231,18 @@ class Traversal:
 
     _KIND_RANK = {"cover": 0, "rmw-cover": 1, "release-cover": 2, "issue": 3}
 
-    def traverse(self, start=None, check_configs=True):
+    def traverse(self, start=None):
         """Deterministic step sequence from start (default: inits) to ⟨E, W⟩.
 
         Tie-break: cover > rmw-cover > release-cover > issue, then events of
-        the thread that moved last, then smallest (tid, sn).
+        the thread that moved last, then smallest (tid, sn). The start and
+        every configuration after it must pass check_config.
         """
         g = self.g
         tc = start if start is not None else self.initial_config()
-        if check_configs:
-            diags = self.check_config(tc)
-            if diags:
-                raise TraversalError(f"invalid start configuration: {diags}")
+        diags = self.check_config(tc)
+        if diags:
+            raise TraversalError(f"invalid start configuration: {diags}")
         steps = []
         last_tid = None
         final = self.final_config()
@@ -267,10 +263,9 @@ class Traversal:
                 )
 
             step, tc2 = min(enabled, key=rank)
-            if check_configs:
-                diags = self.check_config(tc2)
-                if diags:
-                    raise TraversalError(f"invalid configuration after {step}: {diags}")
+            diags = self.check_config(tc2)
+            if diags:
+                raise TraversalError(f"invalid configuration after {step}: {diags}")
             now = (g.n - len(tc2.covered)) + (len(g.W) - len(tc2.issued))
             if now >= remaining:
                 raise TraversalError("no progress (bug)")

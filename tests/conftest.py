@@ -11,6 +11,19 @@ from immlab.program import parse_litmus
 CORPUS_DIR = pathlib.Path(__file__).parent.parent / "corpus"
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
+# thread 0 loops 150 times before its write: 301 steps, which fit 101 passes
+# over its 3 instructions but not the default 8
+SPIN_LITMUS = """
+prog "SPIN"
+locations x
+thread 0:
+  a := a + 1
+  if a != 150 goto 0
+  w[rlx] x 1
+thread 1:
+  r[rlx] b x
+"""
+
 
 @pytest.fixture(scope="session")
 def corpus():

@@ -5,7 +5,7 @@ import pytest
 from immlab.cli import main
 from immlab.enumeration import candidate_executions
 
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, SPIN_LITMUS
 
 
 def run_cli(capsys, *argv):
@@ -134,6 +134,12 @@ class TestOther:
         doc = json.loads(out)
         assert code == 0 and doc["matches_graph"]
 
+    def test_simulate_long_loop(self, capsys, tmp_path):
+        path = tmp_path / "spin.litmus"
+        path.write_text(SPIN_LITMUS)
+        code, out = run_cli(capsys, "simulate", str(path), "--unroll", "101", "--json")
+        assert code == 0 and json.loads(out)["matches_graph"]
+
     def test_compare(self, capsys):
         code, out = run_cli(capsys, "compare", str(CORPUS_DIR / "lb-data.litmus"),
                             "imm", "rc11", "--json")
@@ -181,6 +187,25 @@ class TestBadArguments:
         captured = capsys.readouterr()
         assert code == 1 and message in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ("traverse",), ("simulate",), ("certify", "--step", "0", "--thread", "0"),
+    ])
+    def test_truncated_search_is_reported(self, capsys, tmp_path, argv):
+        path = tmp_path / "spin.litmus"
+        path.write_text(SPIN_LITMUS)
+        command, *rest = argv
+        code = main([command, str(path), *rest])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith(
+            "no consistent candidate executions (the search was truncated")
+
+    def test_simulation_failure_is_reported(self, capsys):
+        code = main(["simulate", str(CORPUS_DIR / "mp.litmus")])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "simulation failed: unsupported fragment: w[rel] 1 1\n"
+
     @pytest.mark.parametrize("flag", ["--armv7", "--power-at-axiom"])
     def test_power_flags_need_the_power_model(self, capsys, flag):
         code = main(["check", str(CORPUS_DIR / "mp.litmus"), "--model", "imm", flag])
@@ -214,6 +239,7 @@ class TestBadArguments:
         (("fuzz", "--seed", "1", "--threads", "0"), "--threads: expected comma-separated"),
         (("fuzz", "--seed", "1", "--threads", "2,-1"), "--threads: expected comma-separated"),
         (("check", MP, "--model", "imm", "--max-candidates", "x"), "invalid int value: 'x'"),
+        (("fuzz", "--seed", "1", "--max-instr", "0"), "--max-instr: must be at least 1"),
     ])
     def test_out_of_range_bounds_are_rejected(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exit_info:
@@ -222,12 +248,33 @@ class TestBadArguments:
         assert exit_info.value.code == 2 and message in captured.err
         assert captured.out == ""
 
+    # each subcommand takes only the flags it reads
+    @pytest.mark.parametrize("command, flag", [
+        ("check", "--dump-graph"), ("outcomes", "--dump-graph"),
+        ("traverse", "--dump-graph"), ("simulate", "--dump-graph"),
+        ("compare", "--dump-graph"), ("run", "--dump-graph"), ("fuzz", "--dump-graph"),
+        ("run", "--max-val"), ("fuzz", "--max-val"), ("fuzz", "--max-candidates"),
+    ])
+    def test_flags_a_command_does_not_read_are_rejected(self, capsys, command, flag):
+        required = {
+            "check": (self.MP, "--model", "imm"), "outcomes": (self.MP, "--model", "imm"),
+            "traverse": (self.MP,), "simulate": (self.MP,),
+            "compare": (self.MP, "imm", "rc11"), "run": (str(CORPUS_DIR),),
+            "fuzz": ("--seed", "1", "--count", "1"),
+        }[command]
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *required, flag, "1"])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in captured.err and captured.out == ""
+
     def test_lowest_bounds_still_run(self, capsys):
         code, out = run_cli(capsys, "enumerate", self.MP, "--max-candidates", "1",
                             "--max-val", "0", "--unroll", "1", "--json")
         assert code == 0 and json.loads(out)["candidates"] == 1
         code, out = run_cli(capsys, "fuzz", "--seed", "5", "--count", "1", "--threads", "1",
-                            "--per-program", "1", "--checks", "inclusions", "--json")
+                            "--max-instr", "1", "--per-program", "1",
+                            "--checks", "inclusions", "--json")
         assert code == 0 and json.loads(out)["candidates"] <= 1
 
     @pytest.mark.parametrize("cap", [0, -3])

@@ -1,5 +1,7 @@
+import json
 import math
 
+from immlab.cli import main
 from immlab.enumeration import (
     EnumerationReport,
     ThreadState,
@@ -11,6 +13,7 @@ from immlab.enumeration import (
 from immlab.execgraph import Read, Write
 from immlab.program import parse_litmus
 
+from conftest import CORPUS_DIR
 from oracles import pair_built_candidates
 
 
@@ -210,15 +213,21 @@ class TestCandidates:
 
 
 class TestOutcomes:
-    def test_per_model_outcomes(self, corpus):
-        from immlab.enumeration import outcomes
-        imm = outcomes(corpus["lb-data"].program, "imm")
-        rc11 = outcomes(corpus["lb-data"].program, "rc11")
-        assert {0: 1, 1: 1} in imm
+    @staticmethod
+    def outcomes(capsys, name, model):
+        code = main(["outcomes", str(CORPUS_DIR / f"{name}.litmus"), "--model", model,
+                     "--json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0 and doc["complete"]
+        return doc["outcomes"]
+
+    def test_per_model_outcomes(self, capsys):
+        imm = self.outcomes(capsys, "lb-data", "imm")
+        rc11 = self.outcomes(capsys, "lb-data", "rc11")
+        assert {"x": 1, "y": 1} in imm
         # the annotated execution is rc11-inconsistent but another run still
         # produces x=1: outcome sets coincide even though executions differ
-        assert sorted(map(sorted, imm)) == sorted(map(sorted, rc11))
+        assert imm == rc11
 
-    def test_mp_single_outcome(self, corpus):
-        from immlab.enumeration import outcomes
-        assert outcomes(corpus["mp"].program, "imm") == [{0: 1, 1: 1}]
+    def test_mp_single_outcome(self, capsys):
+        assert self.outcomes(capsys, "mp", "imm") == [{"x": 1, "y": 1}]

@@ -316,6 +316,13 @@ class TestSerialization:
         assert g.wellformed() == []
         assert doc["schema"] == 1
 
+    def test_fixture_out_of_order_is_rejected(self, fixtures_dir):
+        doc = json.loads((fixtures_dir / "power_sync_fences.json").read_text())
+        events = doc["events"]
+        events[-2], events[-1] = events[-1], events[-2]
+        with pytest.raises(ValueError, match="canonical order"):
+            Execution.from_json(doc)
+
     def test_sc_round_trips(self):
         g = Execution.build(
             [(Event(0, 0), Fence("sc")), (Event(1, 0), Fence("sc"))],

@@ -14,7 +14,6 @@ from immlab.hwmodels import (
     check_arm,
     check_power,
     correspondence_check,
-    empirical_mapping_theorem,
     power_ppo_fixpoint,
     split_release,
     to_arm,
@@ -320,15 +319,3 @@ def test_every_table_entry_is_a_relation(corpus_candidates):
             ga = to_arm(g)
             check(namespace(ARM_RELS)(ga), ARM_RELS, ga)
 
-
-class TestEmpiricalTheorems:
-    def test_mp_no_counterexample(self, corpus):
-        for target in ("power", "arm"):
-            report = empirical_mapping_theorem(corpus["mp"].program, target)
-            assert report["counterexamples"] == []
-            assert report["checked"] == 4
-
-    def test_lb_addr_no_counterexample(self, corpus):
-        for target in ("power", "arm"):
-            report = empirical_mapping_theorem(corpus["lb-addr"].program, target)
-            assert report["counterexamples"] == []

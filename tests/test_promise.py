@@ -1,7 +1,7 @@
 import pytest
 
 from immlab.consistency import check_imm
-from immlab.enumeration import ThreadState, assertion_holds
+from immlab.enumeration import ThreadState, assertion_holds, candidate_executions
 from immlab.program import parse_litmus
 from immlab.promise import (
     Message,
@@ -17,6 +17,8 @@ from immlab.promise import (
     timestamp_map,
 )
 from immlab.traversal import Traversal
+
+from conftest import SPIN_LITMUS
 
 
 def annotated_graph(corpus, corpus_candidates, name):
@@ -198,7 +200,6 @@ class TestSimulation:
             'prog "W2"\nlocations x\nvals 0..2\nthread 0:\n  w[rlx] x 1\n'
             "thread 1:\n  w[rlx] x 2\n"
         )
-        from immlab.enumeration import candidate_executions
         for c in candidate_executions(test.program):
             g = c.execution
             if not check_imm(g).consistent:
@@ -208,6 +209,16 @@ class TestSimulation:
             assert outcome == g.outcome()
             kinds = [t["machine"] for t in trace]
             assert kinds.count("promise") == 2 and kinds.count("write") == 2
+
+    def test_long_loop_replays_within_the_enumeration_budget(self):
+        test = parse_litmus(SPIN_LITMUS)
+        graphs = [c.execution for c in candidate_executions(test.program, unroll=101)
+                  if check_imm(c.execution).consistent]
+        assert len(graphs) == 2
+        for g in graphs:
+            steps = Traversal(g).traverse()
+            _, outcome = simulate_traversal(g, steps, test.program, unroll=101)
+            assert outcome == g.outcome()
 
     def test_rejects_non_relaxed(self, corpus, corpus_candidates):
         g = next(c.execution for c in corpus_candidates["mp"]
