@@ -134,12 +134,14 @@ def cmd_enumerate(args):
 
 def _model_verdict(test, check, unroll, max_candidates):
     """allowed if a check-consistent candidate meets the assertion; else
-    forbidden after a complete search, unknown after a truncated one."""
+    forbidden after a complete search, unknown after a truncated one. Only
+    the coherent candidates are checked: every model rejects the rest."""
     report = EnumerationReport()
     hit = False
     outcomes = set()
     for cand in candidate_executions(test.program, unroll=unroll,
-                                     max_candidates=max_candidates, report=report):
+                                     max_candidates=max_candidates, report=report,
+                                     coherent=True):
         if not check(cand.execution).consistent:
             continue
         o = cand.execution.outcome(locations=range(len(test.program.locations)))
@@ -169,6 +171,7 @@ def cmd_check(args):
     doc = {
         "schema": 1, "test": test.name, "model": args.model, "verdict": verdict,
         "expected": expected, "ok": ok, "complete": report.complete,
+        "pruned": report.pruned,
     }
     human = f"{test.name} [{args.model}]: assertion {verdict}" + (
         "" if expected is None else f" (expected {expected}: {'ok' if ok else 'MISMATCH'})"
@@ -221,10 +224,12 @@ def cmd_map(args):
 
 def _consistent_candidates(test, unroll, max_candidates, report):
     """IMM_S-consistent candidates with their SC witness, enumeration order;
-    report records whether the search was complete."""
+    report records whether the search was complete. Drawn from the coherent
+    stream, which keeps every IMM_S-consistent candidate in order."""
     out = []
     for cand in candidate_executions(test.program, unroll=unroll,
-                                     max_candidates=max_candidates, report=report):
+                                     max_candidates=max_candidates, report=report,
+                                     coherent=True):
         v = consistency.check_imms(cand.execution)
         if v.consistent:
             out.append((cand, sc_witness_rel(cand.execution, v)))
@@ -402,6 +407,7 @@ def run_one(path, models, unroll, max_candidates):
         entry["models"][model] = {
             "verdict": verdict, "expected": expected, "ok": ok,
             "outcomes": len(outcomes), "complete": report.complete,
+            "pruned": report.pruned,
         }
         entry["ok"] = entry["ok"] and ok
     entry["seconds"] = round(time.time() - started, 3)

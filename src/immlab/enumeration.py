@@ -4,13 +4,18 @@ Thread-local graphs come from an operational semantics that records, per
 event, which reads fed its value (data), its address (addr), the current
 control set (ctrl), and CAS-expectation reads (casdep). Candidates are the
 cartesian product of terminal thread graphs completed with every reads-from
-choice and every per-location coherence order; consistency is not filtered
-here.
+choice and every per-location coherence order. The full stream filters
+nothing; the coherent stream (`candidate_executions(..., coherent=True)`)
+drops the completions that break SC-per-location, which every model decided
+here rejects, before any graph is built, and no other consistency axiom is
+checked here.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .execgraph import Event, Execution, Fence, Read, Write
@@ -171,6 +176,26 @@ class ThreadResult:
     choices: tuple
     terminal: bool
 
+    @functools.cached_property
+    def event_ids(self):
+        """The Event of each of the run's events, shared by every skeleton
+        the run is part of."""
+        return [Event(self.tid, idx) for idx in range(len(self.events))]
+
+    @functools.cached_property
+    def po_loc_pairs(self):
+        """(a, b, b is a write) for each two events of the run at one
+        location with none there between them, as indices into events."""
+        pairs = []
+        last = {}
+        for idx, rec in enumerate(self.events):
+            loc = rec.label.loc
+            if loc is not None:
+                if loc in last:
+                    pairs.append((last[loc], idx, rec.label.kind == "w"))
+                last[loc] = idx
+        return pairs
+
 
 def step_budget(sprog, unroll):
     """How many instruction steps one run of thread program sprog may take:
@@ -220,42 +245,60 @@ class EnumerationReport:
     truncated_threads: int = 0
     truncated_candidates: bool = False
     candidates: int = 0
+    pruned: int = 0  # incoherent completions the coherent stream dropped
 
     @property
     def complete(self):
         return self.truncated_threads == 0 and not self.truncated_candidates
 
 
-def _assemble(combo):
-    """The skeleton of one tuple of terminal thread runs, given in tid order:
-    its events in canonical order (init events first by location, then each
-    thread's events in order), their labels, and the rmw, data, addr, ctrl
-    and casdep relations every completion of it shares."""
+def _skeleton(combo):
+    """The locations of one tuple of terminal thread runs, given in tid
+    order, and the labels of its events in canonical order: one init write
+    per location first, by location, then each thread's events in order."""
     locs = sorted({rec.label.loc for res in combo for rec in res.events
                    if rec.label.loc is not None})
-    events = [Event.init(loc) for loc in locs]
     labels = [Write("rlx", loc, 0, "normal") for loc in locs]
-    n = len(locs) + sum(len(res.events) for res in combo)
+    for res in combo:
+        labels += [rec.label for rec in res.events]
+    return locs, tuple(labels)
+
+
+def _events(combo, locs):
+    """The events that _skeleton labels."""
+    events = [Event.init(loc) for loc in locs]
+    for res in combo:
+        events += res.event_ids
+    return tuple(events)
+
+
+def _dependencies(combo, n, base):
+    """The rmw, data, addr, ctrl and casdep relations that every completion
+    of the skeleton of combo shares, over its n events, of which the first
+    base are init events."""
     rows = {name: [0] * n for name in ("rmw", "data", "addr", "ctrl", "casdep")}
     for res in combo:
-        base = len(events)
         for idx, rec in enumerate(res.events):
-            bit = 1 << len(events)
-            events.append(Event(res.tid, idx))
-            labels.append(rec.label)
+            bit = 1 << (base + idx)
             if rec.rmw_from is not None:
                 rows["rmw"][base + rec.rmw_from] |= bit
             for name in ("data", "addr", "ctrl", "casdep"):
                 for src in getattr(rec, name):
                     rows[name][base + src] |= bit
+        base += len(res.events)
     # ctrl is forward-closed by construction: the control set only grows
-    shared = {name: Rel.from_rows(n, r) for name, r in rows.items()}
-    return tuple(events), tuple(labels), shared
+    return {name: Rel.from_rows(n, r) for name, r in rows.items()}
 
 
-def candidate_executions(program, unroll=8, max_candidates=None, report=None):
+def candidate_executions(program, unroll=8, max_candidates=None, report=None,
+                         coherent=False):
     """Stream candidate full executions in deterministic lexicographic order,
-    at most max_candidates of them (at least 1) when a cap is given."""
+    at most max_candidates of them (at least 1) when a cap is given.
+
+    With coherent=True only the completions that satisfy SC-per-location
+    are made (see _complete); they come in the same relative order as in
+    the full stream, the cap counts them alone, and report.pruned counts
+    the completions dropped."""
     if max_candidates is not None and max_candidates < 1:
         raise ValueError(f"max_candidates must be at least 1, got {max_candidates}")
     values = program.candidate_values()
@@ -269,7 +312,7 @@ def candidate_executions(program, unroll=8, max_candidates=None, report=None):
 
     emitted = 0
     for combo in itertools.product(*per_thread):
-        for cand in _complete(combo, *_assemble(combo)):
+        for cand in _complete(combo, report=report if coherent else None):
             yield cand
             emitted += 1
             report.candidates = emitted
@@ -278,11 +321,81 @@ def candidate_executions(program, unroll=8, max_candidates=None, report=None):
                 return
 
 
-def _complete(combo, events, labels, shared):
-    """Enumerate rf and co completions over a fixed event skeleton: every
-    read takes each same-location, same-value write in event order, and
-    for each such choice every location's non-init writes take each
-    permutation after its init write."""
+def _coherent_orders(pairs, slots, reads, parts):
+    """For one location, the function from an rf choice to those of its co
+    orders (`parts`, in co_parts form) that keep po_loc ∪ rf ∪ co ∪ fr
+    acyclic there, memoized on the location's own rf sub-choice (the
+    writers at `slots`). `pairs` holds each (a, b, b is a write) with a
+    and b po-consecutive events of one thread at the location.
+
+    Let pos(e) be e for a write and its rf source for a read. Every rf, co
+    and fr edge keeps pos co-non-decreasing, and co and fr raise it. Hence
+    the location is acyclic exactly when, along each pair (a, b), pos(a) is
+    co-before pos(b), or pos(a) = pos(b) with b a read: a cycle could then
+    hold only rf edges and po edges into reads, and those never close a
+    cycle; conversely a pair that fails closes one with co, fr, rf, co;rf
+    or fr;rf from b back to a. An rf choice under which some pair has
+    pos(a) = pos(b) for a write b (b feeds a po-earlier read: a po_loc ∪ rf
+    cycle) keeps no order at all."""
+    ranks = [{w: i for i, (w, _) in enumerate(part)} for part in parts]
+    loc_reads = [reads[s] for s in slots]
+    memo = {}
+
+    def survivors(rf_combo):
+        key = tuple(rf_combo[s] for s in slots)
+        kept = memo.get(key)
+        if kept is None:
+            src = dict(zip(loc_reads, key))
+            before = set()
+            for a, b, to_write in pairs:
+                sa, sb = src.get(a, a), src.get(b, b)
+                if sa != sb:
+                    before.add((sa, sb))
+                elif to_write:
+                    before = None
+                    break
+            kept = [] if before is None else [
+                part for part, rank in zip(parts, ranks)
+                if all(rank[x] < rank[y] for x, y in before)]
+            memo[key] = kept
+        return kept
+
+    return survivors
+
+
+def _complete(combo, report=None):
+    """Enumerate rf and co completions over the event skeleton of combo:
+    every read takes each same-location, same-value write in event order,
+    and for each such choice every location's non-init writes take each
+    permutation after its init write. The events and the relations every
+    completion shares are built when the first completion is made.
+
+    Given a report, only the completions that satisfy SC-per-location,
+    acyclic(po_loc ∪ rf ∪ fr ∪ co), are made, and report.pruned counts the
+    rest; nothing is built for them. Every edge of that union joins events
+    of one location, so the check splits into one per location that reads
+    only that location's rf and co choices (_coherent_orders), and the
+    survivors are the product of each location's surviving orders, taken
+    in the order of the full product. Dropping them loses no consistent
+    candidate of any model decided here:
+
+    - imm, imms, c11, rc11: their coherence axiom is irreflexive(hb;eco?)
+      with hb either the IMM hb or hb_rc11, and po ⊆ hb in both. Every
+      completion has functional, total rf and a strict total co per
+      location, so eco is rf ∪ co;rf? ∪ fr;rf?. A po_loc ∪ rf ∪ fr ∪ co
+      cycle contains a po_loc pair (a, b) that _coherent_orders rejects,
+      and every rejected pair has eco(b, a): co, fr, rf, co;rf or fr;rf
+      from b to a. With po(a, b) ⊆ hb, hb;eco? is reflexive at a. This is
+      the coherence theorem of Lahav et al., Repairing Sequential
+      Consistency in C/C++11 (PLDI 2017).
+    - power (with or without the at-order axiom, POWER or ARMv7 dependency
+      order) and arm: their first row is sc-per-loc, the same acyclicity,
+      on the image of the graph. split_release, to_power and to_arm only
+      insert fences and relabel modes, so they keep every memory event
+      with its location, and keep po between memory events, rf and co;
+      fr = rf⁻¹;co follows. A source cycle is thus an image cycle.
+    """
+    locs, labels = _skeleton(combo)
     n = len(labels)
     reads = [i for i, lab in enumerate(labels) if lab.kind == "r"]
     writes = [i for i, lab in enumerate(labels) if lab.kind == "w"]
@@ -299,23 +412,54 @@ def _complete(combo, events, labels, shared):
     for w in writes:
         by_loc.setdefault(labels[w].loc, []).append(w)
     co_parts = []  # per location, per order: (write, writes it precedes) pairs
-    for loc in sorted(by_loc):
-        inits = [w for w in by_loc[loc] if events[w].is_init]
-        rest = [w for w in by_loc[loc] if not events[w].is_init]
-        orders = [inits + list(perm) for perm in itertools.permutations(rest)]
+    for k, loc in enumerate(locs):
+        # by_loc[loc] is the init write k, then the location's other writes
+        orders = [[k, *perm] for perm in itertools.permutations(by_loc[loc][1:])]
         co_parts.append([
             [(w, sum(1 << v for v in order[i + 1:])) for i, w in enumerate(order)]
             for order in orders
         ])
 
+    # (position in co_parts, its filter) for each location where some thread
+    # has two events; at any other location every order is coherent
+    filters = []
+    if report is not None:
+        pairs = {}
+        base = len(locs)  # the init events, one per location, come first
+        for res in combo:
+            for a, b, to_write in res.po_loc_pairs:
+                pairs.setdefault(labels[base + b].loc, []).append(
+                    (base + a, base + b, to_write))
+            base += len(res.events)
+        for k, loc in enumerate(locs):
+            if loc in pairs:
+                slots = [s for s, r in enumerate(reads) if labels[r].loc == loc]
+                filters.append((k, _coherent_orders(pairs[loc], slots, reads,
+                                                    co_parts[k])))
+    if filters:
+        full = math.prod(len(parts) for parts in co_parts)
+
     final_regs = {res.tid: dict(res.phi) for res in combo}
+    events = shared = None
 
     for rf_combo in itertools.product(*writers_of):
+        co_choices = co_parts
+        if filters:
+            co_choices = list(co_parts)
+            for k, survivors in filters:
+                co_choices[k] = survivors(rf_combo)
+            kept = math.prod(len(parts) for parts in co_choices)
+            report.pruned += full - kept
+            if not kept:
+                continue
         rf = [0] * n
         for w, r in zip(rf_combo, reads):
             rf[w] |= 1 << r
         rf = Rel.from_rows(n, rf)
-        for co_combo in itertools.product(*co_parts):
+        if events is None:
+            events = _events(combo, locs)
+            shared = _dependencies(combo, n, len(locs))
+        for co_combo in itertools.product(*co_choices):
             co = [0] * n
             for order in co_combo:
                 for w, later in order:

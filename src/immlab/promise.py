@@ -77,10 +77,15 @@ def initial_machine(program, locations):
     return MachineState(threads, memory)
 
 
-def advance_silent(sigma):
-    """Run assign/if-goto steps up to the next memory instruction."""
-    while not sigma.terminal and not isinstance(
-            sigma.sprog[sigma.pc], (Load, Store, Fadd, Cas, FenceInst)):
+def _silent_next(sigma):
+    return not sigma.terminal and not isinstance(
+        sigma.sprog[sigma.pc], (Load, Store, Fadd, Cas, FenceInst))
+
+
+def advance_silent(sigma, budget=None):
+    """Run assign/if-goto steps up to the next memory instruction, or until
+    the thread has taken budget steps in all when a budget is given."""
+    while _silent_next(sigma) and (budget is None or sigma.steps < budget):
         thread_step(sigma)
     return sigma
 
@@ -148,7 +153,10 @@ def certify(ts, memory, unroll=8):
 
     Bounded DFS over thread steps; new messages take any unused timestamp
     above the view at their location (up to one past the current maximum).
-    Returns True/False, or "inconclusive" when the step budget pruned a branch.
+    A branch ends when it has taken as many memory steps as the budget
+    allows, or when the thread has taken as many steps in all (a silent
+    loop). Returns True/False, or "inconclusive" when the budget pruned a
+    branch.
     """
     budget = step_budget(ts.sigma.sprog, unroll)
     seen = set()
@@ -168,10 +176,10 @@ def certify(ts, memory, unroll=8):
         if not ts2.promises:
             return True
         sigma = ts2.sigma
-        advance_silent(sigma)
+        advance_silent(sigma, budget)
         if sigma.terminal:
             return False
-        if depth <= 0:
+        if depth <= 0 or _silent_next(sigma):
             pruned[0] = True
             return False
         k = key(ts2, memory2)

@@ -78,7 +78,7 @@ class Rel:
     @staticmethod
     def from_rows(n, rows):
         rows = list(rows)
-        if len(rows) != n or any(r < 0 or r >> n for r in rows):
+        if len(rows) != n or rows and (min(rows) < 0 or max(rows) >> n):
             raise ValueError(f"rows do not describe a relation over {n} events")
         return _new(n, rows)
 

@@ -1,6 +1,7 @@
 """Independent oracles: matrix algebra via numpy, naive set saturation, DFS,
-PairRel, a relation stored as a frozenset of pairs, and pair_built_candidates,
-the candidate stream built from event pairs through Execution.build.
+PairRel, a relation stored as a frozenset of pairs, pair_built_candidates,
+the candidate stream built from event pairs through Execution.build, and
+sc_per_location, SC-per-location decided over event pairs.
 
 The relation oracles deliberately avoid immlab.relalg so each check has two
 routes.
@@ -320,3 +321,14 @@ def pair_built_candidates(program, unroll=8):
                 g = Execution.build(event_labels, rf=list(zip(rf_choice, reads)), co=co,
                                     **rels)
                 yield g, regs
+
+
+def sc_per_location(g):
+    """acyclic(po_loc ∪ rf ∪ fr ∪ co) by DFS over event pairs, with po_loc
+    from Event.precedes and the labels' locations, and fr = rf⁻¹;co."""
+    loc = [lab.loc for lab in g.labels]
+    po_loc = {(a, b) for a in range(g.n) for b in range(g.n)
+              if loc[a] is not None and loc[a] == loc[b]
+              and g.events[a].precedes(g.events[b])}
+    fr = {(r, w) for w0, r in g.rf.pairs for w1, w in g.co.pairs if w1 == w0}
+    return not dfs_has_cycle(po_loc | g.rf.pairs | fr | g.co.pairs, g.n)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -6,6 +9,35 @@ from immlab.cli import main
 from immlab.enumeration import candidate_executions
 
 from conftest import CORPUS_DIR, SPIN_LITMUS
+from oracles import sc_per_location
+
+SRC = CORPUS_DIR.parent / "src"
+
+# thread 0 loops forever without a memory step unless it reads x=1; a
+# certification branch that reads x=0 used to spin in that loop
+SILENT_LOOP_LITMUS = """
+prog "SILENT-LOOP"
+locations x y z
+thread 0:
+  r[rlx] c z
+  r[rlx] a x
+  if a == 1 goto 5
+  b := 0
+  if 1 goto 3
+  w[rlx] y 1
+thread 1:
+  r[rlx] d y
+  w[rlx] z d
+thread 2:
+  w[rlx] x 1
+"""
+
+
+def run_module(*argv, timeout=120):
+    """`python -m immlab ARGV` from the source tree, without an install."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "immlab", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def run_cli(capsys, *argv):
@@ -46,6 +78,16 @@ class TestRun:
         assert code == 0 and doc["schema"] == 1
         assert doc["tests"][0]["models"]["imm"]["verdict"] == "forbidden"
 
+    def test_json_reports_pruned_per_model(self, capsys, tmp_path, corpus):
+        (tmp_path / "coh.litmus").write_text((CORPUS_DIR / "coh.litmus").read_text())
+        code, out = run_cli(capsys, "run", str(tmp_path), "--json")
+        models = json.loads(out)["tests"][0]["models"]
+        incoherent = sum(not sc_per_location(c.execution)
+                         for c in candidate_executions(corpus["coh"].program))
+        assert code == 0 and incoherent > 0
+        assert {m: e["pruned"] for m, e in models.items()} == {
+            m: incoherent for m in corpus["coh"].expectations}
+
     def test_parallel_matches_serial(self, capsys, tmp_path):
         for name in ("mp.litmus", "lb-data.litmus"):
             (tmp_path / name).write_text((CORPUS_DIR / name).read_text())
@@ -77,6 +119,17 @@ class TestCheck:
                             "--model", "imm", "--json")
         doc = json.loads(out)
         assert doc["verdict"] == "allowed" and doc["ok"]
+
+    def test_check_json_reports_pruned(self, capsys, corpus):
+        incoherent = sum(not sc_per_location(c.execution)
+                         for c in candidate_executions(corpus["rfi-ppo"].program))
+        code, out = run_cli(capsys, "check", str(CORPUS_DIR / "rfi-ppo.litmus"),
+                            "--model", "power", "--json")
+        assert code == 0 and incoherent > 0
+        assert json.loads(out)["pruned"] == incoherent
+        code, out = run_cli(capsys, "check", str(CORPUS_DIR / "rfi-ppo.litmus"),
+                            "--model", "power")
+        assert "pruned" not in out
 
     def test_power_variant_flags(self, capsys):
         for flag in ("--armv7", "--power-at-axiom"):
@@ -139,6 +192,20 @@ class TestOther:
         path.write_text(SPIN_LITMUS)
         code, out = run_cli(capsys, "simulate", str(path), "--unroll", "101", "--json")
         assert code == 0 and json.loads(out)["matches_graph"]
+
+    def test_simulate_silent_loop_returns(self, tmp_path):
+        path = tmp_path / "silent-loop.litmus"
+        path.write_text(SILENT_LOOP_LITMUS)
+        proc = run_module("simulate", str(path), "--graph-index", "3", "--json")
+        doc = json.loads(proc.stdout)
+        assert proc.returncode == 0
+        assert doc["outcome"] == {"x": 1, "y": 1, "z": 1}
+        assert doc["machine_steps"] == 9 and doc["matches_graph"]
+
+    def test_python_dash_m(self):
+        proc = run_module("check", str(CORPUS_DIR / "mp.litmus"), "--model", "imm")
+        assert proc.returncode == 0
+        assert proc.stdout == "MP [imm]: assertion forbidden (expected forbidden: ok)\n"
 
     def test_compare(self, capsys):
         code, out = run_cli(capsys, "compare", str(CORPUS_DIR / "lb-data.litmus"),

@@ -1,6 +1,11 @@
+import functools
 import json
 import math
+import random
 
+import pytest
+
+from immlab import consistency, hwmodels
 from immlab.cli import main
 from immlab.enumeration import (
     EnumerationReport,
@@ -11,10 +16,21 @@ from immlab.enumeration import (
     thread_step,
 )
 from immlab.execgraph import Read, Write
+from immlab.fuzz import FuzzConfig, random_program
 from immlab.program import parse_litmus
 
 from conftest import CORPUS_DIR
-from oracles import pair_built_candidates
+from oracles import pair_built_candidates, sc_per_location
+
+FUZZ_SEEDS = (11, 29)
+FUZZ_PROGRAMS = 20  # per seed
+FUZZ_CAP = 400  # programs with more candidates are skipped
+
+# every checker a verdict is decided with, keyed by model and flags
+CHECKERS = {model: consistency.checker_for(model) for model in consistency.MODELS}
+CHECKERS["power --power-at-axiom"] = functools.partial(hwmodels.check_imm_via_power,
+                                                       at_axiom=True)
+CHECKERS["power --armv7"] = functools.partial(hwmodels.check_imm_via_power, armv7=True)
 
 
 class TestThreadStep:
@@ -210,6 +226,68 @@ class TestCandidates:
         )
         assert len(cands) == 3
         assert report.truncated_candidates and not report.complete
+
+
+@pytest.fixture(scope="module")
+def streams(corpus):
+    """name -> (full stream, coherent stream, the coherent stream's report)
+    for every corpus test and every uncapped seeded fuzz program."""
+    programs = [(name, test.program) for name, test in corpus.items()]
+    for seed in FUZZ_SEEDS:
+        rng = random.Random(seed)
+        programs += [(f"fuzz-{seed}-{i}", random_program(rng, FuzzConfig()))
+                     for i in range(FUZZ_PROGRAMS)]
+    out = {}
+    for name, program in programs:
+        full_report = EnumerationReport()
+        full = list(candidate_executions(program, max_candidates=FUZZ_CAP,
+                                         report=full_report))
+        if not full_report.complete:
+            continue
+        report = EnumerationReport()
+        coherent = list(candidate_executions(program, report=report, coherent=True))
+        out[name] = (full, coherent, report)
+    assert sum(name.startswith("fuzz") for name in out) >= FUZZ_PROGRAMS
+    return out
+
+
+def signatures(cands, check=None):
+    return [c.execution.signature() for c in cands
+            if check is None or check(c.execution).consistent]
+
+
+class TestCoherentStream:
+    @pytest.mark.parametrize("checker", sorted(CHECKERS))
+    def test_same_consistent_candidates_as_the_full_stream(self, streams, checker):
+        check = CHECKERS[checker]
+        for name, (full, coherent, _) in streams.items():
+            assert signatures(coherent, check) == signatures(full, check), name
+
+    def test_is_the_full_stream_filtered_by_sc_per_location(self, streams):
+        for name, (full, coherent, _) in streams.items():
+            kept = [c for c in full if sc_per_location(c.execution)]
+            assert signatures(coherent) == signatures(kept), name
+
+    def test_pruned_counts_the_dropped_completions(self, streams):
+        for name, (full, coherent, report) in streams.items():
+            assert report.pruned == len(full) - len(coherent), name
+            assert report.candidates == len(coherent) and report.complete, name
+        corpus_pruned = sum(report.pruned for name, (_, _, report) in streams.items()
+                            if not name.startswith("fuzz"))
+        assert corpus_pruned == 247 - 120
+
+    def test_full_stream_prunes_nothing(self, corpus):
+        report = EnumerationReport()
+        cands = list(candidate_executions(corpus["coh"].program, report=report))
+        assert report.pruned == 0 and report.candidates == len(cands)
+
+    def test_cap_counts_coherent_candidates(self, corpus, streams):
+        _, coherent, _ = streams["coh"]
+        report = EnumerationReport()
+        capped = list(candidate_executions(corpus["coh"].program, max_candidates=2,
+                                           report=report, coherent=True))
+        assert signatures(capped) == signatures(coherent[:2])
+        assert report.truncated_candidates and report.candidates == 2
 
 
 class TestOutcomes:

@@ -126,6 +126,18 @@ thread 1:
         ts, mem = thread_machine_step(ts, mem, ("promise", Message(1, 2, 1)))
         assert certify(ts, mem) is True
 
+    def test_silent_loop_is_cut_by_the_step_budget(self):
+        # reading x=0 sends the thread into a loop without memory steps
+        test = parse_litmus(
+            'prog "LOOP"\nlocations x y\nthread 0:\n  r[rlx] a x\n'
+            "  if a == 1 goto 3\n  if 1 goto 2\n  w[rlx] y 1\n"
+        )
+        mem = frozenset({Message(0, 0, 0), Message(1, 0, 0)})
+        ts = PThreadState(ThreadState(list(test.program.threads[0]), 0))
+        ts, mem = thread_machine_step(ts, mem, ("promise", Message(1, 1, 1)))
+        assert certify(ts, mem) == "inconclusive"
+        assert certify(ts, mem | {Message(0, 1, 1)}) is True
+
 
 class TestTimestampMap:
     def test_init_zero_and_ranks(self, corpus, corpus_candidates):
