@@ -146,7 +146,7 @@ def _model_verdict(test, check, unroll, max_candidates):
             continue
         o = cand.execution.outcome(locations=range(len(test.program.locations)))
         outcomes.add(tuple(sorted(o.items())))
-        if test.assertion and assertion_holds(cand, test):
+        if test.assertion and assertion_holds(cand, test, o):
             hit = True
     if hit:
         verdict = "allowed"
@@ -171,7 +171,7 @@ def cmd_check(args):
     doc = {
         "schema": 1, "test": test.name, "model": args.model, "verdict": verdict,
         "expected": expected, "ok": ok, "complete": report.complete,
-        "pruned": report.pruned,
+        "pruned": report.pruned, "shapes": report.shapes,
     }
     human = f"{test.name} [{args.model}]: assertion {verdict}" + (
         "" if expected is None else f" (expected {expected}: {'ok' if ok else 'MISMATCH'})"
@@ -407,7 +407,7 @@ def run_one(path, models, unroll, max_candidates):
         entry["models"][model] = {
             "verdict": verdict, "expected": expected, "ok": ok,
             "outcomes": len(outcomes), "complete": report.complete,
-            "pruned": report.pruned,
+            "pruned": report.pruned, "shapes": report.shapes,
         }
         entry["ok"] = entry["ok"] and ok
     entry["seconds"] = round(time.time() - started, 3)

@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .execgraph import Event, Execution, Fence, Read, Write
+from .execgraph import Event, Execution, Fence, Read, Shape, Write
 from .program import (
     Assign,
     Cas,
@@ -178,9 +178,19 @@ class ThreadResult:
 
     @functools.cached_property
     def event_ids(self):
-        """The Event of each of the run's events, shared by every skeleton
-        the run is part of."""
+        """The Event of each of the run's events."""
         return [Event(self.tid, idx) for idx in range(len(self.events))]
+
+    @functools.cached_property
+    def labels(self):
+        return tuple(rec.label for rec in self.events)
+
+    @functools.cached_property
+    def shape_key(self):
+        """The run's events without their values, with their dependencies:
+        runs of one thread with equal keys give skeletons one shape."""
+        return tuple((rec.label.slot, rec.rmw_from, rec.data, rec.addr, rec.ctrl,
+                      rec.casdep) for rec in self.events)
 
     @functools.cached_property
     def po_loc_pairs(self):
@@ -246,30 +256,11 @@ class EnumerationReport:
     truncated_candidates: bool = False
     candidates: int = 0
     pruned: int = 0  # incoherent completions the coherent stream dropped
+    shapes: int = 0  # distinct shapes of the candidates made
 
     @property
     def complete(self):
         return self.truncated_threads == 0 and not self.truncated_candidates
-
-
-def _skeleton(combo):
-    """The locations of one tuple of terminal thread runs, given in tid
-    order, and the labels of its events in canonical order: one init write
-    per location first, by location, then each thread's events in order."""
-    locs = sorted({rec.label.loc for res in combo for rec in res.events
-                   if rec.label.loc is not None})
-    labels = [Write("rlx", loc, 0, "normal") for loc in locs]
-    for res in combo:
-        labels += [rec.label for rec in res.events]
-    return locs, tuple(labels)
-
-
-def _events(combo, locs):
-    """The events that _skeleton labels."""
-    events = [Event.init(loc) for loc in locs]
-    for res in combo:
-        events += res.event_ids
-    return tuple(events)
 
 
 def _dependencies(combo, n, base):
@@ -293,26 +284,45 @@ def _dependencies(combo, n, base):
 def candidate_executions(program, unroll=8, max_candidates=None, report=None,
                          coherent=False):
     """Stream candidate full executions in deterministic lexicographic order,
-    at most max_candidates of them (at least 1) when a cap is given.
+    at most max_candidates of them (at least 1) when a cap is given. A
+    register that a run never sets is 0 in its final registers.
 
     With coherent=True only the completions that satisfy SC-per-location
-    are made (see _complete); they come in the same relative order as in
-    the full stream, the cap counts them alone, and report.pruned counts
-    the completions dropped."""
+    are made (see _Completions.complete); they come in the same relative
+    order as in the full stream, the cap counts them alone, and
+    report.pruned counts the completions dropped.
+
+    Thread combinations whose runs agree on everything but values share
+    one shape (execgraph.Shape) and one _Completions; the memo of them
+    lives as long as this stream, and report.shapes counts the distinct
+    shapes of the candidates made."""
     if max_candidates is not None and max_candidates < 1:
         raise ValueError(f"max_candidates must be at least 1, got {max_candidates}")
     values = program.candidate_values()
     if report is None:
         report = EnumerationReport()
     per_thread = []
+    key_ids = []  # per thread, an id of each run's shape key
     for tid, body in enumerate(program.threads):
         results, truncated = thread_graphs(body, tid, values, unroll)
         report.truncated_threads += truncated
+        zeros = dict.fromkeys(program.thread_regs(tid), 0)
+        for res in results:
+            res.phi = zeros | res.phi
+        ids = {}
+        key_ids.append([ids.setdefault(res.shape_key, len(ids)) for res in results])
         per_thread.append(results)
 
+    shapes = {}
+    made = set()  # the keys of the shapes of the candidates made
     emitted = 0
-    for combo in itertools.product(*per_thread):
-        for cand in _complete(combo, report=report if coherent else None):
+    for key, combo in zip(itertools.product(*key_ids), itertools.product(*per_thread)):
+        completions = shapes.get(key)
+        if completions is None:
+            completions = shapes[key] = _Completions(combo, coherent)
+        for cand in completions.complete(combo, report if coherent else None):
+            made.add(key)
+            report.shapes = len(made)
             yield cand
             emitted += 1
             report.candidates = emitted
@@ -321,12 +331,12 @@ def candidate_executions(program, unroll=8, max_candidates=None, report=None,
                 return
 
 
-def _coherent_orders(pairs, slots, reads, parts):
+def _coherent_orders(pairs, positions, reads, parts):
     """For one location, the function from an rf choice to those of its co
     orders (`parts`, in co_parts form) that keep po_loc ∪ rf ∪ co ∪ fr
     acyclic there, memoized on the location's own rf sub-choice (the
-    writers at `slots`). `pairs` holds each (a, b, b is a write) with a
-    and b po-consecutive events of one thread at the location.
+    writers of the reads at `positions`). `pairs` holds each (a, b, b is a
+    write) with a and b po-consecutive events of one thread at the location.
 
     Let pos(e) be e for a write and its rf source for a read. Every rf, co
     and fr edge keeps pos co-non-decreasing, and co and fr raise it. Hence
@@ -338,11 +348,11 @@ def _coherent_orders(pairs, slots, reads, parts):
     pos(a) = pos(b) for a write b (b feeds a po-earlier read: a po_loc ∪ rf
     cycle) keeps no order at all."""
     ranks = [{w: i for i, (w, _) in enumerate(part)} for part in parts]
-    loc_reads = [reads[s] for s in slots]
+    loc_reads = [reads[p] for p in positions]
     memo = {}
 
     def survivors(rf_combo):
-        key = tuple(rf_combo[s] for s in slots)
+        key = tuple(rf_combo[p] for p in positions)
         kept = memo.get(key)
         if kept is None:
             src = dict(zip(loc_reads, key))
@@ -363,124 +373,142 @@ def _coherent_orders(pairs, slots, reads, parts):
     return survivors
 
 
-def _complete(combo, report=None):
-    """Enumerate rf and co completions over the event skeleton of combo:
-    every read takes each same-location, same-value write in event order,
-    and for each such choice every location's non-init writes take each
-    permutation after its init write. The events and the relations every
-    completion shares are built when the first completion is made.
+class _Completions:
+    """What every skeleton of one shape shares, built from the first thread
+    combination seen with it: the shape, the writes each read may take its
+    value from, each location's co orders and, on the coherent stream, each
+    location's filter of them. A skeleton's events are one init write per
+    location first, by location, then each thread's events in order."""
 
-    Given a report, only the completions that satisfy SC-per-location,
-    acyclic(po_loc ∪ rf ∪ fr ∪ co), are made, and report.pruned counts the
-    rest; nothing is built for them. Every edge of that union joins events
-    of one location, so the check splits into one per location that reads
-    only that location's rf and co choices (_coherent_orders), and the
-    survivors are the product of each location's surviving orders, taken
-    in the order of the full product. Dropping them loses no consistent
-    candidate of any model decided here:
-
-    - imm, imms, c11, rc11: their coherence axiom is irreflexive(hb;eco?)
-      with hb either the IMM hb or hb_rc11, and po ⊆ hb in both. Every
-      completion has functional, total rf and a strict total co per
-      location, so eco is rf ∪ co;rf? ∪ fr;rf?. A po_loc ∪ rf ∪ fr ∪ co
-      cycle contains a po_loc pair (a, b) that _coherent_orders rejects,
-      and every rejected pair has eco(b, a): co, fr, rf, co;rf or fr;rf
-      from b to a. With po(a, b) ⊆ hb, hb;eco? is reflexive at a. This is
-      the coherence theorem of Lahav et al., Repairing Sequential
-      Consistency in C/C++11 (PLDI 2017).
-    - power (with or without the at-order axiom, POWER or ARMv7 dependency
-      order) and arm: their first row is sc-per-loc, the same acyclicity,
-      on the image of the graph. split_release, to_power and to_arm only
-      insert fences and relabel modes, so they keep every memory event
-      with its location, and keep po between memory events, rf and co;
-      fr = rf⁻¹;co follows. A source cycle is thus an image cycle.
-    """
-    locs, labels = _skeleton(combo)
-    n = len(labels)
-    reads = [i for i, lab in enumerate(labels) if lab.kind == "r"]
-    writes = [i for i, lab in enumerate(labels) if lab.kind == "w"]
-
-    writers_of = []
-    for r in reads:
-        lab = labels[r]
-        cands = [w for w in writes if labels[w].loc == lab.loc and labels[w].val == lab.val]
-        if not cands:
-            return
-        writers_of.append(cands)
-
-    by_loc = {}
-    for w in writes:
-        by_loc.setdefault(labels[w].loc, []).append(w)
-    co_parts = []  # per location, per order: (write, writes it precedes) pairs
-    for k, loc in enumerate(locs):
-        # by_loc[loc] is the init write k, then the location's other writes
-        orders = [[k, *perm] for perm in itertools.permutations(by_loc[loc][1:])]
-        co_parts.append([
-            [(w, sum(1 << v for v in order[i + 1:])) for i, w in enumerate(order)]
-            for order in orders
-        ])
-
-    # (position in co_parts, its filter) for each location where some thread
-    # has two events; at any other location every order is coherent
-    filters = []
-    if report is not None:
-        pairs = {}
-        base = len(locs)  # the init events, one per location, come first
+    def __init__(self, combo, coherent):
+        locs = sorted({rec.label.loc for res in combo for rec in res.events
+                       if rec.label.loc is not None})
+        self.init_labels = tuple(Write("rlx", loc, 0, "normal") for loc in locs)
+        slots = [lab.slot for lab in self.init_labels]
+        events = [Event.init(loc) for loc in locs]
         for res in combo:
-            for a, b, to_write in res.po_loc_pairs:
-                pairs.setdefault(labels[base + b].loc, []).append(
-                    (base + a, base + b, to_write))
-            base += len(res.events)
+            slots += [rec.label.slot for rec in res.events]
+            events += res.event_ids
+        self.shape = shape = Shape(events, slots,
+                                   **_dependencies(combo, len(slots), len(locs)))
+        self.reads = reads = sorted(shape.R)
+        # per read, the writes to its location, in event order
+        self.sources = [sorted(shape.writes_to(slots[r].loc)) for r in reads]
+
+        co_parts = []  # per location, per order: (write, writes it precedes) pairs
         for k, loc in enumerate(locs):
-            if loc in pairs:
-                slots = [s for s, r in enumerate(reads) if labels[r].loc == loc]
-                filters.append((k, _coherent_orders(pairs[loc], slots, reads,
-                                                    co_parts[k])))
-    if filters:
-        full = math.prod(len(parts) for parts in co_parts)
+            # the location's writes are the init write k, then its others
+            orders = [[k, *perm]
+                      for perm in itertools.permutations(sorted(shape.writes_to(loc) - {k}))]
+            co_parts.append([
+                [(w, sum(1 << v for v in order[i + 1:])) for i, w in enumerate(order)]
+                for order in orders
+            ])
+        self.co_parts = co_parts
+        self.full = math.prod(len(parts) for parts in co_parts)
 
-    final_regs = {res.tid: dict(res.phi) for res in combo}
-    events = shared = None
+        # (position in co_parts, its filter) for each location where some
+        # thread has two events; at any other location every order is coherent
+        self.filters = []
+        if coherent:
+            pairs = {}
+            base = len(locs)
+            for res in combo:
+                for a, b, to_write in res.po_loc_pairs:
+                    pairs.setdefault(slots[base + b].loc, []).append(
+                        (base + a, base + b, to_write))
+                base += len(res.events)
+            for k, loc in enumerate(locs):
+                if loc in pairs:
+                    on_loc = [p for p, r in enumerate(reads) if slots[r].loc == loc]
+                    self.filters.append(
+                        (k, _coherent_orders(pairs[loc], on_loc, reads, co_parts[k])))
 
-    for rf_combo in itertools.product(*writers_of):
-        co_choices = co_parts
-        if filters:
-            co_choices = list(co_parts)
-            for k, survivors in filters:
-                co_choices[k] = survivors(rf_combo)
-            kept = math.prod(len(parts) for parts in co_choices)
-            report.pruned += full - kept
-            if not kept:
-                continue
-        rf = [0] * n
-        for w, r in zip(rf_combo, reads):
-            rf[w] |= 1 << r
-        rf = Rel.from_rows(n, rf)
-        if events is None:
-            events = _events(combo, locs)
-            shared = _dependencies(combo, n, len(locs))
-        for co_combo in itertools.product(*co_choices):
-            co = [0] * n
-            for order in co_combo:
-                for w, later in order:
-                    co[w] = later
-            execution = Execution(events, labels, rf=rf, co=Rel.from_rows(n, co), **shared)
-            yield Candidate(execution=execution, final_regs=final_regs)
+    def complete(self, combo, report=None):
+        """Enumerate rf and co completions of the skeleton of combo, which
+        has this shape: every read takes each same-location, same-value
+        write in event order, and for each such choice every location's
+        non-init writes take each permutation after its init write.
+
+        Given a report, only the completions that satisfy SC-per-location,
+        acyclic(po_loc ∪ rf ∪ fr ∪ co), are made, and report.pruned counts
+        the rest; nothing is built for them. Every edge of that union joins
+        events of one location, so the check splits into one per location
+        that reads only that location's rf and co choices
+        (_coherent_orders), and the survivors are the product of each
+        location's surviving orders, taken in the order of the full
+        product. Dropping them loses no consistent candidate of any model
+        decided here:
+
+        - imm, imms, c11, rc11: their coherence axiom is irreflexive(hb;eco?)
+          with hb either the IMM hb or hb_rc11, and po ⊆ hb in both. Every
+          completion has functional, total rf and a strict total co per
+          location, so eco is rf ∪ co;rf? ∪ fr;rf?. A po_loc ∪ rf ∪ fr ∪ co
+          cycle contains a po_loc pair (a, b) that _coherent_orders rejects,
+          and every rejected pair has eco(b, a): co, fr, rf, co;rf or fr;rf
+          from b to a. With po(a, b) ⊆ hb, hb;eco? is reflexive at a. This
+          is the coherence theorem of Lahav et al., Repairing Sequential
+          Consistency in C/C++11 (PLDI 2017).
+        - power (with or without the at-order axiom, POWER or ARMv7
+          dependency order) and arm: their first row is sc-per-loc, the
+          same acyclicity, on the image of the graph. split_release,
+          to_power and to_arm only insert fences and relabel modes, so they
+          keep every memory event with its location, and keep po between
+          memory events, rf and co; fr = rf⁻¹;co follows. A source cycle is
+          thus an image cycle.
+        """
+        labels = self.init_labels
+        for res in combo:
+            labels += res.labels
+        writers_of = []
+        for r, sources in zip(self.reads, self.sources):
+            val = labels[r].val
+            cands = [w for w in sources if labels[w].val == val]
+            if not cands:
+                return
+            writers_of.append(cands)
+
+        shape = self.shape
+        n = shape.n
+        filters = self.filters if report is not None else ()
+        final_regs = {res.tid: dict(res.phi) for res in combo}
+        for rf_combo in itertools.product(*writers_of):
+            co_choices = self.co_parts
+            if filters:
+                co_choices = list(co_choices)
+                for k, survivors in filters:
+                    co_choices[k] = survivors(rf_combo)
+                kept = math.prod(len(parts) for parts in co_choices)
+                report.pruned += self.full - kept
+                if not kept:
+                    continue
+            rf = [0] * n
+            for w, r in zip(rf_combo, self.reads):
+                rf[w] |= 1 << r
+            rf = Rel.from_rows(n, rf)
+            for co_combo in itertools.product(*co_choices):
+                co = [0] * n
+                for order in co_combo:
+                    for w, later in order:
+                        co[w] = later
+                execution = Execution.on(shape, labels, rf=rf, co=Rel.from_rows(n, co))
+                yield Candidate(execution=execution, final_regs=final_regs)
 
 
-def assertion_values(candidate, program):
-    """Name → value environment for assertion checking."""
+def assertion_values(candidate, program, outcome=None):
+    """Name → value environment for assertion checking; outcome, when
+    given, is the candidate's outcome over the program's locations."""
     env = {}
-    out = candidate.execution.outcome(locations=range(len(program.locations)))
+    if outcome is None:
+        outcome = candidate.execution.outcome(locations=range(len(program.locations)))
     for i, name in enumerate(program.locations):
-        env[name] = out.get(i, 0)
+        env[name] = outcome.get(i, 0)
     for regs in candidate.final_regs.values():
         for reg, val in regs.items():
             env.setdefault(reg, val)
     return env
 
 
-def assertion_holds(candidate, test):
-    env = assertion_values(candidate, test.program)
+def assertion_holds(candidate, test, outcome=None):
+    env = assertion_values(candidate, test.program, outcome)
     return all(env.get(name) == value for name, value in test.assertion)
-

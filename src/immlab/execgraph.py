@@ -6,19 +6,32 @@ derived from event identities: initialization events precede everything,
 events of one thread are ordered by serial number. Executions are immutable
 after construction.
 
+An execution is split in two, as herd's pre-execution and execution witness
+are (Alglave, Maranget and Tautschnig, Herding Cats, TOPLAS 2014). Its
+`Shape` holds the events, each label without its value (a `Slot`), rmw,
+data, addr, ctrl and casdep, and every view computed from them alone: po,
+po_loc, the event sets, the writes per location. The `Execution` adds the
+valued labels, rf, co and sc. Every completion of one shape shares it
+(`Execution.on`), so a view is computed once per shape.
+
 Derived relations are stated once each, as rows of a definition table
 (name -> (g, rels) -> Rel, the shape of the axiom rows in `consistency`),
 and read through a namespace (an instance of the `Derived` class that
 `namespace(table)` makes) that computes an entry the first time its name is
 read. `BASE_RELS` holds the relations every model reads; `IMM_RELS` extends
 it with the IMM and RC11 relations, and `hwmodels` extends it with the POWER
-and ARM ones.
+and ARM ones. The entries that read only a shape form static tables
+(`IMM_STATIC` here, `POWER_STATIC` and `ARM_STATIC` in hwmodels), evaluated
+on the Shape itself and shared by all its executions (`static_entries`); an
+entry that reads rf, co, sc or a value there raises AttributeError.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 from .program import FENCE_MODES, READ_MODES, WRITE_MODES, mode_leq
 from .relalg import Rel, remapping_onto
@@ -72,6 +85,24 @@ class Event:
         return f"({self.tid},{self.whole}{frac})"
 
 
+class Slot(NamedTuple):
+    """A label without its value: what a Shape knows of an event."""
+
+    kind: str
+    mode: str | None
+    loc: int | None = None
+    ex: bool = False  # reads only
+    rmw_mode: str | None = None  # writes only
+
+    def valued(self, val):
+        """The label of this slot that carries val (a fence carries none)."""
+        if self.kind == "r":
+            return Read(self.mode, self.loc, val, self.ex)
+        if self.kind == "w":
+            return Write(self.mode, self.loc, val, self.rmw_mode)
+        return Fence(self.mode)
+
+
 @dataclass(frozen=True)
 class Read:
     mode: str | None
@@ -80,6 +111,10 @@ class Read:
     ex: bool = False
 
     kind = "r"
+
+    @property
+    def slot(self):
+        return Slot("r", self.mode, self.loc, self.ex)
 
 
 @dataclass(frozen=True)
@@ -91,6 +126,10 @@ class Write:
 
     kind = "w"
 
+    @property
+    def slot(self):
+        return Slot("w", self.mode, self.loc, False, self.rmw_mode)
+
 
 @dataclass(frozen=True)
 class Fence:
@@ -98,6 +137,10 @@ class Fence:
 
     kind = "f"
     loc = None
+
+    @property
+    def slot(self):
+        return Slot("f", self.mode)
 
 
 def program_order(events):
@@ -164,6 +207,18 @@ def namespace(table):
     return type("Derived", (Derived,), {"__slots__": (), **entries})
 
 
+def static_entries(table):
+    """The entries of a static table, whose entries read only a Shape, as
+    entries of an execution's table: each is computed on the execution's
+    shape (g.shape.static) and shared by every execution over it."""
+    over_shape = namespace(table)
+
+    def read(name):
+        return lambda g, r: getattr(g.shape.static(over_shape), name)
+
+    return {name: read(name) for name in table}
+
+
 BASE_RELS = {
     "rfi": lambda g, r: g.rf & g.po,
     "rfe": lambda g, r: g.rf - g.po,
@@ -188,19 +243,11 @@ def _psc(g, hb, eco):
     return id_fsc.seq(hb, eco, hb, id_fsc)
 
 
-IMM_RELS = BASE_RELS | {
-    "eco": lambda g, r: g.rf | g.co.compose(g.rf.opt()) | r.fr.compose(g.rf.opt()),
-    "rs": lambda g, r: (
-        g.ident(g.W).seq(g.po_loc, g.ident(g.W))
-        | g.ident(g.W).compose(g.po_loc.opt().seq(g.rf, g.rmw).star())
-    ),
-    "sw": lambda g, r: _sw(g, r.rs, r.rfi | g.po_loc.opt().compose(r.rfe)),
-    "hb": lambda g, r: (g.po | r.sw).plus(),
+IMM_STATIC = {
     "deps": lambda g, r: (
         g.data | g.ctrl | g.addr.compose(g.po.opt()) | g.casdep
         | g.ident(g.R_ex).compose(g.po)
     ),
-    "ppo": lambda g, r: g.ident(g.R).seq((r.deps | r.rfi).plus(), g.ident(g.W)),
     "bob": lambda g, r: (
         g.po.compose(g.ident(g.W_rel))
         | g.ident(g.R_acq).compose(g.po)
@@ -208,10 +255,19 @@ IMM_RELS = BASE_RELS | {
         | g.ident(g.F).compose(g.po)
         | g.ident(g.W_rel).seq(g.po_loc, g.ident(g.W))
     ),
-    "psc": lambda g, r: _psc(g, r.hb, r.eco),
-    "ar_base": lambda g, r: (
-        r.rfe | r.bob | r.ppo | r.detour | g.ident(g.W_strong).seq(g.po, g.ident(g.W))
+    "strong_po": lambda g, r: g.ident(g.W_strong).seq(g.po, g.ident(g.W)),
+}
+IMM_RELS = BASE_RELS | static_entries(IMM_STATIC) | {
+    "eco": lambda g, r: g.rf | g.co.compose(g.rf.opt()) | r.fr.compose(g.rf.opt()),
+    "rs": lambda g, r: (
+        g.ident(g.W).seq(g.po_loc, g.ident(g.W))
+        | g.ident(g.W).compose(g.po_loc.opt().seq(g.rf, g.rmw).star())
     ),
+    "sw": lambda g, r: _sw(g, r.rs, r.rfi | g.po_loc.opt().compose(r.rfe)),
+    "hb": lambda g, r: (g.po | r.sw).plus(),
+    "ppo": lambda g, r: g.ident(g.R).seq((r.deps | r.rfi).plus(), g.ident(g.W)),
+    "psc": lambda g, r: _psc(g, r.hb, r.eco),
+    "ar_base": lambda g, r: r.rfe | r.bob | r.ppo | r.detour | r.strong_po,
     "ar": lambda g, r: r.ar_base | r.psc,
     "rs_rc11": lambda g, r: (
         g.ident(g.W).seq(g.po_loc.opt(), g.ident(g.W)).compose(g.rf.compose(g.rmw).star())
@@ -225,11 +281,34 @@ IMM_RELS = BASE_RELS | {
 _IMM = namespace(IMM_RELS)
 
 
-class Execution:
-    """Event set + label map + primitive relations; model ∈ imm|power|arm."""
+class _view:
+    """A Shape attribute computed on its first read and stored under its
+    name, which shadows this descriptor from then on."""
+
+    __slots__ = ("compute", "name")
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+
+    def __get__(self, shape, owner=None):
+        if shape is None:
+            return self
+        value = shape.__dict__[self.name] = self.compute(shape)
+        return value
+
+
+class Shape:
+    """The value-free part of an execution: events in canonical order, their
+    slots (labels without values), rmw, data, addr, ctrl and casdep, and the
+    model. It has no rf, co, sc or values, so what is computed here holds for
+    every execution over it, and a computation that reads them raises
+    AttributeError. Besides the views below it keeps, per static table, the
+    relations computed from it (`static`), and per key, a value computed once
+    from it (`memo`; hwmodels keeps its mapping layouts there)."""
 
     def __init__(self, events, labels, rmw=None, data=None, addr=None, ctrl=None,
-                 casdep=None, rf=None, co=None, sc=None, model="imm"):
+                 casdep=None, model="imm"):
         self.events = tuple(events)
         n = len(self.events)
         self.n = n
@@ -245,11 +324,158 @@ class Execution:
         self.addr = addr if addr is not None else empty
         self.ctrl = ctrl if ctrl is not None else empty
         self.casdep = casdep if casdep is not None else empty
-        self.rf = rf if rf is not None else empty
-        self.co = co if co is not None else empty
-        self.sc = sc
         self.model = model
+        self.po = program_order(self.events)
         self._cache = {}
+
+    def static(self, over_shape):
+        """A namespace of the static table that over_shape (a `namespace`
+        class) was made from, over this shape; its relations are kept here."""
+        return over_shape(self, self._cache.setdefault(over_shape, {}))
+
+    def memo(self, key, make):
+        """make(self), computed on the first call with key."""
+        if key not in self._cache:
+            self._cache[key] = make(self)
+        return self._cache[key]
+
+    @_view
+    def loc_of(self):
+        return [lab.loc for lab in self.labels]
+
+    @_view
+    def po_loc(self):
+        return self.po.restrict_loc(self.loc_of)
+
+    def set_of(self, kind):
+        return frozenset(i for i, lab in enumerate(self.labels) if lab.kind == kind)
+
+    @_view
+    def R(self):
+        return self.set_of("r")
+
+    @_view
+    def W(self):
+        return self.set_of("w")
+
+    @_view
+    def F(self):
+        return self.set_of("f")
+
+    @_view
+    def RW(self):
+        return self.R | self.W
+
+    @_view
+    def init_events(self):
+        return frozenset(i for i, e in enumerate(self.events) if e.is_init)
+
+    @_view
+    def R_ex(self):
+        return frozenset(i for i in self.R if self.labels[i].ex)
+
+    @_view
+    def W_strong(self):
+        return frozenset(i for i in self.W if self.labels[i].rmw_mode == "strong")
+
+    @_view
+    def W_rel(self):
+        return frozenset(i for i in self.W if self.labels[i].mode == "rel")
+
+    @_view
+    def R_acq(self):
+        return frozenset(i for i in self.R if self.labels[i].mode == "acq")
+
+    @_view
+    def F_sc(self):
+        return self.fences_with_mode("sc")
+
+    def fences_with_mode(self, mode):
+        return frozenset(i for i in self.F if self.labels[i].mode == mode)
+
+    def fences_geq(self, mode):
+        return frozenset(i for i in self.F if mode_leq(mode, self.labels[i].mode))
+
+    @_view
+    def writes_by_loc(self):
+        """location -> the writes to it."""
+        out = {}
+        for i in self.W:
+            out.setdefault(self.labels[i].loc, set()).add(i)
+        return {loc: frozenset(ws) for loc, ws in out.items()}
+
+    def writes_to(self, loc):
+        return self.writes_by_loc.get(loc, frozenset())
+
+    def tid_of(self, i):
+        return self.events[i].tid
+
+    def thread_events(self, tid):
+        return frozenset(i for i, e in enumerate(self.events) if e.tid == tid)
+
+    def tids(self):
+        return sorted({e.tid for e in self.events if not e.is_init})
+
+    @_view
+    def _locations(self):
+        return tuple(sorted({lab.loc for lab in self.labels if lab.loc is not None}))
+
+    def locations(self):
+        return list(self._locations)
+
+    def ident(self, members):
+        return Rel.identity(self.n, members)
+
+    @_view
+    def _index(self):
+        return {e: i for i, e in enumerate(self.events)}
+
+    def index_of(self, event):
+        return self._index[event]
+
+
+def _from_shape(name):
+    """An Execution attribute that reads its shape's."""
+    return property(attrgetter("shape." + name))
+
+
+class Execution:
+    """A Shape plus valued labels and rf, co and the optional sc order;
+    model ∈ imm|power|arm. The shape's views read as the execution's own."""
+
+    __slots__ = ("shape", "events", "n", "labels", "rmw", "data", "addr", "ctrl",
+                 "casdep", "rf", "co", "sc", "model", "_cache")
+
+    def __init__(self, events, labels, rmw=None, data=None, addr=None, ctrl=None,
+                 casdep=None, rf=None, co=None, sc=None, model="imm"):
+        labels = tuple(labels)
+        shape = Shape(events, [lab.slot for lab in labels], rmw=rmw, data=data,
+                      addr=addr, ctrl=ctrl, casdep=casdep, model=model)
+        self._fill(shape, labels, rf, co, sc)
+
+    @classmethod
+    def on(cls, shape, labels, rf=None, co=None, sc=None):
+        """The execution over shape with these labels, which must carry
+        shape's slots in order (not checked), and rf, co and sc."""
+        g = cls.__new__(cls)
+        g._fill(shape, labels, rf, co, sc)
+        return g
+
+    def _fill(self, shape, labels, rf, co, sc):
+        self.shape = shape
+        self.events = shape.events
+        self.n = shape.n
+        self.labels = labels
+        self.rmw = shape.rmw
+        self.data = shape.data
+        self.addr = shape.addr
+        self.ctrl = shape.ctrl
+        self.casdep = shape.casdep
+        self.rf = rf if rf is not None else Rel(shape.n)
+        self.co = co if co is not None else Rel(shape.n)
+        self.sc = sc
+        self.model = shape.model
+        self._cache = {"po": shape.po}
 
     @staticmethod
     def build(event_labels, rmw=(), data=(), addr=(), ctrl=(), casdep=(), rf=(),
@@ -282,17 +508,9 @@ class Execution:
             self._cache[key] = thunk()
         return self._cache[key]
 
-    def index_of(self, event):
-        idx = self._cached("index", lambda: {e: i for i, e in enumerate(self.events)})
-        return idx[event]
-
     @property
     def po(self):
-        return self._cached("po", lambda: program_order(self.events))
-
-    @property
-    def loc_of(self):
-        return self._cached("loc_of", lambda: [lab.loc for lab in self.labels])
+        return self._cache["po"]
 
     @property
     def val_of(self):
@@ -301,90 +519,27 @@ class Execution:
             lambda: [getattr(lab, "val", None) for lab in self.labels],
         )
 
-    @property
-    def po_loc(self):
-        return self._cached("po_loc", lambda: self.po.restrict_loc(self.loc_of))
-
-    def set_of(self, kind):
-        return frozenset(i for i, lab in enumerate(self.labels) if lab.kind == kind)
-
-    @property
-    def R(self):
-        return self._cached("R", lambda: self.set_of("r"))
-
-    @property
-    def W(self):
-        return self._cached("W", lambda: self.set_of("w"))
-
-    @property
-    def F(self):
-        return self._cached("F", lambda: self.set_of("f"))
-
-    @property
-    def RW(self):
-        return self.R | self.W
-
-    @property
-    def init_events(self):
-        return self._cached(
-            "init", lambda: frozenset(i for i, e in enumerate(self.events) if e.is_init)
-        )
-
-    @property
-    def R_ex(self):
-        return self._cached(
-            "R_ex",
-            lambda: frozenset(i for i in self.R if self.labels[i].ex),
-        )
-
-    @property
-    def W_strong(self):
-        return self._cached(
-            "W_strong",
-            lambda: frozenset(i for i in self.W if self.labels[i].rmw_mode == "strong"),
-        )
-
-    @property
-    def W_rel(self):
-        return self._cached(
-            "W_rel",
-            lambda: frozenset(i for i in self.W if self.labels[i].mode == "rel"),
-        )
-
-    @property
-    def R_acq(self):
-        return self._cached(
-            "R_acq",
-            lambda: frozenset(i for i in self.R if self.labels[i].mode == "acq"),
-        )
-
-    @property
-    def F_sc(self):
-        return self.fences_with_mode("sc")
-
-    def fences_with_mode(self, mode):
-        return frozenset(i for i in self.F if self.labels[i].mode == mode)
-
-    def fences_geq(self, mode):
-        return frozenset(i for i in self.F if mode_leq(mode, self.labels[i].mode))
-
-    def writes_to(self, loc):
-        return frozenset(i for i in self.W if self.labels[i].loc == loc)
-
-    def tid_of(self, i):
-        return self.events[i].tid
-
-    def thread_events(self, tid):
-        return frozenset(i for i, e in enumerate(self.events) if e.tid == tid)
-
-    def tids(self):
-        return sorted({e.tid for e in self.events if not e.is_init})
-
-    def locations(self):
-        return sorted({lab.loc for lab in self.labels if lab.loc is not None})
-
-    def ident(self, members):
-        return Rel.identity(self.n, members)
+    loc_of = _from_shape("loc_of")
+    po_loc = _from_shape("po_loc")
+    R = _from_shape("R")
+    W = _from_shape("W")
+    F = _from_shape("F")
+    RW = _from_shape("RW")
+    init_events = _from_shape("init_events")
+    R_ex = _from_shape("R_ex")
+    W_strong = _from_shape("W_strong")
+    W_rel = _from_shape("W_rel")
+    R_acq = _from_shape("R_acq")
+    F_sc = _from_shape("F_sc")
+    fences_with_mode = _from_shape("fences_with_mode")
+    fences_geq = _from_shape("fences_geq")
+    writes_to = _from_shape("writes_to")
+    tid_of = _from_shape("tid_of")
+    thread_events = _from_shape("thread_events")
+    tids = _from_shape("tids")
+    locations = _from_shape("locations")
+    ident = _from_shape("ident")
+    index_of = _from_shape("index_of")
 
     # -- well-formedness -----------------------------------------------------------
 
@@ -523,6 +678,7 @@ class Execution:
     def outcome(self, locations=None):
         """Value of the co-maximal write per location; 0 where nothing is written."""
         out = {}
+        co = self.co.rows()
         locs = self.locations() if locations is None else locations
         for loc in locs:
             writes = self.writes_to(loc)
@@ -531,9 +687,9 @@ class Execution:
                 continue
             if not self.co.is_total_on(writes):
                 raise ValueError(f"co not total on writes to {loc}")
-            maximal = [w for w in writes if not any((w, w2) in self.co for w2 in writes)]
-            assert len(maximal) == 1
-            out[loc] = self.labels[maximal[0]].val
+            mask = sum(1 << w for w in writes)
+            last = next(w for w in writes if not co[w] & mask)
+            out[loc] = self.labels[last].val
         return out
 
     # -- serialization ------------------------------------------------------------------

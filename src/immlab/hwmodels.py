@@ -4,18 +4,24 @@ graph and its POWER or ARM image.
 
 Each model is two tables: its relations (POWER_RELS, ARM_RELS), which extend
 execgraph.BASE_RELS and are read through an execgraph.namespace, and
-its axioms, decided by consistency.evaluate. POWER's ii/ic/ci/cc are the four
-blocks of one transitive closure over two copies of the events (see
-power_ppo_fixpoint), which stores them in the namespace it returns.
+its axioms, decided by consistency.evaluate. The relations that read only a
+graph's shape are static tables (POWER_STATIC, ARM_STATIC), computed once per
+shape. POWER's ii/ic/ci/cc are the four blocks of one transitive closure over
+two copies of the events (see power_ppo_fixpoint), which stores them in the
+namespace it returns.
 
 Mappings are graph-level: each source event keeps its identity, inserted
 barriers take half-step serial numbers, and the mapped graph is the minimal
 one satisfying the correspondence conditions (correspondence_check accepts
-non-minimal targets too). split_release, to_power and to_arm share one
-fence-insertion routine: it relabels the accesses, places each fence at a
-known position, moves every relation's rows along the resulting monotone
-index map (relalg.remapping), and extends ctrl over the new program order. A
-two-row table gives the POWER and ARM labels, fences and ctrl rules.
+non-minimal targets too). Where fences go, how modes change and which ctrl
+edges the target gains depend on the source's shape alone, so split_release,
+to_power and to_arm each compute a layout once per source shape (one
+fence-insertion routine, `_layout`): the image's shape, with its relations
+carried along the monotone index map (relalg.remapping) and ctrl extended
+over the new program order, and which image labels copy, relabel or ignore
+the source's. Each graph's image then only takes its values and carries its
+rf, co and sc rows (`_image`). A two-row table gives the POWER and ARM
+labels, fences and ctrl rules.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from typing import Callable, NamedTuple
 
 from .consistency import Verdict, atomicity, evaluate
 from .execgraph import (
-    BASE_RELS, Event, Execution, Fence, Read, Write, namespace, program_order,
+    BASE_RELS, Event, Execution, Shape, Slot, namespace, program_order, static_entries,
 )
 from .relalg import Rel, remapping, union_all
 
@@ -44,38 +50,108 @@ def _renumber_whole(g):
                  for i, e in enumerate(g.events))
 
 
-def _insert_fences(g, old_events, inserts, relabel, model, ctrl_rules=()):
-    """g, its events named old_events, with each (position, event, fence
-    label) of inserts placed before the old event at that position (g.n for
-    the end), every non-init label passed through relabel, and every relation
-    carried along the monotone old→new index map. Each ctrl rule maps g to
-    source relations (A, X): the new ctrl gains A;po minus X, over the new
-    po, and is forward-closed. casdep and the sc order exist only in imm
-    graphs."""
+class _Layout(NamedTuple):
+    """What a mapping does to every execution over one source shape."""
+
+    shape: Shape  # the image's
+    carry: Callable  # a source relation -> the image's
+    fixed: tuple  # image labels, None where a source label is copied or valued
+    copied: tuple  # (new, old): the image takes the source's label unchanged
+    valued: tuple  # (new, old, memo): the image's slot with the source's value
+
+
+def _layout(src, names, inserts, reslot, model, ctrl_rules=()):
+    """The layout of shape src, its events named names, with each (position,
+    event, fence slot) of inserts placed before the old event at that
+    position (src.n for the end), every non-init slot passed through reslot,
+    and every relation carried along the monotone old→new index map. Each
+    ctrl rule maps src to source relations (A, X): the new ctrl gains A;po
+    minus X, over the new po, and is forward-closed. casdep exists only in
+    imm graphs."""
     inserts = sorted(inserts, key=lambda ins: ins[0])
-    events, labels, index = [], [], []
+    events, slots, index = [], [], []
     k = 0
-    for i in range(g.n + 1):
+    for i in range(src.n + 1):
         while k < len(inserts) and inserts[k][0] == i:
             events.append(inserts[k][1])
-            labels.append(inserts[k][2])
+            slots.append(inserts[k][2])
             k += 1
-        if i < g.n:
+        if i < src.n:
             index.append(len(events))
-            events.append(old_events[i])
-            labels.append(g.labels[i] if old_events[i].is_init else relabel(g.labels[i]))
+            events.append(names[i])
+            slots.append(src.labels[i] if names[i].is_init else reslot(src.labels[i]))
     n = len(events)
     carry = remapping(index, n)
     po = program_order(events)
-    ctrl = union_all(n, [carry(g.ctrl)] + [carry(a).compose(po) - carry(x)
-                                           for a, x in (rule(g) for rule in ctrl_rules)])
-    imm = model == "imm"
-    return Execution(
-        events, labels, rmw=carry(g.rmw), data=carry(g.data), addr=carry(g.addr),
-        ctrl=ctrl | ctrl.compose(po), casdep=carry(g.casdep) if imm else None,
-        rf=carry(g.rf), co=carry(g.co),
-        sc=carry(g.sc) if imm and g.sc is not None else None, model=model,
+    ctrl = union_all(n, [carry(src.ctrl)] + [carry(a).compose(po) - carry(x)
+                                             for a, x in (rule(src) for rule in ctrl_rules)])
+    shape = Shape(
+        events, slots, rmw=carry(src.rmw), data=carry(src.data), addr=carry(src.addr),
+        ctrl=ctrl | ctrl.compose(po),
+        casdep=carry(src.casdep) if model == "imm" else None, model=model,
     )
+    fixed = [slot.valued(None) if slot.kind == "f" else None for slot in slots]
+    copied, valued = [], []
+    for old, new in enumerate(index):
+        if slots[new] == src.labels[old]:
+            fixed[new] = None
+            copied.append((new, old))
+        elif slots[new].kind != "f":
+            valued.append((new, old, {}))
+    return _Layout(shape, carry, tuple(fixed), tuple(copied), tuple(valued))
+
+
+def _image(layout, g):
+    """The image of g under the layout of g's shape: the source's labels
+    relabelled, and rf, co and (into imm) sc carried."""
+    labels = list(layout.fixed)
+    source = g.labels
+    for new, old in layout.copied:
+        labels[new] = source[old]
+    slots = layout.shape.labels
+    for new, old, memo in layout.valued:
+        val = source[old].val
+        lab = memo.get(val)
+        if lab is None:
+            lab = memo[val] = slots[new].valued(val)
+        labels[new] = lab
+    carry = layout.carry
+    sc = g.sc if layout.shape.model == "imm" else None
+    return Execution.on(layout.shape, tuple(labels), rf=carry(g.rf), co=carry(g.co),
+                        sc=None if sc is None else carry(sc))
+
+
+def _release_layout(src):
+    """The layout of split_release over shape src."""
+    po = src.po
+    fences_rel = src.fences_geq("rel")
+    rmw_inv = {w: r for r, w in src.rmw}
+
+    inserts = []
+    for w in sorted(src.W_rel):
+        pre = po.preimage((w,))
+        covered = False
+        for f in fences_rel:
+            if (f, w) not in po:
+                continue
+            shield = po.preimage((f,)) | {f}
+            if all(e in shield or (e, w) in src.rmw for e in pre):
+                covered = True
+                break
+        if covered:
+            continue
+        anchor = rmw_inv.get(w, w)
+        ev = src.events[anchor]
+        if ev.half != 0:
+            raise MappingError("split_release expects whole serial numbers")
+        inserts.append((anchor, Event(ev.tid, ev.whole - 1, 1), Slot("f", "rel")))
+
+    def reslot(slot):
+        if slot.kind == "w" and slot.mode == "rel":
+            return slot._replace(mode="rlx")
+        return slot
+
+    return _layout(src, src.events, inserts, reslot, "imm")
 
 
 def split_release(g):
@@ -83,35 +159,7 @@ def split_release(g):
     all release writes to relaxed; the identity when no release writes exist."""
     if not g.W_rel:
         return g
-    po = g.po
-    fences_rel = g.fences_geq("rel")
-    rmw_inv = {w: r for r, w in g.rmw}
-
-    inserts = []
-    for w in sorted(g.W_rel):
-        pre = po.preimage((w,))
-        covered = False
-        for f in fences_rel:
-            if (f, w) not in po:
-                continue
-            shield = po.preimage((f,)) | {f}
-            if all(e in shield or (e, w) in g.rmw for e in pre):
-                covered = True
-                break
-        if covered:
-            continue
-        anchor = rmw_inv.get(w, w)
-        ev = g.events[anchor]
-        if ev.half != 0:
-            raise MappingError("split_release expects whole serial numbers")
-        inserts.append((anchor, Event(ev.tid, ev.whole - 1, 1), Fence("rel")))
-
-    def relabel(lab):
-        if lab.kind == "w" and lab.mode == "rel":
-            return Write("rlx", lab.loc, lab.val, lab.rmw_mode)
-        return lab
-
-    return _insert_fences(g, g.events, inserts, relabel, "imm")
+    return _image(g.shape.memo("split_release", _release_layout), g)
 
 
 # The label tables are the compilation schemes themselves, shared with the
@@ -154,33 +202,33 @@ _MAPPINGS = {
 }
 
 
-def _to_target(g, model):
+def _target_layout(src, model):
     spec = _MAPPINGS[model]
-    events = _renumber_whole(g)
-    inserts = [(i + 1, Event(events[i].tid, events[i].whole, 1), Fence(spec.fence))
-               for i in spec.fence_after(g)]
+    events = _renumber_whole(src)
+    inserts = [(i + 1, Event(events[i].tid, events[i].whole, 1), Slot("f", spec.fence))
+               for i in spec.fence_after(src)]
     read, write, fence = spec.modes["r"], spec.modes["w"], spec.modes["f"]
 
-    def relabel(lab):
-        if lab.kind == "r":
-            return Read(read[lab.mode], lab.loc, lab.val, lab.ex)
-        if lab.kind == "w":
-            return Write(write[lab.mode], lab.loc, lab.val, None)
-        return Fence(fence[lab.mode])
+    def reslot(slot):
+        if slot.kind == "r":
+            return Slot("r", read[slot.mode], slot.loc, slot.ex)
+        if slot.kind == "w":
+            return Slot("w", write[slot.mode], slot.loc)
+        return Slot("f", fence[slot.mode])
 
-    return _insert_fences(g, events, inserts, relabel, model, spec.ctrl)
+    return _layout(src, events, inserts, reslot, model, spec.ctrl)
 
 
 def to_power(g):
     """Canonical POWER image of a release-free execution."""
     if g.W_rel:
         raise MappingError("release writes present; run split_release first")
-    return _to_target(g, "power")
+    return _image(g.shape.memo("power", lambda src: _target_layout(src, "power")), g)
 
 
 def to_arm(g):
     """Canonical ARMv8 image; a dmb.ld is placed after each strong RMW write."""
-    return _to_target(g, "arm")
+    return _image(g.shape.memo("arm", lambda src: _target_layout(src, "arm")), g)
 
 
 # -- POWER consistency --------------------------------------------------------------
@@ -207,13 +255,15 @@ def _with_mode(g, members, mode):
     return g.ident(i for i in members if g.labels[i].mode == mode)
 
 
-# ii/ic/ci/cc are not entries: power_ppo_fixpoint computes them together
-POWER_RELS = BASE_RELS | {
+POWER_STATIC = {
     "sync": lambda g, r: _fence_order(g, "sync"),
     "lwsync": lambda g, r: _lwsync(_fence_order(g, "lwsync"), g),
     "fence": lambda g, r: r.sync | r.lwsync,
     "ctrl_isync": lambda g, r: g.ident(g.R).seq(
         g.ctrl, g.ident(g.fences_with_mode("isync")), g.po),
+}
+# ii/ic/ci/cc are not entries: power_ppo_fixpoint computes them together
+POWER_RELS = BASE_RELS | static_entries(POWER_STATIC) | {
     "rdw": lambda g, r: r.fre.compose(r.rfe) & g.po,
     "ppo": lambda g, r: _ppo(g.ident(g.R), r.ii, r.ic, g.ident(g.W)),
     "hb": lambda g, r: r.ppo | r.fence | r.rfe,
@@ -280,20 +330,27 @@ def check_power(gp, at_axiom=False, armv7=False):
 # -- ARM consistency ----------------------------------------------------------------
 
 
-ARM_RELS = BASE_RELS | {
+ARM_STATIC = {
+    "addr_po_w": lambda g, r: g.addr.seq(g.po, g.ident(g.W)),
+    "po_rel": lambda g, r: g.po.compose(_with_mode(g, g.W, "L")),
+    # bob but for its po;[L];coi edges
+    "bob_static": lambda g, r: (
+        g.po.seq(g.ident(g.fences_with_mode("sy")), g.po)
+        | g.ident(g.R).seq(g.po, g.ident(g.fences_with_mode("ld")), g.po)
+        | _with_mode(g, g.R, "Q").compose(g.po)
+        | r.po_rel
+    ),
+}
+ARM_RELS = BASE_RELS | static_entries(ARM_STATIC) | {
     "obs": lambda g, r: r.rfe | r.fre | r.coe,
     "dob": lambda g, r: (
         (g.addr | g.data).compose(r.rfi.opt())
         | (g.ctrl | g.data).seq(g.ident(g.W), r.coi.opt())
-        | g.addr.seq(g.po, g.ident(g.W))
+        | r.addr_po_w
     ),
     "aob": lambda g, r: g.rmw | g.ident(g.rmw.codom()).seq(r.rfi, _with_mode(g, g.R, "Q")),
-    "bob": lambda g, r: (
-        g.po.seq(g.ident(g.fences_with_mode("sy")), g.po)
-        | g.ident(g.R).seq(g.po, g.ident(g.fences_with_mode("ld")), g.po)
-        | _with_mode(g, g.R, "Q").compose(g.po)
-        | g.po.seq(_with_mode(g, g.W, "L"), r.coi.opt())
-    ),
+    # po;[L];coi? ∪ the fence and acquire edges
+    "bob": lambda g, r: r.bob_static | r.po_rel.compose(r.coi),
 }
 _ARM = namespace(ARM_RELS)
 

@@ -284,7 +284,7 @@ def pair_built_candidates(program, unroll=8):
     """(execution, final registers) for every candidate, in the order of
     enumeration.candidate_executions, with each skeleton kept as (event,
     label) pairs and event-pair relations and each completion made by
-    Execution.build."""
+    Execution.build; a register a run never sets is 0."""
     values = program.candidate_values()
     per_thread = [thread_graphs(body, tid, values, unroll)[0]
                   for tid, body in enumerate(program.threads)]
@@ -313,7 +313,8 @@ def pair_built_candidates(program, unroll=8):
             rest = [w for w in ws if not w.is_init]
             co_orders.append([[w for w in ws if w.is_init] + list(perm)
                               for perm in itertools.permutations(rest)])
-        regs = {res.tid: res.phi for res in combo}
+        regs = {res.tid: dict.fromkeys(program.thread_regs(res.tid), 0) | res.phi
+                for res in combo}
         for rf_choice in itertools.product(*writers):
             for orders in itertools.product(*co_orders):
                 co = [(a, b) for order in orders

@@ -197,6 +197,19 @@ class TestCandidates:
         assert len(with_one) == 2 * 2  # 2 writers × 2 coherence orders
         assert len(with_zero) == 1 * 2  # init only × 2 coherence orders
 
+    def test_register_a_branch_skips_is_zero(self, tmp_path, capsys):
+        # the a=1 run jumps over the read into b, which keeps its initial 0
+        src = ('prog "SKIP-READ"\nlocations x\nvals 0..1\nthread 0:\n'
+               "  r[rlx] a x\n  if a != 0 goto 3\n  r[rlx] b x\n"
+               "thread 1:\n  w[rlx] x 1\nassert allowed: a=1 /\\ b=0\n")
+        t = parse_litmus(src)
+        regs = [c.final_regs[0] for c in candidate_executions(t.program)]
+        assert {"a": 1, "b": 0} in regs and all(r.keys() == {"a", "b"} for r in regs)
+        path = tmp_path / "skip-read.litmus"
+        path.write_text(src)
+        assert main(["check", str(path), "--model", "imm", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "allowed"
+
     def test_every_candidate_wellformed_and_complete(self, corpus_candidates):
         for name, cands in corpus_candidates.items():
             for c in cands:

@@ -1,0 +1,159 @@
+"""Shapes: every completion of one shape shares its value-free structure,
+its static relations and its mapping layouts. Sharing must change nothing:
+each candidate is compared with an unshared copy of itself, rebuilt from
+its JSON, on every static entry, every hardware image and every verdict."""
+
+import json
+import random
+
+import pytest
+
+from immlab import hwmodels
+from immlab.cli import main
+from immlab.enumeration import EnumerationReport, candidate_executions
+from immlab.execgraph import IMM_STATIC, Execution, namespace, static_entries
+from immlab.fuzz import FuzzConfig, random_program
+from immlab.program import parse_litmus
+
+from conftest import CORPUS_DIR
+from oracles import pair_built_candidates
+from test_enumeration import CHECKERS, FUZZ_CAP, FUZZ_PROGRAMS, FUZZ_SEEDS
+
+# the IMM, POWER and ARM namespaces over an execution, and the static
+# entries each reads from its shape
+STATIC = (
+    (lambda g: g.derive(), IMM_STATIC),
+    (namespace(hwmodels.POWER_RELS), hwmodels.POWER_STATIC),
+    (namespace(hwmodels.ARM_RELS), hwmodels.ARM_STATIC),
+)
+
+
+def images(g):
+    split = hwmodels.split_release(g)
+    return split, hwmodels.to_power(split), hwmodels.to_arm(g)
+
+
+# thread 0's runs differ in ctrl (whether `if c` runs) and data (whether
+# `b := a` runs) with equal events and labels
+VALUE_DEPS = """
+prog "VALUE-DEPS"
+locations x y z
+vals 0..1
+thread 0:
+  r[rlx] a x
+  r[rlx] c y
+  if a != 0 goto 5
+  if c goto 5
+  b := a
+  w[rlx] z 1
+  w[rlx] y b
+thread 1:
+  w[rlx] x 1
+  w[rlx] y 1
+"""
+
+
+@pytest.fixture(scope="module")
+def programs(corpus):
+    """Every corpus test, VALUE_DEPS and every seeded fuzz program with at
+    most FUZZ_CAP candidates."""
+    out = [(name, test.program) for name, test in corpus.items()]
+    out.append(("value-deps", parse_litmus(VALUE_DEPS).program))
+    for seed in FUZZ_SEEDS:
+        rng = random.Random(seed)
+        for i in range(FUZZ_PROGRAMS):
+            program = random_program(rng, FuzzConfig())
+            report = EnumerationReport()
+            for _ in candidate_executions(program, max_candidates=FUZZ_CAP, report=report):
+                pass
+            if report.complete:
+                out.append((f"fuzz-{seed}-{i}", program))
+    return out
+
+
+@pytest.mark.parametrize("coherent", (False, True))
+def test_shared_candidates_equal_unshared_copies(programs, coherent):
+    compared = 0
+    for name, program in programs:
+        for cand in candidate_executions(program, coherent=coherent):
+            g = cand.execution
+            alone = Execution.from_json(g.to_json())
+            assert alone.shape is not g.shape
+            shared_images, alone_images = images(g), images(alone)
+            assert ([h.to_json() for h in shared_images]
+                    == [h.to_json() for h in alone_images]), name
+            graphs = (g, shared_images[1], shared_images[2])
+            unshared = (alone, alone_images[1], alone_images[2])
+            for (rels, table), h, h_alone in zip(STATIC, graphs, unshared):
+                shared_rels, alone_rels = rels(h), rels(h_alone)
+                for entry in table:
+                    assert getattr(shared_rels, entry) == getattr(alone_rels, entry), \
+                        (name, entry)
+            for checker, check in CHECKERS.items():
+                assert check(g) == check(alone), (name, checker)
+            compared += 1
+    assert compared >= (1000 if not coherent else 300)
+
+
+def test_shared_stream_equals_pair_built_candidates(programs):
+    # a shape shared by runs whose events or dependencies differ would
+    # build wrong graphs, which their unshared copies repeat
+    for name, program in programs:
+        built = [(g.to_json(), regs) for g, regs in pair_built_candidates(program)]
+        made = [(c.execution.to_json(), c.final_regs)
+                for c in candidate_executions(program)]
+        assert made == built, name
+
+
+def test_candidates_of_one_shape_share_it(corpus):
+    cands = list(candidate_executions(corpus["coh"].program))
+    assert len(cands) > 1 and all(c.execution.shape is cands[0].execution.shape
+                                  for c in cands)
+    first, last = cands[0].execution, cands[-1].execution
+    assert hwmodels.to_arm(first).shape is hwmodels.to_arm(last).shape
+    assert hwmodels.to_arm(first).to_json() != hwmodels.to_arm(last).to_json()
+
+
+def test_static_entry_reading_rf_raises(corpus):
+    g = next(candidate_executions(corpus["mp"].program)).execution
+    reads_rf = namespace(static_entries({"bad": lambda g, r: g.rf & g.po}))(g)
+    with pytest.raises(AttributeError, match="rf"):
+        reads_rf.bad
+    reads_value = namespace(static_entries({"bad": lambda g, r: g.labels[1].val}))(g)
+    with pytest.raises(AttributeError, match="val"):
+        reads_value.bad
+
+
+def test_shapes_counted_per_stream(corpus):
+    # lb-addr's second read takes its location from the first read's value
+    for name, test in corpus.items():
+        report = EnumerationReport()
+        list(candidate_executions(test.program, report=report))
+        assert report.shapes == (2 if name == "lb-addr" else 1), name
+
+
+def test_dependencies_split_shapes():
+    report = EnumerationReport()
+    list(candidate_executions(parse_litmus(VALUE_DEPS).program, report=report))
+    assert report.shapes == 3
+
+
+def test_iriw_combinations_share_one_shape():
+    readers = "".join(f"thread {t}:\n  r[rlx] a{t} x\n  r[rlx] b{t} y\n" for t in (2, 3))
+    test = parse_litmus('prog "IRIW"\nlocations x y\nvals 0..1\n'
+                        "thread 0:\n  w[rlx] x 1\nthread 1:\n  w[rlx] y 1\n" + readers)
+    report = EnumerationReport()
+    cands = list(candidate_executions(test.program, report=report, coherent=True))
+    assert len(cands) == 16 and report.shapes == 1
+
+
+def test_shapes_in_json(capsys):
+    assert main(["run", str(CORPUS_DIR), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    for entry in doc["tests"]:
+        for model, verdict in entry["models"].items():
+            want = 2 if entry["test"] == "LB+addr" else 1
+            assert verdict["shapes"] == want, (entry["test"], model)
+    assert main(["check", str(CORPUS_DIR / "lb-addr.litmus"), "--model", "imm",
+                 "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["shapes"] == 2
