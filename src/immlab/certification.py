@@ -63,65 +63,56 @@ def cert_determined(g, tc, tid, keep):
 
 def cert_co(g, tc, tid, keep):
     """Coherence of the certification graph: non-issued writes of the
-    certified thread go as late as possible."""
-    issued = frozenset(tc.issued)
-    local = frozenset(e for e in keep if g.tid_of(e) == tid)
-    paths = (
-        g.co.restrict(issued & keep, issued & keep)
-        | g.co.restrict(issued & keep, local)
-        | g.co.restrict(local, local)
-    ).plus()
-    writes = sorted(w for w in keep if w in g.W)
-    pairs = set(paths)
-    for w in writes:
-        for w2 in writes:
-            if w == w2 or g.loc_of[w] != g.loc_of[w2]:
-                continue
-            if (w, w2) in pairs or (w2, w) in pairs:
-                continue
-            if w in issued and w2 in local and w2 not in issued:
-                pairs.add((w, w2))
-    co = Rel(g.n, pairs).plus()
-    for loc in {g.loc_of[w] for w in writes}:
-        ws = frozenset(w for w in writes if g.loc_of[w] == loc)
-        if not co.is_total_on(ws):
+    certified thread go as late as possible. The kept co paths
+    (co;[I∩K] from I∩K, and co among the thread's events L) order what they
+    reach; every issued write also precedes each non-issued write of L at
+    its location that the paths leave unordered."""
+    issued = tc.issued & keep
+    local = keep & g.thread_events(tid)
+    paths = (g.co.restrict(issued, issued | local) | g.co.restrict(local, local)).plus()
+    pushed = Rel.product(g.n, issued & g.W, (local - tc.issued) & g.W).restrict_loc(g.loc_of)
+    co = (paths | (pushed - paths - paths.inverse())).plus()
+    for loc in sorted({g.loc_of[w] for w in keep & g.W}):
+        if not co.is_total_on(g.writes_to(loc) & keep):
             raise CertificationError(f"certification co not total on location {loc}")
     return co
 
 
+def visible_max(g, bvf, co, reads):
+    """vis = (bvf ∩ same location);[reads] from the writes, and its co-maximal
+    part vis − co;vis: for each read, the writes visible to it and the latest
+    of them."""
+    vis = bvf.restrict(g.W, reads).restrict_loc(g.loc_of)
+    return vis, vis - co.compose(vis)
+
+
 def cert_rf(g, tc, tid, keep, det, sc=None):
-    """rf of the certification graph: determined edges kept, other reads
-    re-sourced from the co-maximal visible write."""
+    """rf of the certification graph, rf;[D] ∪ (vis − co_crt;vis): determined
+    edges kept, other reads re-sourced from the co-maximal visible write.
+    The reads are walked in order only to name the first that has no unique
+    one."""
     co_crt = cert_co(g, tc, tid, keep)
-    bvf = g.bvf(det, sc=sc)
-    pairs = set()
-    for w, r in g.rf:
-        if r in det:
-            if w not in keep:
+    dropped = next(iter(g.rf.restrict(frozenset(range(g.n)) - keep, det)), None)
+    if dropped is not None:
+        w, r = dropped
+        raise CertificationError(
+            f"determined read {g.events[r]} reads from dropped {g.events[w]}"
+        )
+    reads = g.R & keep - det
+    vis, best = visible_max(g, g.bvf(det, sc=sc), co_crt, reads)
+    outside = (vis - vis.restrict(keep, reads)).codom()
+    if outside or best.codom() != reads or len(best) != len(reads):
+        for r in sorted(reads):
+            if r in outside:
                 raise CertificationError(
-                    f"determined read {g.events[r]} reads from dropped {g.events[w]}"
+                    f"visible write outside the certification graph for {g.events[r]}"
                 )
-            pairs.add((w, r))
-    for r in sorted(g.R & keep - det):
-        loc = g.loc_of[r]
-        cands = [
-            w for w in g.writes_to(loc) if (w, r) in bvf
-        ]
-        outside = [w for w in cands if w not in keep]
-        if outside:
-            raise CertificationError(
-                f"visible write outside the certification graph for {g.events[r]}"
-            )
-        best = [
-            w for w in cands
-            if not any((w, w2) in co_crt and (w2, r) in bvf for w2 in cands)
-        ]
-        if len(best) != 1:
-            raise CertificationError(
-                f"no unique visible write for read {g.events[r]} (got {len(best)})"
-            )
-        pairs.add((best[0], r))
-    return Rel(g.n, pairs), co_crt
+            got = len(best.preimage((r,)))
+            if got != 1:
+                raise CertificationError(
+                    f"no unique visible write for read {g.events[r]} (got {got})"
+                )
+    return g.rf.restrict(range(g.n), det) | best, co_crt
 
 
 def reexecute_labels(g, tid, keep, rf_crt, sprog, unroll=8):
@@ -242,10 +233,8 @@ def check_cert_compl(g, tc, cg, sprog, unroll=8):
             out.append(f"label changed on determined {g.events[e]}")
 
     det_local = frozenset(remap[e] for e in det)
-    po_opt = gp.po.opt()
-    for i in range(gp.n):
-        if not any((i, d) in po_opt for d in det_local):
-            out.append(f"event {gp.events[i]} has no po path to a determined event")
+    for i in sorted(frozenset(range(gp.n)) - gp.po.opt().preimage(det_local)):
+        out.append(f"event {gp.events[i]} has no po path to a determined event")
 
     m = remapping_onto(keep, g.n)
     lift = remapping(keep, g.n)  # graph ids back to source ids
@@ -269,28 +258,16 @@ def check_cert_compl(g, tc, cg, sprog, unroll=8):
         out.append("rmw is not rmw;[D]")
 
     # non-determined writes sit co-last or immediately before a same-thread write
-    coi = gp.derive().coi
-    imm_co = gp.co.immediate()
-    for w in sorted(gp.W - det_local):
-        after_det = [d for d in det_local if (w, d) in gp.co]
-        if not after_det:
-            continue
-        if not any((w, w2) in imm_co and (w, w2) in coi for w2 in gp.W):
-            out.append(f"non-determined write {gp.events[w]} badly placed in co")
+    placed = (gp.co.immediate() & gp.po).restrict(range(gp.n), gp.W).dom()
+    for w in sorted((gp.W - det_local) & gp.co.preimage(det_local) - placed):
+        out.append(f"non-determined write {gp.events[w]} badly placed in co")
 
-    # non-determined reads take the co-maximal visible write
-    rf_src = {r: w for w, r in gp.rf}
-    src_bvf = g.bvf(cg.determined, sc=cg.source_sc)
-    co_crt_src = lift(gp.co)
-    for r_local in sorted(gp.R - det_local):
-        r = keep[r_local]
-        loc = g.loc_of[r]
-        cands = [w for w in g.writes_to(loc) if (w, r) in src_bvf]
-        best = [w for w in cands
-                if not any((w, w2) in co_crt_src and (w2, r) in src_bvf
-                           for w2 in cands)]
-        if len(best) != 1 or rf_src.get(r_local) != remap.get(best[0]):
-            out.append(f"read {g.events[r]} not sourced from the visible maximum")
+    # non-determined reads take the co-maximal visible write, and only it
+    reads = frozenset(keep[r] for r in gp.R - det_local)
+    _, best = visible_max(g, g.bvf(det, sc=cg.source_sc), lift(gp.co), reads)
+    rf = lift(gp.rf).restrict(range(g.n), reads)
+    for r in sorted((reads - (best & rf).codom()) | (best - rf).codom()):
+        out.append(f"read {g.events[r]} not sourced from the visible maximum")
 
     # a strong write whose read part was carved out keeps its (pinned) label
     # but loses its rmw edge; that dangling strongness only strengthens ar

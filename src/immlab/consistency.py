@@ -72,7 +72,7 @@ def evaluate(table, g, rels):
     if missing:
         out.append(("rf-completeness", sorted(str(g.events[r]) for r in missing)))
     for loc in g.locations():
-        if not g.co.is_total_on(g.writes_to(loc)):
+        if g.co_order(loc) is None:
             out.append(("co-totality", f"loc {loc}"))
     for axiom, kind, rel in table:
         witness = _WITNESS[kind](rel(g, rels), g)

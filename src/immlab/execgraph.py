@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -281,23 +282,6 @@ IMM_RELS = BASE_RELS | static_entries(IMM_STATIC) | {
 _IMM = namespace(IMM_RELS)
 
 
-class _view:
-    """A Shape attribute computed on its first read and stored under its
-    name, which shadows this descriptor from then on."""
-
-    __slots__ = ("compute", "name")
-
-    def __init__(self, compute):
-        self.compute = compute
-        self.name = compute.__name__
-
-    def __get__(self, shape, owner=None):
-        if shape is None:
-            return self
-        value = shape.__dict__[self.name] = self.compute(shape)
-        return value
-
-
 class Shape:
     """The value-free part of an execution: events in canonical order, their
     slots (labels without values), rmw, data, addr, ctrl and casdep, and the
@@ -339,54 +323,54 @@ class Shape:
             self._cache[key] = make(self)
         return self._cache[key]
 
-    @_view
+    @cached_property
     def loc_of(self):
         return [lab.loc for lab in self.labels]
 
-    @_view
+    @cached_property
     def po_loc(self):
         return self.po.restrict_loc(self.loc_of)
 
     def set_of(self, kind):
         return frozenset(i for i, lab in enumerate(self.labels) if lab.kind == kind)
 
-    @_view
+    @cached_property
     def R(self):
         return self.set_of("r")
 
-    @_view
+    @cached_property
     def W(self):
         return self.set_of("w")
 
-    @_view
+    @cached_property
     def F(self):
         return self.set_of("f")
 
-    @_view
+    @cached_property
     def RW(self):
         return self.R | self.W
 
-    @_view
+    @cached_property
     def init_events(self):
         return frozenset(i for i, e in enumerate(self.events) if e.is_init)
 
-    @_view
+    @cached_property
     def R_ex(self):
         return frozenset(i for i in self.R if self.labels[i].ex)
 
-    @_view
+    @cached_property
     def W_strong(self):
         return frozenset(i for i in self.W if self.labels[i].rmw_mode == "strong")
 
-    @_view
+    @cached_property
     def W_rel(self):
         return frozenset(i for i in self.W if self.labels[i].mode == "rel")
 
-    @_view
+    @cached_property
     def R_acq(self):
         return frozenset(i for i in self.R if self.labels[i].mode == "acq")
 
-    @_view
+    @cached_property
     def F_sc(self):
         return self.fences_with_mode("sc")
 
@@ -396,7 +380,7 @@ class Shape:
     def fences_geq(self, mode):
         return frozenset(i for i in self.F if mode_leq(mode, self.labels[i].mode))
 
-    @_view
+    @cached_property
     def writes_by_loc(self):
         """location -> the writes to it."""
         out = {}
@@ -416,7 +400,7 @@ class Shape:
     def tids(self):
         return sorted({e.tid for e in self.events if not e.is_init})
 
-    @_view
+    @cached_property
     def _locations(self):
         return tuple(sorted({lab.loc for lab in self.labels if lab.loc is not None}))
 
@@ -426,7 +410,7 @@ class Shape:
     def ident(self, members):
         return Rel.identity(self.n, members)
 
-    @_view
+    @cached_property
     def _index(self):
         return {e: i for i, e in enumerate(self.events)}
 
@@ -635,6 +619,12 @@ class Execution:
             raise ValueError("derived relations are defined for imm executions")
         return _IMM(self, self._cached("derived", dict))
 
+    def co_order(self, loc):
+        """The writes to loc first to last in co, or None if co is not a
+        strict total order on them."""
+        return self._cached(("co_order", loc),
+                            lambda: self.co.total_order(self.writes_to(loc)))
+
     def bvf(self, determined, sc=None):
         """Certification visibility into non-determined reads:
         (rf;[D])^? ; (hb;[F^sc])^? ; sc^? ; hb with the RC11 hb."""
@@ -678,18 +668,11 @@ class Execution:
     def outcome(self, locations=None):
         """Value of the co-maximal write per location; 0 where nothing is written."""
         out = {}
-        co = self.co.rows()
-        locs = self.locations() if locations is None else locations
-        for loc in locs:
-            writes = self.writes_to(loc)
-            if not writes:
-                out[loc] = 0
-                continue
-            if not self.co.is_total_on(writes):
+        for loc in self.locations() if locations is None else locations:
+            order = self.co_order(loc)
+            if order is None:
                 raise ValueError(f"co not total on writes to {loc}")
-            mask = sum(1 << w for w in writes)
-            last = next(w for w in writes if not co[w] & mask)
-            out[loc] = self.labels[last].val
+            out[loc] = self.labels[order[-1]].val if order else 0
         return out
 
     # -- serialization ------------------------------------------------------------------

@@ -7,7 +7,7 @@ locations beyond the declared names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 MODES = ("rlx", "acq", "rel", "acqrel", "sc")
 READ_MODES = ("rlx", "acq")
@@ -390,13 +390,13 @@ def _parse_modes(spec, lineno, n_modes):
     return parts, "strong" if strong else "normal"
 
 
-def _subst_locs(expr, loc_names):
-    """Rewrite declared location names inside an expression to numbers."""
-    if isinstance(expr, Reg) and expr.name in loc_names:
-        return Lit(loc_names[expr.name])
+def _subst(expr, leaves):
+    """expr with each leaf (a Reg or Lit) that leaves maps replaced by its
+    image: {Reg(name): Lit(number)} reads declared locations as numbers,
+    and its inverse prints them back."""
     if isinstance(expr, BinOp):
-        return BinOp(expr.op, _subst_locs(expr.left, loc_names), _subst_locs(expr.right, loc_names))
-    return expr
+        return BinOp(expr.op, _subst(expr.left, leaves), _subst(expr.right, leaves))
+    return leaves.get(expr, expr)
 
 
 def parse_litmus(text, path=None):
@@ -468,10 +468,10 @@ def parse_litmus(text, path=None):
     if sorted(raw_bodies) != list(range(len(raw_bodies))):
         raise ParseError(f"thread ids must be contiguous from 0, got {sorted(raw_bodies)}")
 
-    loc_names = {nm: i for i, nm in enumerate(locations)}
+    loc_leaves = {Reg(nm): Lit(i) for i, nm in enumerate(locations)}
     for tid in sorted(raw_bodies):
         threads[tid] = [
-            _parse_instruction(line, lineno, loc_names) for lineno, line in raw_bodies[tid]
+            _parse_instruction(line, lineno, loc_leaves) for lineno, line in raw_bodies[tid]
         ]
     for tid, body in threads.items():
         for lineno_line, inst in zip(raw_bodies[tid], body):
@@ -508,7 +508,7 @@ def parse_litmus(text, path=None):
             reg_counts[r] = reg_counts.get(r, 0) + 1
     checked_assertion = []
     for lhs, rhs, lineno in assertion or []:
-        if lhs in loc_names:
+        if lhs in locations:
             checked_assertion.append((lhs, rhs))
         elif lhs in known_regs:
             if reg_counts.get(lhs, 0) > 1:
@@ -527,9 +527,9 @@ def parse_litmus(text, path=None):
     )
 
 
-def _parse_instruction(line, lineno, loc_names):
+def _parse_instruction(line, lineno, loc_leaves):
     def expr(text):
-        return _subst_locs(parse_expr(text, lineno), loc_names)
+        return _subst(parse_expr(text, lineno), loc_leaves)
 
     if ":=" in line:
         reg, _, rhs = line.partition(":=")
@@ -608,40 +608,8 @@ def print_litmus(test):
 
 
 def _print_inst(inst, program):
-    names = {i: nm for i, nm in enumerate(program.locations)}
-
-    def render(expr):
-        if isinstance(expr, Lit) and expr.value in names:
-            return names[expr.value]
-        if isinstance(expr, BinOp):
-            op = {"==": "="}.get(expr.op, expr.op)
-            return f"{render(expr.left)} {op} {render(expr.right)}"
-        return str(expr)
-
-    if isinstance(inst, Store):
-        return f"w[{inst.mode}] {render(inst.loc)} {render_value(inst.value)}"
-    if isinstance(inst, Load):
-        return f"r[{inst.mode}] {inst.reg} {render(inst.loc)}"
-    if isinstance(inst, Fadd):
-        strong = ",strong" if inst.rmw_mode == "strong" else ""
-        return f"fadd[{inst.read_mode},{inst.write_mode}{strong}] {inst.reg} {render(inst.loc)} {render_value(inst.addend)}"
-    if isinstance(inst, Cas):
-        strong = ",strong" if inst.rmw_mode == "strong" else ""
-        return (
-            f"cas[{inst.read_mode},{inst.write_mode}{strong}] {inst.reg} "
-            f"{render(inst.loc)} {render_value(inst.expected)} {render_value(inst.new)}"
-        )
-    if isinstance(inst, FenceInst):
-        return f"f[{inst.mode}]"
-    if isinstance(inst, Assign):
-        return f"{inst.reg} := {render_value(inst.expr)}"
-    if isinstance(inst, IfGoto):
-        return f"if {render_value(inst.expr)} goto {inst.target}"
-    raise TypeError(inst)
-
-
-def render_value(expr):
-    if isinstance(expr, BinOp):
-        op = {"==": "="}.get(expr.op, expr.op)
-        return f"{render_value(expr.left)} {op} {render_value(expr.right)}"
-    return str(expr)
+    """inst as text, its location naming the declared locations."""
+    if not hasattr(inst, "loc"):
+        return str(inst)
+    names = {Lit(i): Reg(nm) for i, nm in enumerate(program.locations)}
+    return str(replace(inst, loc=_subst(inst.loc, names)))

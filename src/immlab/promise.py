@@ -220,12 +220,9 @@ def timestamp_map(g):
     """Coherence ranks as timestamps; initialization writes get 0."""
     t = {}
     for loc in g.locations():
-        writes = g.writes_to(loc)
-        if not writes:
-            continue
-        if not g.co.is_total_on(writes):
+        order = g.co_order(loc)
+        if order is None:
             raise ValueError(f"co not total on location {loc}")
-        order = sorted(writes, key=lambda w: len(g.co.preimage((w,)) & writes))
         rank = 0
         for w in order:
             if g.events[w].is_init:
@@ -252,40 +249,35 @@ def machine_outcome(ms):
 def _sim_invariants(g, tmap, covered, issued, ms, unroll):
     """The per-thread simulation relation, asserted over every thread."""
     problems = []
-    d = g.derive()
-    vf = d.vf_rlx
-    init = g.init_events
-    for w in init:
+    vf = g.derive().vf_rlx
+    for w in g.init_events:
         if tmap.get(w, 0) != 0:
             problems.append("init timestamp not 0")
     for w, w2 in g.co.restrict(issued, issued):
         if tmap[w] > tmap[w2]:
             problems.append(f"T disagrees with co on ({w},{w2})")
+    message = {w: Message(g.loc_of[w], g.val_of[w], tmap[w]) for w in issued}
+    stamps = {(m.loc, m.t) for m in message.values()}
     for m in ms.memory:
-        if m.t != 0:
-            if not any(w in issued and g.loc_of[w] == m.loc and tmap[w] == m.t
-                       for w in g.W):
-                problems.append(f"message {m} has no issued counterpart")
+        if m.t != 0 and (m.loc, m.t) not in stamps:
+            problems.append(f"message {m} has no issued counterpart")
     for w in issued:
-        msg = Message(g.loc_of[w], g.val_of[w], tmap[w])
-        if msg not in ms.memory:
+        if message[w] not in ms.memory:
             problems.append(f"issued {g.events[w]} missing from memory")
     for tid, ts in ms.threads.items():
         ethread = g.thread_events(tid)
         outstanding = ethread & issued - covered
+        promised = {message[w] for w in outstanding}
         for m in ts.promises:
-            if not any(g.loc_of[w] == m.loc and g.val_of[w] == m.val
-                       and tmap[w] == m.t for w in outstanding):
+            if m not in promised:
                 problems.append(f"promise {m} has no issued uncovered event")
         for w in outstanding:
-            if Message(g.loc_of[w], g.val_of[w], tmap[w]) not in ts.promises:
+            if message[w] not in ts.promises:
                 problems.append(f"uncovered issued {g.events[w]} not promised")
         covered_here = ethread & covered
+        seen = vf.preimage(covered_here)
         for loc in g.locations():
-            expect = 0
-            for w in g.writes_to(loc):
-                if vf.image((w,)) & covered_here:
-                    expect = max(expect, tmap[w])
+            expect = max((tmap[w] for w in g.writes_to(loc) & seen), default=0)
             if ts.v(loc) != expect:
                 problems.append(
                     f"view of thread {tid} at {loc}: {ts.v(loc)} != {expect}"

@@ -76,6 +76,12 @@ class Rel:
         return _new(n, rows)
 
     @staticmethod
+    def product(n, a, b):
+        """A × B."""
+        amask, bmask = _mask(a, n), _mask(b, n)
+        return _new(n, [bmask if amask >> x & 1 else 0 for x in range(n)])
+
+    @staticmethod
     def from_rows(n, rows):
         rows = list(rows)
         if len(rows) != n or rows and (min(rows) < 0 or max(rows) >> n):
@@ -204,23 +210,28 @@ class Rel:
     def is_transitive(self):
         return all(c & ~r == 0 for c, r in zip(self.compose(self)._rows, self._rows))
 
-    def is_total_on(self, members):
-        """Strict total order on members: total, and a strict order there."""
+    def total_order(self, members):
+        """The members first to last if r is a strict total order on them
+        (total, and a strict order there), else None."""
         members = frozenset(members)
         if any(not 0 <= x < self.n for x in members):
             # no pair reaches an id outside the universe
-            return len(members) <= 1
+            return list(members) if len(members) <= 1 else None
         # r is a strict total order on M iff, ranking the members by how many
         # members they precede, each precedes exactly the members ranked
         # after it
         rows = self._rows
         mask = _mask(members, self.n)
         later = mask
-        for _, x in sorted(((-(rows[x] & mask).bit_count(), x) for x in members)):
+        order = [x for _, x in sorted((-(rows[x] & mask).bit_count(), x) for x in members)]
+        for x in order:
             later ^= 1 << x
             if rows[x] & mask != later:
-                return False
-        return True
+                return None
+        return order
+
+    def is_total_on(self, members):
+        return self.total_order(members) is not None
 
     # -- restrictions -----------------------------------------------------------
 

@@ -187,17 +187,19 @@ class Traversal:
                         "this cannot happen on a consistent graph"
                     )
                 return ("issue", n)
-        pending = sorted(g.W - tc.issued)
-        ar_s_plus = (self.d.ar_base | self.sc).plus()
-        for w in pending:
-            if not any((w2, w) in ar_s_plus for w2 in pending if w2 != w):
-                if not self.issuable(tc.covered, tc.issued, w):
-                    raise TraversalError(
-                        f"ar-minimal write {g.events[w]} is not issuable; "
-                        "this cannot happen on a consistent graph"
-                    )
-                return ("issue", w)
-        raise TraversalError("no small step found")
+        # the first pending write that no other pending write precedes in (ar ∪ sc)⁺
+        pending = g.W - tc.issued
+        ar_s = (self.d.ar_base | self.sc).plus() - Rel.identity(g.n)
+        minimal = pending - ar_s.image(pending)
+        if not minimal:
+            raise TraversalError("no small step found")
+        w = min(minimal)
+        if not self.issuable(tc.covered, tc.issued, w):
+            raise TraversalError(
+                f"ar-minimal write {g.events[w]} is not issuable; "
+                "this cannot happen on a consistent graph"
+            )
+        return ("issue", w)
 
     def small_step(self, tc):
         kind, e = self.find_next(tc)

@@ -1,7 +1,9 @@
 """Independent oracles: matrix algebra via numpy, naive set saturation, DFS,
 PairRel, a relation stored as a frozenset of pairs, pair_built_candidates,
 the candidate stream built from event pairs through Execution.build, and
-sc_per_location, SC-per-location decided over event pairs.
+sc_per_location, SC-per-location decided over event pairs, and
+cert_co_pairs/cert_rf_pairs, the certification coherence and reads-from
+built by loops over event pairs.
 
 The relation oracles deliberately avoid immlab.relalg so each check has two
 routes.
@@ -11,6 +13,7 @@ import itertools
 
 import numpy as np
 
+from immlab.certification import CertificationError
 from immlab.enumeration import thread_graphs
 from immlab.execgraph import Event, Execution, Write
 
@@ -124,6 +127,10 @@ class PairRel:
         if members is None:
             members = range(n)
         return PairRel(n, ((x, x) for x in members))
+
+    @staticmethod
+    def product(n, a, b):
+        return PairRel(n, ((x, y) for x in a for y in b if 0 <= x < n and 0 <= y < n))
 
     @staticmethod
     def from_rows(n, rows):
@@ -333,3 +340,58 @@ def sc_per_location(g):
               and g.events[a].precedes(g.events[b])}
     fr = {(r, w) for w0, r in g.rf.pairs for w1, w in g.co.pairs if w1 == w0}
     return not dfs_has_cycle(po_loc | g.rf.pairs | fr | g.co.pairs, g.n)
+
+
+def cert_co_pairs(g, tc, tid, keep):
+    """certification.cert_co as a loop over event pairs, closed by
+    matrix_closure and checked by PairRel."""
+    issued = frozenset(tc.issued)
+    local = frozenset(e for e in keep if g.tid_of(e) == tid)
+    kept_issued = issued & keep
+    seeds = {(a, b) for a, b in g.co.pairs
+             if a in kept_issued and b in kept_issued | local or a in local and b in local}
+    writes = sorted(w for w in keep if w in g.W)
+    pairs = set(matrix_closure(seeds, g.n))
+    for w in writes:
+        for w2 in writes:
+            if w == w2 or g.loc_of[w] != g.loc_of[w2]:
+                continue
+            if (w, w2) in pairs or (w2, w) in pairs:
+                continue
+            if w in issued and w2 in local and w2 not in issued:
+                pairs.add((w, w2))
+    co = PairRel(g.n, matrix_closure(pairs, g.n))
+    for loc in sorted({g.loc_of[w] for w in writes}):
+        if not co.is_total_on(w for w in writes if g.loc_of[w] == loc):
+            raise CertificationError(f"certification co not total on location {loc}")
+    return co
+
+
+def cert_rf_pairs(g, tc, tid, keep, det, sc=None):
+    """certification.cert_rf as a loop over the reads: each non-determined
+    read takes the one visible write at its location that no other visible
+    write follows in cert_co_pairs."""
+    co_crt = cert_co_pairs(g, tc, tid, keep)
+    bvf = g.bvf(det, sc=sc).pairs
+    pairs = set()
+    for w, r in sorted(g.rf.pairs):
+        if r in det:
+            if w not in keep:
+                raise CertificationError(
+                    f"determined read {g.events[r]} reads from dropped {g.events[w]}"
+                )
+            pairs.add((w, r))
+    for r in sorted(g.R & keep - det):
+        cands = [w for w in sorted(g.W) if g.loc_of[w] == g.loc_of[r] and (w, r) in bvf]
+        if any(w not in keep for w in cands):
+            raise CertificationError(
+                f"visible write outside the certification graph for {g.events[r]}"
+            )
+        best = [w for w in cands
+                if not any((w, w2) in co_crt and (w2, r) in bvf for w2 in cands)]
+        if len(best) != 1:
+            raise CertificationError(
+                f"no unique visible write for read {g.events[r]} (got {len(best)})"
+            )
+        pairs.add((best[0], r))
+    return PairRel(g.n, pairs), co_crt

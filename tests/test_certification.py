@@ -1,10 +1,16 @@
+import random
+from dataclasses import replace
+
 import pytest
 
 from immlab.certification import (
+    CertificationError,
     ShapeChangeError,
     build_cert_graph,
     cert_co,
+    cert_determined,
     cert_events,
+    cert_rf,
     certification_traversal,
     check_cert_compl,
     determined,
@@ -12,8 +18,13 @@ from immlab.certification import (
 )
 from immlab.consistency import check_imm, check_imms, sc_witness_rel
 from immlab.enumeration import candidate_executions
+from immlab.execgraph import Execution
+from immlab.fuzz import FuzzConfig, random_program
 from immlab.program import parse_litmus
+from immlab.relalg import Rel
 from immlab.traversal import Traversal, TraversalConfig, replay
+
+from oracles import cert_co_pairs, cert_rf_pairs
 
 CERT_SRC = """
 prog "CERT-FIG"
@@ -329,3 +340,140 @@ class TestEndToEnd:
                         lab = cg.graph.labels[i]
                         if getattr(lab, "mode", None) == "acq" or lab.kind == "f":
                             assert i in cg.tc.covered
+
+
+def _tampered(cg, rf=None, co=None):
+    """cg with its graph's rf or co (over graph ids) replaced."""
+    gp = cg.graph
+    graph = Execution(gp.events, gp.labels, rmw=gp.rmw, data=gp.data, addr=gp.addr,
+                      ctrl=gp.ctrl, casdep=gp.casdep, rf=gp.rf if rf is None else rf,
+                      co=gp.co if co is None else co, sc=gp.sc)
+    return replace(cg, graph=graph)
+
+
+def _local_ix(cg):
+    return {str(e): i for i, e in enumerate(cg.graph.events)}
+
+
+@pytest.fixture(scope="module")
+def co_push_scene():
+    def pick(g):
+        ix = {str(e): i for i, e in enumerate(g.events)}
+        return (
+            (ix["(1,0)"], ix["(0,0)"]) in g.co.pairs
+            and (ix["(0,0)"], ix["(1,1)"]) in g.co.pairs
+        )
+
+    test, g = _find(CO_PUSH_SRC, pick)
+    ix = {str(e): i for i, e in enumerate(g.events)}
+    inits = frozenset(g.init_events)
+    tc = TraversalConfig(inits, inits | {ix["(0,0)"], ix["(1,1)"]})
+    cg = build_cert_graph(g, tc, 1, sprog=test.program.threads[1])
+    assert check_cert_compl(g, tc, cg, sprog=test.program.threads[1]) == []
+    return test, g, ix, tc, cg
+
+
+class TestIncompleteCertGraphs:
+    """check_cert_compl on certification graphs tampered after construction,
+    and cert_rf on kept sets that no configuration yields."""
+
+    def test_read_from_non_maximal_write(self, cert_scene):
+        test, g, ix, tc = cert_scene
+        cg = build_cert_graph(g, tc, 1, sprog=test.program.threads[1])
+        lx = _local_ix(cg)
+        rf = cg.graph.rf - Rel(cg.graph.n, [(lx["(1,0)"], lx["(1,2)"])])
+        rf |= Rel(cg.graph.n, [(lx["init(0)"], lx["(1,2)"])])
+        diags = check_cert_compl(g, tc, _tampered(cg, rf=rf),
+                                 sprog=test.program.threads[1])
+        assert "read (1,2) not sourced from the visible maximum" in diags
+
+    def test_non_determined_write_badly_placed(self, co_push_scene):
+        test, g, ix, tc, cg = co_push_scene
+        lx = _local_ix(cg)
+        order = [lx["init(0)"], lx["(1,0)"], lx["(0,0)"], lx["(1,1)"]]
+        co = Rel(cg.graph.n, [(a, b) for k, a in enumerate(order) for b in order[k + 1:]])
+        diags = check_cert_compl(g, tc, _tampered(cg, co=co),
+                                 sprog=test.program.threads[1])
+        assert "non-determined write (1,0) badly placed in co" in diags
+
+    def test_event_without_po_path_to_determined(self, co_push_scene):
+        test, g, ix, tc, cg = co_push_scene
+        assert ix["(1,1)"] in cg.determined and ix["(1,0)"] not in cg.determined
+        shrunk = replace(cg, determined=cg.determined - {ix["(1,1)"]})
+        diags = check_cert_compl(g, tc, shrunk, sprog=test.program.threads[1])
+        assert [d for d in diags if "po path" in d] == [
+            "event (1,0) has no po path to a determined event",
+            "event (1,1) has no po path to a determined event",
+        ]
+
+    def test_determined_read_from_dropped_write(self, cert_scene):
+        _, g, ix, tc = cert_scene
+        keep = (cert_events(g, tc, 1) | {ix["(0,0)"]}) - {ix["(1,0)"]}
+        det = cert_determined(g, tc, 1, keep)
+        with pytest.raises(CertificationError,
+                           match=r"determined read \(0,0\) reads from dropped \(1,0\)"):
+            cert_rf(g, tc, 1, keep, det)
+
+    def test_visible_write_outside_the_kept_events(self, cert_scene):
+        _, g, ix, tc = cert_scene
+        keep = cert_events(g, tc, 1) - {ix["(1,0)"]}
+        det = cert_determined(g, tc, 1, keep)
+        with pytest.raises(CertificationError,
+                           match=r"visible write outside the certification graph "
+                                 r"for \(1,2\)"):
+            cert_rf(g, tc, 1, keep, det)
+
+
+def _settled(make):
+    """make()'s pairs (a relation or a pair of them), or its error message."""
+    try:
+        out = make()
+    except CertificationError as err:
+        return str(err)
+    return tuple(r.pairs for r in out) if isinstance(out, tuple) else out.pairs
+
+
+def _certification_inputs(program, cands):
+    """(g, tc, tid, keep, det, sc) at every prefix of the traversal of every
+    IMM_S-consistent candidate, for every thread."""
+    for c in cands:
+        g = c.execution
+        v = check_imms(g)
+        if not v.consistent:
+            continue
+        sc = sc_witness_rel(g, v)
+        steps = Traversal(g, sc=sc).traverse()
+        for k in range(len(steps) + 1):
+            tc = replay(g, steps[:k])
+            for tid in g.tids():
+                keep = cert_events(g, tc, tid)
+                yield g, tc, tid, keep, cert_determined(g, tc, tid, keep), sc
+
+
+class TestAgainstPairLoops:
+    """cert_co and cert_rf agree with the pair-loop oracles."""
+
+    @staticmethod
+    def _agree(program, cands):
+        checked = 0
+        for g, tc, tid, keep, det, sc in _certification_inputs(program, cands):
+            assert _settled(lambda: cert_co(g, tc, tid, keep)) == _settled(
+                lambda: cert_co_pairs(g, tc, tid, keep))
+            assert _settled(lambda: cert_rf(g, tc, tid, keep, det, sc=sc)) == _settled(
+                lambda: cert_rf_pairs(g, tc, tid, keep, det, sc=sc))
+            checked += 1
+        return checked
+
+    def test_corpus(self, corpus, corpus_candidates):
+        checked = sum(self._agree(test.program, corpus_candidates[name])
+                      for name, test in corpus.items())
+        assert checked > 1000
+
+    def test_fuzz(self):
+        rng = random.Random(7)
+        checked = 0
+        for _ in range(20):
+            program = random_program(rng, FuzzConfig())
+            checked += self._agree(program, candidate_executions(
+                program, max_candidates=150, coherent=True))
+        assert checked > 1000

@@ -288,6 +288,7 @@ class TestOutcome:
             last = next(e for e in order if not any((e, f) in co_set for f in order))
             assert last == order[-1]
             assert g.outcome(locations=[0])[0] == vals[last]
+            assert [g.events[w] for w in g.co_order(0)] == [Event.init(0)] + order
 
     def test_partial_co_rejected(self):
         g = Execution.build(
@@ -298,6 +299,7 @@ class TestOutcome:
             ],
             co=[(Event.init(0), Event(0, 0)), (Event.init(0), Event(1, 0))],
         )
+        assert g.co_order(0) is None
         with pytest.raises(ValueError, match="co not total"):
             g.outcome(locations=[0])
 

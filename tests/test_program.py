@@ -151,6 +151,21 @@ class TestRoundTrip:
             assert again.program.max_val == test.program.max_val
 
 
+    def test_printed_locations_are_named(self):
+        src = (
+            'prog "ADDR"\nlocations x y\nvals 0..2\nthread 0:\n'
+            "  r[rlx] a x\n  r[rlx] b y+a\n  w[rlx] a+2 y\n"
+            "  fadd[rlx,rel,strong] c x+1 a\n  cas[acq,rlx] d 1 x y\n"
+            "  a := x+1\n  if a == 1 goto 0\n  f[sc]\n"
+        )
+        body = print_litmus(parse_litmus(src)).split("thread 0:\n")[1]
+        assert body.splitlines() == [
+            "  r[rlx] a x", "  r[rlx] b y + a", "  w[rlx] a + 2 1",
+            "  fadd[rlx,rel,strong] c x + y a", "  cas[acq,rlx] d y 0 1",
+            "  a := 0 + 1", "  if a = 1 goto 0", "  f[sc]",
+        ]
+
+
 class TestEval:
     def test_addition(self):
         assert eval_expr(BinOp("+", Reg("a"), Lit(1)), {"a": 1}) == 2

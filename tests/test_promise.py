@@ -8,6 +8,7 @@ from immlab.promise import (
     PromiseError,
     PThreadState,
     UnsupportedFragment,
+    _sim_invariants,
     certify,
     check_relaxed,
     initial_machine,
@@ -237,3 +238,52 @@ class TestSimulation:
                  if check_imm(c.execution).consistent)
         with pytest.raises(UnsupportedFragment):
             simulate_traversal(g, [], corpus["mp"].program)
+
+
+class TestSimInvariants:
+    """_sim_invariants on a machine tampered after the first promise of the
+    lb-data traversal."""
+
+    @pytest.fixture
+    def promised(self, corpus, corpus_candidates, lb):
+        g = annotated_graph(corpus, corpus_candidates, "lb-data")
+        tmap = timestamp_map(g)
+        step = Traversal(g).traverse()[0]
+        assert step.kind == "issue"
+        w = step.event
+        tid = g.tid_of(w)
+        ms = initial_machine(lb.program, g.locations())
+        msg = Message(g.loc_of[w], g.val_of[w], tmap[w])
+        ms.threads[tid], ms.memory = thread_machine_step(
+            ms.threads[tid], ms.memory, ("promise", msg))
+        inits = frozenset(g.init_events)
+        check = lambda: _sim_invariants(g, tmap, inits, inits | {w}, ms, 8)  # noqa: E731
+        assert check() == []
+        return g, w, tid, msg, ms, check
+
+    def test_removed_promise(self, promised):
+        g, w, tid, msg, ms, check = promised
+        ms.threads[tid].promises = frozenset()
+        assert check() == [f"uncovered issued {g.events[w]} not promised"]
+
+    def test_promise_without_issued_event(self, promised):
+        g, w, tid, msg, ms, check = promised
+        stray = Message(msg.loc, msg.val + 1, msg.t)
+        ms.threads[tid].promises |= {stray}
+        assert check() == [f"promise {stray} has no issued uncovered event"]
+
+    def test_shifted_view(self, promised):
+        g, w, tid, msg, ms, check = promised
+        ms.threads[tid].view[msg.loc] = 5
+        assert check() == [f"view of thread {tid} at {msg.loc}: 5 != 0"]
+
+    def test_stray_message(self, promised):
+        g, w, tid, msg, ms, check = promised
+        stray = Message(msg.loc, msg.val, msg.t + 1)
+        ms.memory |= {stray}
+        assert check() == [f"message {stray} has no issued counterpart"]
+
+    def test_issued_write_missing_from_memory(self, promised):
+        g, w, tid, msg, ms, check = promised
+        ms.memory -= {msg}
+        assert check() == [f"issued {g.events[w]} missing from memory"]

@@ -109,6 +109,8 @@ class TestAcyclicity:
         assert total.is_total_on({1, 2, 3})
         assert not total.is_total_on({0, 1, 2})
         assert not rel(3, (0, 1), (1, 0)).is_total_on({0, 1})
+        assert total.total_order({3, 1, 2}) == [1, 2, 3]
+        assert total.total_order({0, 1, 2}) is None
 
 
 class TestSetAlgebra:
@@ -246,6 +248,7 @@ def test_rel_matches_pair_set_reference():
             (a.plus(), ra.plus()), (a.opt(), ra.opt()), (a.star(), ra.star()),
             (a.immediate(), ra.immediate()),
             (a.restrict(members, others), ra.restrict(members, others)),
+            (Rel.product(n, members, others), PairRel.product(n, members, others)),
             (a.restrict_loc(locmap), ra.restrict_loc(locmap)),
             (union_all(n, [a, b, a.inverse()]), pair_union_all(n, [ra, rb, ra.inverse()])),
             (union_all(n, []), pair_union_all(n, [])),
@@ -284,6 +287,10 @@ def test_total_on_reference_over_all_small_relations():
         r, ref = Rel(n, pairs), PairRel(n, pairs)
         for members in member_sets:
             assert r.is_total_on(members) == ref.is_total_on(members)
+            order = r.total_order(members)
+            if order is not None:
+                assert sorted(order) == sorted(members)
+                assert all((a, b) in ref for k, a in enumerate(order) for b in order[k + 1:])
         assert r.is_transitive() == ref.is_transitive()
 
 
