@@ -10,7 +10,7 @@ dependent labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .enumeration import ThreadState, step_budget, thread_step
 from .execgraph import Execution, Read, Write
@@ -86,11 +86,11 @@ def visible_max(g, bvf, co, reads):
     return vis, vis - co.compose(vis)
 
 
-def cert_rf(g, tc, tid, keep, det, sc=None):
+def cert_rf(g, tc, tid, keep, det, sc=None, bvf=None):
     """rf of the certification graph, rf;[D] ∪ (vis − co_crt;vis): determined
     edges kept, other reads re-sourced from the co-maximal visible write.
     The reads are walked in order only to name the first that has no unique
-    one."""
+    one. bvf is g.bvf(det, sc=sc), computed here when not given."""
     co_crt = cert_co(g, tc, tid, keep)
     dropped = next(iter(g.rf.restrict(frozenset(range(g.n)) - keep, det)), None)
     if dropped is not None:
@@ -99,7 +99,9 @@ def cert_rf(g, tc, tid, keep, det, sc=None):
             f"determined read {g.events[r]} reads from dropped {g.events[w]}"
         )
     reads = g.R & keep - det
-    vis, best = visible_max(g, g.bvf(det, sc=sc), co_crt, reads)
+    if bvf is None:
+        bvf = g.bvf(det, sc=sc)
+    vis, best = visible_max(g, bvf, co_crt, reads)
     outside = (vis - vis.restrict(keep, reads)).codom()
     if outside or best.codom() != reads or len(best) != len(reads):
         for r in sorted(reads):
@@ -178,6 +180,17 @@ class CertGraph:
     source_tc: TraversalConfig
     tid: int
     source_sc: Rel | None = None
+    # the source graph's bvf(determined, sc=source_sc) that build_cert_graph
+    # computed, held until check_cert_compl takes it; a copy made by
+    # dataclasses.replace starts without it
+    _bvf: Rel | None = field(default=None, init=False, repr=False, compare=False)
+
+    def take_bvf(self, g):
+        """g.bvf(self.determined, sc=self.source_sc) for the source graph g:
+        the one build_cert_graph computed, which the graph then drops (so a
+        kept graph holds no n-row relation for it), or else computed now."""
+        bvf, self._bvf = self._bvf, None
+        return bvf if bvf is not None else g.bvf(self.determined, sc=self.source_sc)
 
 
 def build_cert_graph(g, tc, tid, sprog, sc=None, unroll=8):
@@ -186,7 +199,8 @@ def build_cert_graph(g, tc, tid, sprog, sc=None, unroll=8):
     its traversal configuration."""
     keep = cert_events(g, tc, tid)
     det = cert_determined(g, tc, tid, keep)
-    rf_crt, co_crt = cert_rf(g, tc, tid, keep, det, sc=sc)
+    bvf = g.bvf(det, sc=sc)
+    rf_crt, co_crt = cert_rf(g, tc, tid, keep, det, sc=sc, bvf=bvf)
     new_labels = reexecute_labels(g, tid, keep, rf_crt, sprog, unroll=unroll)
     for e in det:
         if e in new_labels and new_labels[e] != g.labels[e]:
@@ -208,11 +222,13 @@ def build_cert_graph(g, tc, tid, sprog, sc=None, unroll=8):
         remap[e] for e in keep_sorted if e in tc.covered or g.tid_of(e) != tid
     )
     issued = frozenset(remap[e] for e in keep_sorted if e in tc.issued)
-    return CertGraph(
+    cg = CertGraph(
         graph=graph, keep=keep_sorted, determined=det,
         tc=TraversalConfig(covered, issued), source_tc=tc, tid=tid,
         source_sc=sc,
     )
+    cg._bvf = bvf
+    return cg
 
 
 def check_cert_compl(g, tc, cg, sprog, unroll=8):
@@ -264,7 +280,7 @@ def check_cert_compl(g, tc, cg, sprog, unroll=8):
 
     # non-determined reads take the co-maximal visible write, and only it
     reads = frozenset(keep[r] for r in gp.R - det_local)
-    _, best = visible_max(g, g.bvf(det, sc=cg.source_sc), lift(gp.co), reads)
+    _, best = visible_max(g, cg.take_bvf(g), lift(gp.co), reads)
     rf = lift(gp.rf).restrict(range(g.n), reads)
     for r in sorted((reads - (best & rf).codom()) | (best - rf).codom()):
         out.append(f"read {g.events[r]} not sourced from the visible maximum")

@@ -394,8 +394,15 @@ class Shape:
     def tid_of(self, i):
         return self.events[i].tid
 
+    @cached_property
+    def _by_thread(self):
+        out = {}
+        for i, e in enumerate(self.events):
+            out.setdefault(e.tid, set()).add(i)
+        return {tid: frozenset(es) for tid, es in out.items()}
+
     def thread_events(self, tid):
-        return frozenset(i for i, e in enumerate(self.events) if e.tid == tid)
+        return self._by_thread.get(tid, frozenset())
 
     def tids(self):
         return sorted({e.tid for e in self.events if not e.is_init})

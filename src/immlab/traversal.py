@@ -19,6 +19,13 @@ class TraversalError(RuntimeError):
     pass
 
 
+def _bitmask(events):
+    mask = 0
+    for e in events:
+        mask |= 1 << e
+    return mask
+
+
 @dataclass(frozen=True)
 class TraversalConfig:
     covered: frozenset
@@ -34,18 +41,23 @@ class TravStep:
     event: int
     partner: int | None = None  # the rmw write of an rmw-cover
 
+    # kind -> (what it covers, what it issues), as slices of (event, partner)
+    _EFFECT = {
+        "cover": (slice(0, 1), slice(0, 0)),
+        "issue": (slice(0, 0), slice(0, 1)),
+        "release-cover": (slice(0, 1), slice(0, 1)),
+        "rmw-cover": (slice(0, 2), slice(1, 2)),
+    }
+
     def apply(self, tc):
         """The configuration after this step: a cover covers the event, an
         issue issues the write, a release-cover does both to a release
         write, and an rmw-cover covers the read and its write and issues
         that write."""
-        covered, issued = {
-            "cover": ((self.event,), ()),
-            "issue": ((), (self.event,)),
-            "release-cover": ((self.event,), (self.event,)),
-            "rmw-cover": ((self.event, self.partner), (self.partner,)),
-        }[self.kind]
-        return TraversalConfig(tc.covered.union(covered), tc.issued.union(issued))
+        ends = (self.event, self.partner)
+        covered, issued = self._EFFECT[self.kind]
+        return TraversalConfig(tc.covered.union(ends[covered]),
+                               tc.issued.union(ends[issued]))
 
     def to_json(self, g):
         doc = {"kind": self.kind, "event": str(g.events[self.event])}
@@ -76,42 +88,48 @@ class Traversal:
         self.req_strong = g.ident(g.W_strong).compose(po)
         self.rf_src = {r: w for w, r in g.rf}
         self.rmw_write = {r: w for r, w in g.rmw}
+        # Row e of each: the events that must be covered (po, sc, fwbob) or
+        # issued (ppo, acq, strong) before e is, as a bitset. A side condition
+        # then holds when the row has no bit outside the covered or issued mask.
+        self._po_in = po.inverse().rows()
+        self._sc_in = sc.inverse().rows() if g.F_sc else None  # read for SC fences only
+        self._fwbob_in = self.req_fwbob.inverse().rows()
+        self._iss_in = (self.req_ppo | self.req_acq | self.req_strong).inverse().rows()
+        # read once: an execution's event sets are properties of its shape
+        self._W, self._R, self._F, self._F_sc = g.W, g.R, g.F, g.F_sc
 
     # -- the two side conditions -------------------------------------------------
 
-    def coverable(self, covered, issued, e):
-        g = self.g
-        if not self.g.po.preimage((e,)) <= covered:
+    def _coverable(self, cmask, imask, e):
+        if self._po_in[e] & ~cmask:
             return False
-        if e in g.W:
-            return e in issued
-        if e in g.R:
+        if e in self._W:
+            return imask >> e & 1 == 1
+        if e in self._R:
             src = self.rf_src.get(e)
-            return src is not None and src in issued
-        if e in g.F:
-            if g.labels[e].mode != "sc":
-                return True
-            return self.sc.preimage((e,)) <= covered
-        return False
+            return src is not None and imask >> src & 1 == 1
+        if e in self._F_sc:
+            return not self._sc_in[e] & ~cmask
+        return e in self._F
+
+    def _issuable(self, cmask, imask, w):
+        return w in self._W and not (
+            self._fwbob_in[w] & ~cmask or self._iss_in[w] & ~imask
+        )
+
+    def coverable(self, covered, issued, e):
+        return self._coverable(_bitmask(covered), _bitmask(issued), e)
 
     def issuable(self, covered, issued, w):
-        g = self.g
-        if w not in g.W:
-            return False
-        return (
-            self.req_fwbob.preimage((w,)) <= covered
-            and self.req_ppo.preimage((w,)) <= issued
-            and self.req_acq.preimage((w,)) <= issued
-            and self.req_strong.preimage((w,)) <= issued
-        )
+        return self._issuable(_bitmask(covered), _bitmask(issued), w)
 
     def coverable_set(self, tc):
-        return frozenset(
-            e for e in range(self.g.n) if self.coverable(tc.covered, tc.issued, e)
-        )
+        cmask, imask = _bitmask(tc.covered), _bitmask(tc.issued)
+        return frozenset(e for e in range(self.g.n) if self._coverable(cmask, imask, e))
 
     def issuable_set(self, tc):
-        return frozenset(w for w in self.g.W if self.issuable(tc.covered, tc.issued, w))
+        cmask, imask = _bitmask(tc.covered), _bitmask(tc.issued)
+        return frozenset(w for w in self._W if self._issuable(cmask, imask, w))
 
     # -- configurations -----------------------------------------------------------
 
@@ -130,11 +148,12 @@ class Traversal:
             out.append("init events not covered")
         if not tc.covered & g.W <= tc.issued:
             out.append("covered write not issued")
+        cmask, imask = _bitmask(tc.covered), _bitmask(tc.issued)
         for e in sorted(tc.covered):
-            if not self.coverable(tc.covered, tc.issued, e):
+            if not self._coverable(cmask, imask, e):
                 out.append(f"covered event not coverable: {g.events[e]}")
         for w in sorted(tc.issued):
-            if not self.issuable(tc.covered, tc.issued, w):
+            if not self._issuable(cmask, imask, w):
                 out.append(f"issued event not issuable: {g.events[w]}")
         if not tc.issued & g.W_rel <= tc.covered:
             out.append("issued release write not covered")
@@ -146,18 +165,22 @@ class Traversal:
 
     def enabled_steps(self, tc):
         g = self.g
+        cmask, imask = _bitmask(tc.covered), _bitmask(tc.issued)
         steps = []
-        for e in sorted(self.coverable_set(tc) - tc.covered):
+        for e in range(g.n):
+            if cmask >> e & 1 or not self._coverable(cmask, imask, e):
+                continue
             w = self.rmw_write.get(e)
             if w is None:
                 steps.append(TravStep("cover", e))
             elif w in tc.issued or w in g.W_rel:
                 steps.append(TravStep("rmw-cover", e, w))
         for w in sorted(g.W_rel - tc.covered):
-            if g.po.preimage((w,)) <= tc.covered:
+            if not self._po_in[w] & ~cmask:
                 steps.append(TravStep("release-cover", w))
-        for w in sorted(self.issuable_set(tc) - tc.issued - g.W_rel):
-            steps.append(TravStep("issue", w))
+        for w in sorted(self._W - tc.issued - g.W_rel):
+            if self._issuable(cmask, imask, w):
+                steps.append(TravStep("issue", w))
         return [(step, step.apply(tc)) for step in steps]
 
     # -- small steps and the next-step search ------------------------------------------
@@ -174,14 +197,15 @@ class Traversal:
     def find_next(self, tc):
         """A small (cover or issue) step that must exist mid-traversal."""
         g = self.g
+        cmask, imask = _bitmask(tc.covered), _bitmask(tc.issued)
         frontier = self.frontier(tc)
         for tid in sorted(frontier):
-            if self.coverable(tc.covered, tc.issued, frontier[tid]):
+            if self._coverable(cmask, imask, frontier[tid]):
                 return ("cover", frontier[tid])
         for tid in sorted(frontier):
             n = frontier[tid]
             if n in g.W:
-                if not self.issuable(tc.covered, tc.issued, n):
+                if not self._issuable(cmask, imask, n):
                     raise TraversalError(
                         f"frontier write {g.events[n]} is not issuable; "
                         "this cannot happen on a consistent graph"
@@ -194,7 +218,7 @@ class Traversal:
         if not minimal:
             raise TraversalError("no small step found")
         w = min(minimal)
-        if not self.issuable(tc.covered, tc.issued, w):
+        if not self._issuable(cmask, imask, w):
             raise TraversalError(
                 f"ar-minimal write {g.events[w]} is not issuable; "
                 "this cannot happen on a consistent graph"

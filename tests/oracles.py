@@ -3,7 +3,10 @@ PairRel, a relation stored as a frozenset of pairs, pair_built_candidates,
 the candidate stream built from event pairs through Execution.build, and
 sc_per_location, SC-per-location decided over event pairs, and
 cert_co_pairs/cert_rf_pairs, the certification coherence and reads-from
-built by loops over event pairs.
+built by loops over event pairs, coverable_preimage/issuable_preimage/
+check_config_preimage, the traversal side conditions as preimage inclusions
+per event, and sim_invariants_full, every simulation-invariant clause of
+every thread with nothing carried between checks.
 
 The relation oracles deliberately avoid immlab.relalg so each check has two
 routes.
@@ -16,6 +19,7 @@ import numpy as np
 from immlab.certification import CertificationError
 from immlab.enumeration import thread_graphs
 from immlab.execgraph import Event, Execution, Write
+from immlab.promise import Message, _can_reach
 
 
 def matrix_of(pairs, n):
@@ -395,3 +399,100 @@ def cert_rf_pairs(g, tc, tid, keep, det, sc=None):
             )
         pairs.add((best[0], r))
     return PairRel(g.n, pairs), co_crt
+
+
+def coverable_preimage(trav, covered, issued, e):
+    """Traversal.coverable by preimage inclusions of the graph's relations."""
+    g = trav.g
+    if not g.po.preimage((e,)) <= covered:
+        return False
+    if e in g.W:
+        return e in issued
+    if e in g.R:
+        src = trav.rf_src.get(e)
+        return src is not None and src in issued
+    if e in g.F:
+        if g.labels[e].mode != "sc":
+            return True
+        return trav.sc.preimage((e,)) <= covered
+    return False
+
+
+def issuable_preimage(trav, covered, issued, w):
+    """Traversal.issuable by preimage inclusions of the graph's relations."""
+    if w not in trav.g.W:
+        return False
+    return (
+        trav.req_fwbob.preimage((w,)) <= covered
+        and trav.req_ppo.preimage((w,)) <= issued
+        and trav.req_acq.preimage((w,)) <= issued
+        and trav.req_strong.preimage((w,)) <= issued
+    )
+
+
+def check_config_preimage(trav, tc):
+    """Traversal.check_config with the side conditions above."""
+    g = trav.g
+    out = []
+    if not g.init_events <= tc.covered:
+        out.append("init events not covered")
+    if not tc.covered & g.W <= tc.issued:
+        out.append("covered write not issued")
+    for e in sorted(tc.covered):
+        if not coverable_preimage(trav, tc.covered, tc.issued, e):
+            out.append(f"covered event not coverable: {g.events[e]}")
+    for w in sorted(tc.issued):
+        if not issuable_preimage(trav, tc.covered, tc.issued, w):
+            out.append(f"issued event not issuable: {g.events[w]}")
+    if not tc.issued & g.W_rel <= tc.covered:
+        out.append("issued release write not covered")
+    if not g.rmw.restrict(tc.covered, range(g.n)).codom() <= tc.covered:
+        out.append("rmw write of a covered read not covered")
+    return out
+
+
+def sim_invariants_full(g, tmap, covered, issued, ms, unroll):
+    """promise._sim_invariants with every clause run over every thread."""
+    problems = []
+    vf = g.derive().vf_rlx
+    for w in g.init_events:
+        if tmap.get(w, 0) != 0:
+            problems.append("init timestamp not 0")
+    for w, w2 in g.co.restrict(issued, issued):
+        if tmap[w] > tmap[w2]:
+            problems.append(f"T disagrees with co on ({w},{w2})")
+    message = {w: Message(g.loc_of[w], g.val_of[w], tmap[w]) for w in issued}
+    stamps = {(m.loc, m.t) for m in message.values()}
+    for m in ms.memory:
+        if m.t != 0 and (m.loc, m.t) not in stamps:
+            problems.append(f"message {m} has no issued counterpart")
+    for w in issued:
+        if message[w] not in ms.memory:
+            problems.append(f"issued {g.events[w]} missing from memory")
+    for tid, ts in ms.threads.items():
+        ethread = g.thread_events(tid)
+        outstanding = ethread & issued - covered
+        promised = {message[w] for w in outstanding}
+        for m in ts.promises:
+            if m not in promised:
+                problems.append(f"promise {m} has no issued uncovered event")
+        for w in outstanding:
+            if message[w] not in ts.promises:
+                problems.append(f"uncovered issued {g.events[w]} not promised")
+        covered_here = ethread & covered
+        seen = vf.preimage(covered_here)
+        for loc in g.locations():
+            expect = max((tmap[w] for w in g.writes_to(loc) & seen), default=0)
+            if ts.v(loc) != expect:
+                problems.append(
+                    f"view of thread {tid} at {loc}: {ts.v(loc)} != {expect}"
+                )
+        emitted = ts.sigma.events
+        targets = sorted(covered_here, key=lambda i: g.events[i].sn)
+        if len(emitted) != len(targets) or any(
+            emitted[k].label != g.labels[e] for k, e in enumerate(targets)
+        ):
+            problems.append(f"thread {tid} state does not match covered events")
+        if not _can_reach(g, tid, ts.sigma, unroll):
+            problems.append(f"thread {tid} cannot reach its full graph")
+    return problems

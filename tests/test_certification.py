@@ -308,6 +308,21 @@ class TestEndToEnd:
         steps = certification_traversal(cg)
         assert all(cg.graph.events[s.event].tid == 1 for s in steps)
 
+    def test_visibility_computed_once_per_graph(self, cert_scene, monkeypatch):
+        # build_cert_graph hands its bvf to check_cert_compl; a second check
+        # computes it again and finds the same
+        test, g, ix, tc = cert_scene
+        calls = []
+        bvf = type(g).bvf
+        monkeypatch.setattr(type(g), "bvf",
+                            lambda self, *a, **k: calls.append(a) or bvf(self, *a, **k))
+        sprog = test.program.threads[1]
+        cg = build_cert_graph(g, tc, 1, sprog=sprog)
+        assert check_cert_compl(g, tc, cg, sprog=sprog) == []
+        assert len(calls) == 1
+        assert check_cert_compl(g, tc, cg, sprog=sprog) == []
+        assert len(calls) == 2
+
     def test_full_config_trivially_passes(self, cert_scene):
         test, g, _, _ = cert_scene
         full = TraversalConfig(frozenset(range(g.n)), frozenset(g.W))

@@ -1,5 +1,6 @@
 import pytest
 
+from immlab import promise
 from immlab.consistency import check_imm
 from immlab.enumeration import ThreadState, assertion_holds, candidate_executions
 from immlab.program import parse_litmus
@@ -7,6 +8,7 @@ from immlab.promise import (
     Message,
     PromiseError,
     PThreadState,
+    SimulationError,
     UnsupportedFragment,
     _sim_invariants,
     certify,
@@ -20,6 +22,7 @@ from immlab.promise import (
 from immlab.traversal import Traversal
 
 from conftest import SPIN_LITMUS
+from oracles import sim_invariants_full
 
 
 def annotated_graph(corpus, corpus_candidates, name):
@@ -239,6 +242,37 @@ class TestSimulation:
         with pytest.raises(UnsupportedFragment):
             simulate_traversal(g, [], corpus["mp"].program)
 
+    @pytest.mark.parametrize("change, problem", [
+        (lambda ts: ts.view.__setitem__(0, 7), "view of thread 0 at 0: 7 != 0"),
+        (lambda ts: setattr(ts, "promises", frozenset()),
+         "uncovered issued (0,1) not promised"),
+    ])
+    def test_state_changed_in_place_between_steps(self, corpus, corpus_candidates, lb,
+                                                  monkeypatch, change, problem):
+        # lb-data's traversal issues (0,1), then steps thread 1; thread 0 is
+        # changed in place after the first step's check
+        g = annotated_graph(corpus, corpus_candidates, "lb-data")
+        steps = Traversal(g).traverse()
+        assert [(str(g.events[s.event]), s.kind) for s in steps[:2]] == [
+            ("(0,1)", "issue"), ("(1,0)", "cover")]
+        machines = []
+
+        def initial(*args):
+            machines.append(initial_machine(*args))
+            return machines[-1]
+
+        def tampering():
+            yield steps[0]
+            change(machines[0].threads[0])
+            yield from steps[1:]
+
+        monkeypatch.setattr(promise, "initial_machine", initial)
+        with pytest.raises(SimulationError) as err:
+            simulate_traversal(g, tampering(), lb.program)
+        assert str(err.value) == (
+            f"simulation invariant broken after step 1 (cover (1,0)): [{problem!r}]"
+        )
+
 
 class TestSimInvariants:
     """_sim_invariants on a machine tampered after the first promise of the
@@ -287,3 +321,115 @@ class TestSimInvariants:
         g, w, tid, msg, ms, check = promised
         ms.memory -= {msg}
         assert check() == [f"issued {g.events[w]} missing from memory"]
+
+    def test_init_timestamp_not_0(self, promised):
+        g, w, tid, msg, ms, check = promised
+        tmap = timestamp_map(g)
+        init = min(g.init_events)
+        tmap[init] = 1
+        ms.memory = ms.memory - {Message(g.loc_of[init], 0, 0)} | {
+            Message(g.loc_of[init], 0, 1)}
+        inits = frozenset(g.init_events)
+        assert _sim_invariants(g, tmap, inits, inits | {w}, ms, 8) == [
+            "init timestamp not 0"]
+
+    def test_t_disagrees_with_co(self, promised):
+        # the promise is stamped below the init write it follows in co
+        g, w, tid, msg, ms, check = promised
+        tmap = timestamp_map(g)
+        tmap[w] = -1
+        early = Message(msg.loc, msg.val, -1)
+        ms.memory = ms.memory - {msg} | {early}
+        ms.threads[tid].promises = frozenset({early})
+        init = next(i for i in g.init_events if g.loc_of[i] == msg.loc)
+        inits = frozenset(g.init_events)
+        assert _sim_invariants(g, tmap, inits, inits | {w}, ms, 8) == [
+            f"T disagrees with co on ({init},{w})"]
+
+    def test_state_does_not_match_covered_events(self, promised):
+        # the thread has read x, but its read is not covered
+        g, w, tid, msg, ms, check = promised
+        ms.threads[tid], ms.memory = thread_machine_step(
+            ms.threads[tid], ms.memory, ("read", 0, 0))
+        assert check() == [f"thread {tid} state does not match covered events"]
+
+    def test_cannot_reach_full_graph(self, promised):
+        g, w, tid, msg, ms, check = promised
+        other = 1 - tid
+        sigma = ms.threads[other].sigma
+        sigma.pc = len(sigma.sprog)
+        assert check() == [f"thread {other} cannot reach its full graph"]
+
+
+def _relaxed_sources(corpus, corpus_candidates, replay_workload_graphs):
+    """(graph, program) for every IMM-consistent candidate of a relaxed corpus
+    program, and for every graph of the replay workload at seed 3."""
+    for name, test in corpus.items():
+        if test.program.is_relaxed_only():
+            for c in corpus_candidates[name]:
+                if check_imm(c.execution).consistent:
+                    yield c.execution, test.program
+    yield from replay_workload_graphs
+
+
+def _tampered(ms):
+    """Copies of ms, each changed in one place: per thread its view, its
+    promises, its events or its pc; memory with a stray message, and memory
+    without its newest message."""
+    def copy_with(change, tid=None):
+        bad = ms.copy()
+        change(bad.threads[tid] if tid is not None else bad)
+        return bad
+
+    top = max(ms.memory, key=lambda m: (m.t, m.loc, m.val))
+    for tid, ts in ms.threads.items():
+        yield copy_with(lambda t: t.view.__setitem__(top.loc, t.v(top.loc) + 1), tid)
+        yield copy_with(lambda t: setattr(t, "promises", t.promises ^ {top}), tid)
+        if ts.sigma.events:
+            yield copy_with(lambda t: t.sigma.events.pop(), tid)
+        yield copy_with(lambda t: setattr(t.sigma, "pc", len(t.sigma.sprog)), tid)
+    yield copy_with(lambda m: setattr(m, "memory", m.memory | {
+        Message(top.loc, top.val, top.t + 9)}))
+    if top.t:
+        yield copy_with(lambda m: setattr(m, "memory", m.memory - {top}))
+
+
+class TestDeltaChecks:
+    """The simulation invariants checked by deltas against every clause of
+    every thread, at every step of the traversal of every graph."""
+
+    def test_problem_lists_match_the_full_check(self, corpus, corpus_candidates,
+                                                replay_workload_graphs, monkeypatch):
+        lists = []
+        checked = promise._SimCheck.problems
+
+        def both(self, covered, issued, ms):
+            for bad in _tampered(ms):
+                got = checked(self, covered, issued, bad)
+                want = sim_invariants_full(self.g, self.tmap, covered, issued, bad,
+                                           self.unroll)
+                assert got == want
+                lists.append(got)
+            got = checked(self, covered, issued, ms)
+            assert got == sim_invariants_full(self.g, self.tmap, covered, issued, ms,
+                                              self.unroll)
+            return got
+
+        monkeypatch.setattr(promise._SimCheck, "problems", both)
+        for g, program in _relaxed_sources(corpus, corpus_candidates,
+                                           replay_workload_graphs):
+            simulate_traversal(g, Traversal(g).traverse(), program)
+        assert sum(1 for found in lists if found) > 10000
+
+    def test_trace_and_outcome_match_the_full_check(self, corpus, corpus_candidates,
+                                                    replay_workload_graphs,
+                                                    monkeypatch):
+        runs = [(g, program, Traversal(g).traverse()) for g, program in
+                _relaxed_sources(corpus, corpus_candidates, replay_workload_graphs)]
+        by_deltas = [simulate_traversal(g, steps, program) for g, program, steps in runs]
+        monkeypatch.setattr(
+            promise._SimCheck, "problems",
+            lambda self, covered, issued, ms: sim_invariants_full(
+                self.g, self.tmap, covered, issued, ms, self.unroll))
+        assert by_deltas == [simulate_traversal(g, steps, program)
+                             for g, program, steps in runs]

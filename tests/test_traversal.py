@@ -5,6 +5,8 @@ from immlab.enumeration import assertion_holds, candidate_executions
 from immlab.program import parse_litmus
 from immlab.traversal import Traversal, TravStep, TraversalConfig, TraversalError, replay
 
+from oracles import check_config_preimage, coverable_preimage, issuable_preimage
+
 
 def annotated_graph(corpus, corpus_candidates, name):
     test = corpus[name]
@@ -391,3 +393,87 @@ class TestConfigChecker:
         g = corpus_candidates["iriw-sc"][0].execution
         with pytest.raises(TraversalError, match="sc order"):
             Traversal(g)
+
+    def test_init_events_not_covered(self, lb_data):
+        g, _ = lb_data
+        empty = TraversalConfig(frozenset(), frozenset())
+        assert Traversal(g).check_config(empty) == ["init events not covered"]
+
+    def test_covered_write_not_issued(self, lb_data):
+        g, ix = lb_data
+        bad = TraversalConfig(frozenset(g.init_events), frozenset())
+        assert Traversal(g).check_config(bad) == [
+            "covered write not issued",
+            "covered event not coverable: init(0)",
+            "covered event not coverable: init(1)",
+        ]
+
+    def test_issued_event_not_issuable(self, lb_data):
+        # (1,1) depends on the read of (0,1), which is not issued
+        g, ix = lb_data
+        inits = frozenset(g.init_events)
+        bad = TraversalConfig(inits, inits | {ix["(1,1)"]})
+        assert Traversal(g).check_config(bad) == ["issued event not issuable: (1,1)"]
+
+    def test_issued_release_write_not_covered(self):
+        test = parse_litmus('prog "REL"\nlocations x\nthread 0:\n  w[rel] x 1\n')
+        g = next(c.execution for c in candidate_executions(test.program))
+        inits = frozenset(g.init_events)
+        bad = TraversalConfig(inits, inits | {g.index_of(g.events[-1])})
+        assert Traversal(g).check_config(bad) == ["issued release write not covered"]
+
+    def test_rmw_write_of_covered_read_not_covered(self, corpus_candidates):
+        g = next(c.execution for c in corpus_candidates["atomicity"]
+                 if check_imm(c.execution).consistent)
+        (r, _), = g.rmw
+        inits = frozenset(g.init_events)
+        bad = TraversalConfig(inits | {r}, inits)
+        assert Traversal(g).check_config(bad) == ["rmw write of a covered read not covered"]
+
+
+def _traversals(corpus_candidates, replay_workload_graphs):
+    """A Traversal of every IMM_S-consistent corpus candidate (with its sc
+    witness) and of every graph of the replay workload at seed 3."""
+    for cands in corpus_candidates.values():
+        for c in cands:
+            v = check_imms(c.execution)
+            if v.consistent:
+                yield Traversal(c.execution, sc=sc_witness_rel(c.execution, v))
+    for g, _ in replay_workload_graphs:
+        yield Traversal(g)
+
+
+def _neighbours(trav, tc):
+    """tc, and tc with one more event covered or one more write issued."""
+    g = trav.g
+    yield tc
+    for e in sorted(frozenset(range(g.n)) - tc.covered):
+        yield TraversalConfig(tc.covered | {e}, tc.issued)
+    for w in sorted(g.W - tc.issued):
+        yield TraversalConfig(tc.covered, tc.issued | {w})
+
+
+class TestAgainstPreimageOracles:
+    """The bitmask side conditions agree with per-event preimage inclusions on
+    every configuration of every traversal prefix, and on each configuration
+    one event or write past it."""
+
+    def test_sets_and_diagnostics(self, corpus_candidates, replay_workload_graphs):
+        configs = 0
+        for trav in _traversals(corpus_candidates, replay_workload_graphs):
+            g = trav.g
+            steps = trav.traverse()
+            for k in range(len(steps) + 1):
+                for tc in _neighbours(trav, replay(g, steps[:k])):
+                    c, i = tc.covered, tc.issued
+                    assert trav.coverable_set(tc) == frozenset(
+                        e for e in range(g.n) if coverable_preimage(trav, c, i, e))
+                    assert trav.issuable_set(tc) == frozenset(
+                        w for w in range(g.n) if issuable_preimage(trav, c, i, w))
+                    assert [trav.coverable(c, i, e) for e in range(g.n)] == [
+                        coverable_preimage(trav, c, i, e) for e in range(g.n)]
+                    assert [trav.issuable(c, i, e) for e in range(g.n)] == [
+                        issuable_preimage(trav, c, i, e) for e in range(g.n)]
+                    assert trav.check_config(tc) == check_config_preimage(trav, tc)
+                    configs += 1
+        assert configs > 10000
