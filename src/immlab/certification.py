@@ -180,17 +180,24 @@ class CertGraph:
     source_tc: TraversalConfig
     tid: int
     source_sc: Rel | None = None
-    # the source graph's bvf(determined, sc=source_sc) that build_cert_graph
-    # computed, held until check_cert_compl takes it; a copy made by
-    # dataclasses.replace starts without it
-    _bvf: Rel | None = field(default=None, init=False, repr=False, compare=False)
+    # (g, determined, source_sc, g.bvf(determined, sc=source_sc)) as
+    # build_cert_graph computed it, held until check_cert_compl takes it; a
+    # copy made by dataclasses.replace starts without it
+    _bvf: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def take_bvf(self, g):
-        """g.bvf(self.determined, sc=self.source_sc) for the source graph g:
-        the one build_cert_graph computed, which the graph then drops (so a
-        kept graph holds no n-row relation for it), or else computed now."""
-        bvf, self._bvf = self._bvf, None
-        return bvf if bvf is not None else g.bvf(self.determined, sc=self.source_sc)
+        """g.bvf(self.determined, sc=self.source_sc) for the source graph g.
+
+        The one build_cert_graph computed is used only when g, determined and
+        source_sc are the very objects it was computed from; else, and on
+        every later call, it is computed now. The graph drops it when taken,
+        so a kept certification graph holds no n-row relation for it."""
+        memo, self._bvf = self._bvf, None
+        if memo is not None:
+            g0, det, sc, bvf = memo
+            if g0 is g and det is self.determined and sc is self.source_sc:
+                return bvf
+        return g.bvf(self.determined, sc=self.source_sc)
 
 
 def build_cert_graph(g, tc, tid, sprog, sc=None, unroll=8):
@@ -227,7 +234,7 @@ def build_cert_graph(g, tc, tid, sprog, sc=None, unroll=8):
         tc=TraversalConfig(covered, issued), source_tc=tc, tid=tid,
         source_sc=sc,
     )
-    cg._bvf = bvf
+    cg._bvf = (g, det, sc, bvf)
     return cg
 
 

@@ -254,11 +254,10 @@ def _sim_invariants(g, tmap, covered, issued, ms, unroll):
 class _SimCheck:
     """The simulation invariants over the states of one machine run.
 
-    The first check asserts every clause. A later one checks the global
-    clauses only over what is new since the last check that passed them, when
-    memory and issued contain their values of then (else over everything),
-    and skips a thread whose own inputs (its state, and its events covered
-    and issued) equal by value those of its last passing check.
+    Every check asserts the clauses over timestamps, issued writes and
+    memory. A thread's own clauses are skipped when its inputs (its state,
+    and its events covered and issued) equal by value those of its last
+    passing check.
     """
 
     def __init__(self, g, tmap, unroll):
@@ -267,8 +266,6 @@ class _SimCheck:
         self.unroll = unroll
         self.vf = g.derive().vf_rlx
         self.message = {}  # issued write -> its message
-        self.last_issued = None  # issued and memory of the last global pass
-        self.last_memory = None
         self.passed = {}  # tid -> (state, covered, issued) of its last pass
 
     def problems(self, covered, issued, ms):
@@ -278,8 +275,6 @@ class _SimCheck:
             if w not in message:
                 message[w] = Message(g.loc_of[w], g.val_of[w], self.tmap[w])
         problems = self._global(issued, ms.memory)
-        if not problems:
-            self.last_issued, self.last_memory = frozenset(issued), frozenset(ms.memory)
         for tid, ts in ms.threads.items():
             ethread = g.thread_events(tid)
             inputs = (ts, ethread & covered, ethread & issued)
@@ -292,27 +287,21 @@ class _SimCheck:
         return problems
 
     def _global(self, issued, memory):
-        """The clauses over timestamps, issued writes and memory. Messages stay
-        in memory and issued writes stay issued, so after a pass only the new
-        ones can break them."""
+        """The clauses over timestamps, issued writes and memory."""
         g, tmap, message = self.g, self.tmap, self.message
         problems = []
-        old_issued, old_memory = self.last_issued, self.last_memory
-        if old_issued is None or not (old_issued <= issued and old_memory <= memory):
-            old_issued, old_memory = frozenset(), frozenset()
-            for w in g.init_events:
-                if tmap.get(w, 0) != 0:
-                    problems.append("init timestamp not 0")
-        new = issued - old_issued
-        for w, w2 in g.co.restrict(new, issued) | g.co.restrict(issued, new):
+        for w in g.init_events:
+            if tmap.get(w, 0) != 0:
+                problems.append("init timestamp not 0")
+        for w, w2 in g.co.restrict(issued, issued):
             if tmap[w] > tmap[w2]:
                 problems.append(f"T disagrees with co on ({w},{w2})")
         stamps = {(message[w].loc, message[w].t) for w in issued}
         for m in memory:
-            if m.t != 0 and m not in old_memory and (m.loc, m.t) not in stamps:
+            if m.t != 0 and (m.loc, m.t) not in stamps:
                 problems.append(f"message {m} has no issued counterpart")
         for w in issued:
-            if w not in old_issued and message[w] not in memory:
+            if message[w] not in memory:
                 problems.append(f"issued {g.events[w]} missing from memory")
         return problems
 
@@ -383,21 +372,15 @@ def simulate_traversal(g, steps, program, unroll=8):
     simulation invariants are checked at the start and after every step,
     each thread within the step budget of unroll passes over its program.
 
-    At the start every clause is checked. A step changes one thread's state,
-    adds at most one message to memory and one event to covered or issued,
-    and memory and issued only grow. So after a step:
-      - the init-timestamp clause is not run again (T is fixed);
-      - the co, message and issued-write clauses run only over the newly
-        issued writes (with their co pairs) and the new messages, since the
-        old ones passed and what they were checked against only grew; if
-        memory or issued lost an element, these clauses run over everything;
-      - a thread's clauses, `_can_reach` among them, are skipped when its
-        state (compared as a value: pc, registers, step count, events, view
-        and promises), its covered events and its issued events equal those
-        of its last passing check. Those clauses read nothing else that
-        changes in a run, and `_can_reach` is a function of the state, so a
-        skipped thread's result is the same empty list. A state changed in
-        place differs from the copy kept at its last pass, and is checked.
+    Every check runs the clauses over timestamps, issued writes and memory.
+    A step changes one thread's state and adds at most one event to covered
+    or issued, so a thread's own clauses, `_can_reach` among them, are
+    skipped when its state (compared as a value: pc, registers, step count,
+    events, view and promises), its covered events and its issued events
+    equal those of its last passing check. Those clauses read nothing else
+    that changes in a run, and `_can_reach` is a function of the state, so a
+    skipped thread's result is the same empty list. A state changed in place
+    differs from the copy kept at its last pass, and is checked.
     The diagnostics, and their order, are those of `_sim_invariants`.
     """
     check_relaxed(program)

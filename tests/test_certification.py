@@ -323,6 +323,21 @@ class TestEndToEnd:
         assert check_cert_compl(g, tc, cg, sprog=sprog) == []
         assert len(calls) == 2
 
+    def test_visibility_of_other_inputs_is_computed_anew(self, cert_scene):
+        # the bvf build_cert_graph computed serves only its own graph,
+        # determined set and sc
+        test, g, _, tc = cert_scene
+        _, g2 = _find(CERT_SRC, lambda h: h.n == g.n and h.rf != g.rf)
+        sprog = test.program.threads[1]
+        cg = build_cert_graph(g, tc, 1, sprog=sprog)
+        assert cg.take_bvf(g2) == g2.bvf(cg.determined)
+        assert cg.take_bvf(g2) == g2.bvf(cg.determined)
+        for change in ({"determined": frozenset()}, {"source_sc": g.co}):
+            cg = build_cert_graph(g, tc, 1, sprog=sprog)
+            for name, value in change.items():
+                setattr(cg, name, value)
+            assert cg.take_bvf(g) == g.bvf(cg.determined, sc=cg.source_sc)
+
     def test_full_config_trivially_passes(self, cert_scene):
         test, g, _, _ = cert_scene
         full = TraversalConfig(frozenset(range(g.n)), frozenset(g.W))

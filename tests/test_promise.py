@@ -395,8 +395,9 @@ def _tampered(ms):
 
 
 class TestDeltaChecks:
-    """The simulation invariants checked by deltas against every clause of
-    every thread, at every step of the traversal of every graph."""
+    """The simulation invariants, a thread's clauses skipped while its inputs
+    are unchanged, against every clause of every thread, at every step of
+    the traversal of every graph."""
 
     def test_problem_lists_match_the_full_check(self, corpus, corpus_candidates,
                                                 replay_workload_graphs, monkeypatch):
