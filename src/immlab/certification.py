@@ -10,7 +10,7 @@ dependent labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .enumeration import ThreadState, step_budget, thread_step
 from .execgraph import Execution, Read, Write
@@ -86,11 +86,11 @@ def visible_max(g, bvf, co, reads):
     return vis, vis - co.compose(vis)
 
 
-def cert_rf(g, tc, tid, keep, det, sc=None, bvf=None):
+def cert_rf(g, tc, tid, keep, det, sc=None):
     """rf of the certification graph, rf;[D] ∪ (vis − co_crt;vis): determined
     edges kept, other reads re-sourced from the co-maximal visible write.
     The reads are walked in order only to name the first that has no unique
-    one. bvf is g.bvf(det, sc=sc), computed here when not given."""
+    one."""
     co_crt = cert_co(g, tc, tid, keep)
     dropped = next(iter(g.rf.restrict(frozenset(range(g.n)) - keep, det)), None)
     if dropped is not None:
@@ -99,9 +99,7 @@ def cert_rf(g, tc, tid, keep, det, sc=None, bvf=None):
             f"determined read {g.events[r]} reads from dropped {g.events[w]}"
         )
     reads = g.R & keep - det
-    if bvf is None:
-        bvf = g.bvf(det, sc=sc)
-    vis, best = visible_max(g, bvf, co_crt, reads)
+    vis, best = visible_max(g, g.bvf(det, sc=sc), co_crt, reads)
     outside = (vis - vis.restrict(keep, reads)).codom()
     if outside or best.codom() != reads or len(best) != len(reads):
         for r in sorted(reads):
@@ -180,24 +178,6 @@ class CertGraph:
     source_tc: TraversalConfig
     tid: int
     source_sc: Rel | None = None
-    # (g, determined, source_sc, g.bvf(determined, sc=source_sc)) as
-    # build_cert_graph computed it, held until check_cert_compl takes it; a
-    # copy made by dataclasses.replace starts without it
-    _bvf: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def take_bvf(self, g):
-        """g.bvf(self.determined, sc=self.source_sc) for the source graph g.
-
-        The one build_cert_graph computed is used only when g, determined and
-        source_sc are the very objects it was computed from; else, and on
-        every later call, it is computed now. The graph drops it when taken,
-        so a kept certification graph holds no n-row relation for it."""
-        memo, self._bvf = self._bvf, None
-        if memo is not None:
-            g0, det, sc, bvf = memo
-            if g0 is g and det is self.determined and sc is self.source_sc:
-                return bvf
-        return g.bvf(self.determined, sc=self.source_sc)
 
 
 def build_cert_graph(g, tc, tid, sprog, sc=None, unroll=8):
@@ -206,8 +186,7 @@ def build_cert_graph(g, tc, tid, sprog, sc=None, unroll=8):
     its traversal configuration."""
     keep = cert_events(g, tc, tid)
     det = cert_determined(g, tc, tid, keep)
-    bvf = g.bvf(det, sc=sc)
-    rf_crt, co_crt = cert_rf(g, tc, tid, keep, det, sc=sc, bvf=bvf)
+    rf_crt, co_crt = cert_rf(g, tc, tid, keep, det, sc=sc)
     new_labels = reexecute_labels(g, tid, keep, rf_crt, sprog, unroll=unroll)
     for e in det:
         if e in new_labels and new_labels[e] != g.labels[e]:
@@ -229,13 +208,11 @@ def build_cert_graph(g, tc, tid, sprog, sc=None, unroll=8):
         remap[e] for e in keep_sorted if e in tc.covered or g.tid_of(e) != tid
     )
     issued = frozenset(remap[e] for e in keep_sorted if e in tc.issued)
-    cg = CertGraph(
+    return CertGraph(
         graph=graph, keep=keep_sorted, determined=det,
         tc=TraversalConfig(covered, issued), source_tc=tc, tid=tid,
         source_sc=sc,
     )
-    cg._bvf = (g, det, sc, bvf)
-    return cg
 
 
 def check_cert_compl(g, tc, cg, sprog, unroll=8):
@@ -287,7 +264,7 @@ def check_cert_compl(g, tc, cg, sprog, unroll=8):
 
     # non-determined reads take the co-maximal visible write, and only it
     reads = frozenset(keep[r] for r in gp.R - det_local)
-    _, best = visible_max(g, cg.take_bvf(g), lift(gp.co), reads)
+    _, best = visible_max(g, g.bvf(det, sc=cg.source_sc), lift(gp.co), reads)
     rf = lift(gp.rf).restrict(range(g.n), reads)
     for r in sorted((reads - (best & rf).codom()) | (best - rf).codom()):
         out.append(f"read {g.events[r]} not sourced from the visible maximum")

@@ -71,8 +71,14 @@ def _flags(parser, *names):
 
 
 def _load(args):
-    with open(args.file, "rb") as fh:
-        test = parse_litmus(fh.read(), args.file)
+    """The test in args.file. A file that cannot be read or parsed ends the
+    command with exit code 2, as a usage error does."""
+    try:
+        with open(args.file, "rb") as fh:
+            test = parse_litmus(fh.read(), args.file)
+    except (OSError, ParseError) as err:
+        print(f"immlab: {args.file}: {getattr(err, 'strerror', None) or err}", file=sys.stderr)
+        sys.exit(2)
     if args.max_val is not None:
         test.program.max_val = args.max_val
     return test
@@ -394,7 +400,7 @@ def run_one(path, models, unroll, max_candidates):
     try:
         with open(path, "rb") as fh:
             test = parse_litmus(fh.read(), path)
-    except ParseError as err:
+    except (OSError, ParseError) as err:
         return {"file": path, "test": path, "models": {}, "ok": False,
                 "error": str(err), "seconds": round(time.time() - started, 3)}
     wanted = models or sorted(test.expectations)

@@ -7,6 +7,8 @@ locations beyond the declared names.
 
 from __future__ import annotations
 
+import re
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 MODES = ("rlx", "acq", "rel", "acqrel", "sc")
@@ -206,10 +208,8 @@ class Program:
     max_val: int = 2
 
     def thread_regs(self, tid):
-        regs = set()
+        regs = set(_dest_regs(self.threads[tid]))
         for inst in self.threads[tid]:
-            if isinstance(inst, (Assign, Load, Fadd, Cas)):
-                regs.add(inst.reg)
             for e in _inst_exprs(inst):
                 regs |= expr_regs(e)
         return frozenset(regs)
@@ -241,15 +241,20 @@ class Program:
         return tuple(sorted(vals))
 
     def is_relaxed_only(self):
-        for body in self.threads:
-            for inst in body:
-                if isinstance(inst, (Fadd, Cas, FenceInst)):
-                    return False
-                if isinstance(inst, Store) and inst.mode != "rlx":
-                    return False
-                if isinstance(inst, Load) and inst.mode != "rlx":
-                    return False
-        return True
+        return all(is_relaxed(inst) for body in self.threads for inst in body)
+
+
+def _dest_regs(body):
+    """The registers that the instructions of body write."""
+    return frozenset(inst.reg for inst in body if isinstance(inst, (Assign, Load, Fadd, Cas)))
+
+
+def is_relaxed(inst):
+    """inst lies in the relaxed fragment: no fadd, cas or fence, and every
+    load and store rlx."""
+    if isinstance(inst, (Fadd, Cas, FenceInst)):
+        return False
+    return not isinstance(inst, (Load, Store)) or inst.mode == "rlx"
 
 
 def _inst_exprs(inst):
@@ -287,96 +292,67 @@ class ParseError(ValueError):
 
 # -- expression parsing ------------------------------------------------------------
 
-
-class _Tokens:
-    def __init__(self, text, lineno):
-        self.toks = []
-        self.lineno = lineno
-        i = 0
-        while i < len(text):
-            c = text[i]
-            if c.isspace():
-                i += 1
-            elif c.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                self.toks.append(("int", int(text[i:j])))
-                i = j
-            elif c.isalpha() or c == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.toks.append(("name", text[i:j]))
-                i = j
-            elif text.startswith("!=", i):
-                self.toks.append(("op", "!="))
-                i += 2
-            elif text.startswith("==", i):
-                self.toks.append(("op", "=="))
-                i += 2
-            elif c in "+-=()":
-                self.toks.append(("op", "==" if c == "=" else c))
-                i += 1
-            else:
-                raise ParseError(f"bad character {c!r} in expression", lineno)
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else (None, None)
-
-    def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
+# one token per match: a number, a name, an operator, or a character that
+# starts none of them
+_TOKEN = re.compile(r"\s*(?:(\d+)|([^\W\d]\w*)|(!=|==|[-+=()])|(\S))")
 
 
 def parse_expr(text, lineno=None):
-    toks = _Tokens(text, lineno)
-    expr = _parse_cmp(toks)
-    if toks.peek()[0] is not None:
+    toks = []
+    for num, name, op, bad in _TOKEN.findall(text):
+        if bad:
+            raise ParseError(f"bad character {bad!r} in expression", lineno)
+        if num:
+            toks.append(Lit(int(num)))
+        elif name:
+            toks.append(Reg(name))
+        else:
+            toks.append("==" if op == "=" else op)
+    toks.reverse()  # the next token is toks[-1]
+    expr = _parse_cmp(toks, lineno)
+    if toks:
         raise ParseError(f"trailing tokens in expression {text!r}", lineno)
     return expr
 
 
-def _parse_cmp(toks):
-    left = _parse_sum(toks)
-    kind, val = toks.peek()
-    if kind == "op" and val in ("==", "!="):
-        toks.next()
-        right = _parse_sum(toks)
-        return BinOp(val, left, right)
+def _parse_cmp(toks, lineno):
+    left = _parse_sum(toks, lineno)
+    if toks and toks[-1] in ("==", "!="):
+        return BinOp(toks.pop(), left, _parse_sum(toks, lineno))
     return left
 
 
-def _parse_sum(toks):
-    left = _parse_atom(toks)
-    while True:
-        kind, val = toks.peek()
-        if kind == "op" and val in ("+", "-"):
-            toks.next()
-            right = _parse_atom(toks)
-            left = BinOp(val, left, right)
-        else:
-            return left
+def _parse_sum(toks, lineno):
+    left = _parse_atom(toks, lineno)
+    while toks and toks[-1] in ("+", "-"):
+        left = BinOp(toks.pop(), left, _parse_atom(toks, lineno))
+    return left
 
 
-def _parse_atom(toks):
-    kind, val = toks.next()
-    if kind == "int":
-        return Lit(val)
-    if kind == "name":
-        return Reg(val)
-    if kind == "op" and val == "(":
-        inner = _parse_cmp(toks)
-        kind, val = toks.next()
-        if (kind, val) != ("op", ")"):
-            raise ParseError("expected ')'", toks.lineno)
+def _parse_atom(toks, lineno):
+    tok = toks.pop() if toks else None
+    if isinstance(tok, (Lit, Reg)):
+        return tok
+    if tok == "(":
+        inner = _parse_cmp(toks, lineno)
+        if not toks or toks.pop() != ")":
+            raise ParseError("expected ')'", lineno)
         return inner
-    raise ParseError("expected expression atom", toks.lineno)
+    raise ParseError("expected expression atom", lineno)
 
 
 # -- litmus parsing ------------------------------------------------------------------
+
+_HEADERS = ("prog", "locations", "vals", "thread", "assert", "expect")
+_WORD = re.compile(r"\w*")
+
+
+def _int(text, lineno):
+    """text as an integer, or a ParseError naming the line."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"expected an integer, got {text.strip()!r}", lineno) from None
 
 
 def _parse_modes(spec, lineno, n_modes):
@@ -400,127 +376,111 @@ def _subst(expr, leaves):
 
 
 def parse_litmus(text, path=None):
-    """Parse the line-oriented litmus format into a LitmusTest."""
+    """Parse the line-oriented litmus format into a LitmusTest.
+
+    A line is a header when its first whole word is one of _HEADERS; any
+    other line is an instruction of the thread above it. Every malformed
+    input, bytes that are not UTF-8 among them, raises ParseError."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise ParseError(f"bytes that are not UTF-8: {err.reason}",
+                             text.count(b"\n", 0, err.start) + 1) from None
     name = None
     locations = []
     max_val = 2
-    threads = {}
+    bodies = {}  # tid -> [(lineno, instruction text)]
     current = None
-    assertion = None
+    assertion = []  # [(name, value, lineno)]
     assertion_kind = None
     expectations = {}
-    raw_bodies = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("prog"):
-            rest = line[4:].strip()
+        word = _WORD.match(line).group()
+        rest = line[len(word):].strip()
+        if word not in _HEADERS:
+            if current is None:
+                raise ParseError(f"instruction outside thread: {line!r}", lineno)
+            current.append((lineno, line))
+        elif word == "prog":
             name = rest.strip('"')
-        elif line.startswith("locations"):
-            locations = line.split()[1:]
+        elif word == "locations":
+            locations = rest.split()
             if len(set(locations)) != len(locations):
                 raise ParseError("duplicate location", lineno)
-        elif line.startswith("vals"):
-            rest = line.split(None, 1)[1]
-            if ".." not in rest:
+        elif word == "vals":
+            lo, dots, hi = rest.partition("..")
+            if not dots:
                 raise ParseError("vals expects lo..hi", lineno)
-            lo, hi = rest.split("..")
-            if int(lo) != 0:
+            if _int(lo, lineno) != 0:
                 raise ParseError("value domain must start at 0", lineno)
-            max_val = int(hi)
-        elif line.startswith("thread"):
-            head = line.split(":")[0]
-            tid = int(head.split()[1])
-            if tid in raw_bodies:
+            max_val = _int(hi, lineno)
+        elif word == "thread":
+            head, _, after = rest.partition(":")
+            if after.strip():
+                raise ParseError(f"text after thread header: {after.strip()!r}", lineno)
+            tid = _int(head, lineno)
+            if tid in bodies:
                 raise ParseError(f"duplicate thread {tid}", lineno)
-            raw_bodies[tid] = []
-            current = tid
-        elif line.startswith("assert"):
-            head, _, preds = line.partition(":")
-            kind = head.split()[1] if len(head.split()) > 1 else None
-            if kind not in ("allowed", "forbidden"):
+            current = bodies[tid] = []
+        elif word == "assert":
+            kind, _, preds = rest.partition(":")
+            assertion_kind = kind.strip()
+            if assertion_kind not in ("allowed", "forbidden"):
                 raise ParseError("assert expects allowed|forbidden", lineno)
-            assertion_kind = kind
             assertion = []
-            for clause in preds.split("/\\"):
-                clause = clause.strip()
-                if not clause:
-                    continue
-                if "=" not in clause:
+            for clause in filter(None, map(str.strip, preds.split("/\\"))):
+                lhs, eq, rhs = clause.partition("=")
+                if not eq:
                     raise ParseError(f"assertion clause {clause!r} is not an equality", lineno)
-                lhs, rhs = clause.split("=", 1)
-                assertion.append((lhs.strip(), int(rhs.strip()), lineno))
-        elif line.startswith("expect"):
-            for item in line.split()[1:]:
+                assertion.append((lhs.strip(), _int(rhs, lineno), lineno))
+        else:
+            for item in rest.split():
                 model, _, verdict = item.partition("=")
                 if verdict not in ("allowed", "forbidden"):
                     raise ParseError(f"bad expectation {item!r}", lineno)
                 expectations[model] = verdict
-        else:
-            if current is None:
-                raise ParseError(f"instruction outside thread: {line!r}", lineno)
-            raw_bodies[current].append((lineno, line))
 
-    if sorted(raw_bodies) != list(range(len(raw_bodies))):
-        raise ParseError(f"thread ids must be contiguous from 0, got {sorted(raw_bodies)}")
+    if sorted(bodies) != list(range(len(bodies))):
+        raise ParseError(f"thread ids must be contiguous from 0, got {sorted(bodies)}")
 
     loc_leaves = {Reg(nm): Lit(i) for i, nm in enumerate(locations)}
-    for tid in sorted(raw_bodies):
-        threads[tid] = [
-            _parse_instruction(line, lineno, loc_leaves) for lineno, line in raw_bodies[tid]
-        ]
-    for tid, body in threads.items():
-        for lineno_line, inst in zip(raw_bodies[tid], body):
-            if isinstance(inst, IfGoto) and not (0 <= inst.target <= len(body)):
+    threads = []
+    reg_counts = Counter()  # register -> number of threads that assign it
+    for tid in range(len(bodies)):
+        lines = bodies[tid]
+        body = []
+        for lineno, line in lines:
+            inst = _parse_instruction(line, lineno, loc_leaves)
+            if isinstance(inst, IfGoto) and not 0 <= inst.target <= len(lines):
                 raise ParseError(
-                    f"goto out of range: {inst.target} in a {len(body)}-line thread",
-                    lineno_line[0],
-                )
+                    f"goto out of range: {inst.target} in a {len(lines)}-line thread", lineno)
+            body.append(inst)
+        assigned = _dest_regs(body)
+        for (lineno, _), inst in zip(lines, body):
+            unknown = frozenset().union(*map(expr_regs, _inst_exprs(inst))) - assigned
+            if unknown:
+                raise ParseError(f"undeclared register or location {min(unknown)!r} "
+                                 f"in thread {tid}", lineno)
+        reg_counts.update(assigned)
+        threads.append(body)
 
-    program = Program(
-        threads=[threads[t] for t in sorted(threads)],
-        locations=locations,
-        max_val=max_val,
-    )
-
-    for tid, body in enumerate(program.threads):
-        assigned = {
-            inst.reg for inst in body if isinstance(inst, (Assign, Load, Fadd, Cas))
-        }
-        for inst in body:
-            for e in _inst_exprs(inst):
-                for reg in expr_regs(e):
-                    if reg not in assigned:
-                        raise ParseError(
-                            f"undeclared register or location {reg!r} in thread {tid}"
-                        )
-
-    known_regs = set()
-    for tid in range(len(program.threads)):
-        known_regs |= program.thread_regs(tid)
-    reg_counts = {}
-    for tid in range(len(program.threads)):
-        for r in program.thread_regs(tid):
-            reg_counts[r] = reg_counts.get(r, 0) + 1
-    checked_assertion = []
-    for lhs, rhs, lineno in assertion or []:
+    for lhs, _, lineno in assertion:
         if lhs in locations:
-            checked_assertion.append((lhs, rhs))
-        elif lhs in known_regs:
-            if reg_counts.get(lhs, 0) > 1:
-                raise ParseError(f"register {lhs!r} is ambiguous across threads", lineno)
-            checked_assertion.append((lhs, rhs))
-        else:
+            continue
+        if not reg_counts[lhs]:
             raise ParseError(f"undeclared register or location {lhs!r} in assertion", lineno)
+        if reg_counts[lhs] > 1:
+            raise ParseError(f"register {lhs!r} is ambiguous across threads", lineno)
 
     return LitmusTest(
         name=name or (path or "unnamed"),
-        program=program,
-        assertion=checked_assertion,
+        program=Program(threads=threads, locations=locations, max_val=max_val),
+        assertion=[(lhs, value) for lhs, value, _ in assertion],
         assertion_kind=assertion_kind,
         expectations=expectations,
         path=path,
@@ -540,13 +500,11 @@ def _parse_instruction(line, lineno, loc_leaves):
     parts = line.split()
     head = parts[0]
     if head == "if":
-        try:
-            goto_at = parts.index("goto")
-        except ValueError:
-            raise ParseError("if expects 'goto N'", lineno) from None
-        cond = " ".join(parts[1:goto_at])
-        target = int(parts[goto_at + 1])
-        return IfGoto(expr(cond), target)
+        if "goto" not in parts:
+            raise ParseError("if expects 'goto N'", lineno)
+        goto_at = parts.index("goto")
+        return IfGoto(expr(" ".join(parts[1:goto_at])),
+                      _int(" ".join(parts[goto_at + 1:]), lineno))
     if "[" not in head or not head.endswith("]"):
         raise ParseError(f"unrecognized instruction {line!r}", lineno)
     mnemonic, modes_spec = head[:-1].split("[", 1)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .enumeration import ThreadState, step_budget, thread_step
-from .program import Cas, Fadd, FenceInst, Load, Store
+from .program import Cas, Fadd, FenceInst, Load, Store, is_relaxed
 
 
 class PromiseError(RuntimeError):
@@ -54,17 +54,11 @@ class MachineState:
     threads: dict  # tid -> PThreadState
     memory: frozenset  # of Message
 
-    def copy(self):
-        return MachineState({t: ts.copy() for t, ts in self.threads.items()},
-                            self.memory)
-
 
 def check_relaxed(program):
     for body in program.threads:
         for inst in body:
-            if isinstance(inst, (Fadd, Cas, FenceInst)):
-                raise UnsupportedFragment(f"unsupported fragment: {inst}")
-            if isinstance(inst, (Load, Store)) and inst.mode != "rlx":
+            if not is_relaxed(inst):
                 raise UnsupportedFragment(f"unsupported fragment: {inst}")
 
 

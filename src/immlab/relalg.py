@@ -41,7 +41,6 @@ def _new(n, rows):
     rel = Rel.__new__(Rel)
     rel.n = n
     rel._rows = rows
-    rel._pairs = None
     rel._inv = None
     return rel
 
@@ -49,7 +48,7 @@ def _new(n, rows):
 class Rel:
     """A binary relation over {0..n-1}, stored as a list of int bitset rows."""
 
-    __slots__ = ("n", "_rows", "_pairs", "_inv")
+    __slots__ = ("n", "_rows", "_inv")
 
     def __init__(self, n, pairs=()):
         rows = [0] * n
@@ -59,7 +58,6 @@ class Rel:
             rows[x] |= 1 << y
         self.n = n
         self._rows = rows
-        self._pairs = None
         self._inv = None
 
     # -- construction helpers -------------------------------------------------
@@ -94,9 +92,7 @@ class Rel:
 
     @property
     def pairs(self):
-        if self._pairs is None:
-            self._pairs = frozenset(self)
-        return self._pairs
+        return frozenset(self)
 
     # -- set algebra -----------------------------------------------------------
 

@@ -233,6 +233,58 @@ class TestOther:
             main(["fuzz", "--count", "1"])
 
 
+BAD_WRITE_MODE = 'prog "B"\nlocations x\nthread 0:\n  w[oops] x 1\n'
+
+
+class TestBadInput:
+    """A file that cannot be read or parsed is reported in one line, and
+    the command exits 2."""
+
+    @pytest.mark.parametrize("command, rest", [
+        ("enumerate", ()), ("check", ("--model", "imm")), ("outcomes", ("--model", "imm")),
+        ("map", ("--target", "power")), ("traverse", ()),
+        ("certify", ("--step", "0", "--thread", "0")), ("simulate", ()),
+        ("compare", ("imm", "rc11")),
+    ])
+    def test_malformed_file_is_reported(self, capsys, tmp_path, command, rest):
+        path = tmp_path / "bad.litmus"
+        path.write_text(BAD_WRITE_MODE)
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, str(path), *rest])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2 and captured.out == ""
+        assert captured.err == f"immlab: {path}: bad write mode 'oops' (line 4)\n"
+
+    def test_missing_file_is_reported(self, capsys, tmp_path):
+        path = tmp_path / "absent.litmus"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", str(path), "--model", "imm"])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2 and captured.out == ""
+        assert captured.err == f"immlab: {path}: No such file or directory\n"
+
+    def test_no_traceback_from_the_command_line(self, tmp_path):
+        path = tmp_path / "bad.litmus"
+        path.write_bytes(b'prog "B"\nthread 0:\n  r[rlx] a \xff\n')
+        proc = run_module("enumerate", str(path))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == (
+            f"immlab: {path}: bytes that are not UTF-8: invalid start byte (line 3)\n")
+
+    def test_run_reports_one_bad_file_and_checks_the_rest(self, capsys, tmp_path):
+        (tmp_path / "a-bad.litmus").write_text('prog "B"\nvals 0..two\n')
+        (tmp_path / "b-gone.litmus").symlink_to(tmp_path / "absent")
+        (tmp_path / "mp.litmus").write_text((CORPUS_DIR / "mp.litmus").read_text())
+        code, out = run_cli(capsys, "run", str(tmp_path))
+        lines = out.splitlines()
+        assert code == 1 and len(lines) == 4
+        assert lines[0] == (
+            f"FAIL {tmp_path / 'a-bad.litmus'}: expected an integer, got 'two' (line 2)")
+        assert lines[1].startswith(f"FAIL {tmp_path / 'b-gone.litmus'}: [Errno 2]")
+        assert lines[2].startswith("ok   MP ")
+        assert lines[3] == "EXPECTATION MISMATCHES (3 tests)"
+
+
 class TestBadArguments:
     @pytest.mark.parametrize("argv, message", [
         (("traverse", "lb-data.litmus", "--graph-index", "99"),

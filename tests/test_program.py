@@ -1,13 +1,18 @@
 import itertools
+import random
 
 import pytest
 
+from immlab.consistency import check_imm
+from immlab.enumeration import candidate_executions
+from immlab.fuzz import FuzzConfig, random_program
 from immlab.program import (
     MODES,
     BinOp,
     Cas,
     Fadd,
     Lit,
+    LitmusTest,
     Load,
     ParseError,
     Reg,
@@ -132,9 +137,62 @@ class TestParse:
         with pytest.raises(ParseError, match="bad write mode"):
             parse_litmus('prog "B"\nlocations x\nthread 0:\n  w[acq] x 1\n')
 
+    def test_text_after_a_thread_header(self):
+        # it once was dropped without a word
+        with pytest.raises(ParseError, match="text after thread header: 'w") as err:
+            parse_litmus('prog "T"\nlocations x\nthread 0: w[rlx] x 1\n')
+        assert err.value.line == 3
+
     def test_thread_ids_contiguous(self):
         with pytest.raises(ParseError, match="contiguous"):
             parse_litmus('prog "T"\nlocations x\nthread 1:\n  w[rlx] x 1\n')
+
+
+HEAD = 'prog "P"\nlocations x\n'
+ONE_STORE = "thread 0:\n  w[rlx] x 1\n"
+
+
+class TestMalformed:
+    # each of these once escaped the reader as a ValueError, IndexError or
+    # UnicodeDecodeError
+    @pytest.mark.parametrize("text, line", [
+        (HEAD + "vals 0..two\n" + ONE_STORE, 3),
+        (HEAD + "thread zero:\n  w[rlx] x 1\n", 3),
+        (HEAD + "thread 0:\n  r[rlx] a x\n  if a goto two\n", 5),
+        (HEAD + ONE_STORE + "assert allowed: x=one\n", 5),
+        (HEAD + "thread 0:\n  w[rlx] x ²\n", 4),
+        (HEAD + "vals\n" + ONE_STORE, 3),
+        (HEAD + "thread:\n  w[rlx] x 1\n", 3),
+        (HEAD + "thread 0:\n  r[rlx] a x\n  if a goto\n", 5),
+        (HEAD + "thread 0:\n  threads :=\n", 4),
+        ((HEAD + ONE_STORE).encode() + b"  w[rlx] x \xff\n", 5),
+    ], ids=["vals-word", "thread-word", "goto-word", "assert-word", "superscript-digit",
+            "bare-vals", "bare-thread", "goto-no-target", "register-threads", "not-utf8"])
+    def test_malformed_input_is_a_parse_error(self, text, line):
+        with pytest.raises(ParseError) as err:
+            parse_litmus(text)
+        assert err.value.line == line
+
+    def test_a_header_is_a_whole_first_word(self):
+        # registers whose names start with a header keyword are registers
+        t = parse_litmus(
+            HEAD + "thread 0:\n  expected := 1\n  threads := expected + 1\n"
+            "  progress := threads\n  w[rlx] x progress\n"
+            "thread 1:\n  r[rlx] expectation x\n"
+            "assert allowed: expectation=2 /\\ progress=2\n"
+        )
+        assert t.name == "P" and t.expectations == {}
+        assert [str(i) for i in t.program.threads[0]] == [
+            "expected := 1", "threads := expected + 1", "progress := threads",
+            "w[rlx] 0 progress",
+        ]
+        assert t.assertion == [("expectation", 2), ("progress", 2)]
+        finals = {
+            tuple(c.execution.outcome().items())
+            for c in candidate_executions(t.program)
+            if check_imm(c.execution).consistent
+        }
+        assert finals == {((0, 2),)}
 
 
 class TestRoundTrip:
@@ -150,6 +208,15 @@ class TestRoundTrip:
             assert again.program.locations == test.program.locations
             assert again.program.max_val == test.program.max_val
 
+    @pytest.mark.parametrize("seed", range(0, 300, 50))
+    def test_printed_fuzz_programs_round_trip(self, seed):
+        cfg = FuzzConfig(threads=(1, 2, 3), max_instr=5)
+        for s in range(seed, seed + 50):
+            program = random_program(random.Random(s), cfg)
+            test = LitmusTest(f"F{s}", program, [], None, {})
+            again = parse_litmus(print_litmus(test))
+            assert again.name == test.name, s
+            assert again.program == program, s
 
     def test_printed_locations_are_named(self):
         src = (

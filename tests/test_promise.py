@@ -5,6 +5,7 @@ from immlab.consistency import check_imm
 from immlab.enumeration import ThreadState, assertion_holds, candidate_executions
 from immlab.program import parse_litmus
 from immlab.promise import (
+    MachineState,
     Message,
     PromiseError,
     PThreadState,
@@ -377,7 +378,7 @@ def _tampered(ms):
     promises, its events or its pc; memory with a stray message, and memory
     without its newest message."""
     def copy_with(change, tid=None):
-        bad = ms.copy()
+        bad = MachineState({t: ts.copy() for t, ts in ms.threads.items()}, ms.memory)
         change(bad.threads[tid] if tid is not None else bad)
         return bad
 
