@@ -5,6 +5,7 @@ and the fuzzer."""
 from __future__ import annotations
 
 import argparse
+import collections
 import concurrent.futures
 import functools
 import json
@@ -70,15 +71,26 @@ def _flags(parser, *names):
         parser.add_argument(name, **_FLAGS[name])
 
 
+def _read(path):
+    """The test in the file at path; OSError or ParseError when it cannot
+    be read or parsed."""
+    with open(path, "rb") as fh:
+        return parse_litmus(fh.read(), path)
+
+
+def _fail(path, err):
+    """End the command on a path it cannot use, with exit code 2 as a usage
+    error does."""
+    print(f"immlab: {path}: {getattr(err, 'strerror', None) or err}", file=sys.stderr)
+    sys.exit(2)
+
+
 def _load(args):
-    """The test in args.file. A file that cannot be read or parsed ends the
-    command with exit code 2, as a usage error does."""
+    """The test in args.file, its value bound overridden by --max-val."""
     try:
-        with open(args.file, "rb") as fh:
-            test = parse_litmus(fh.read(), args.file)
+        test = _read(args.file)
     except (OSError, ParseError) as err:
-        print(f"immlab: {args.file}: {getattr(err, 'strerror', None) or err}", file=sys.stderr)
-        sys.exit(2)
+        _fail(args.file, err)
     if args.max_val is not None:
         test.program.max_val = args.max_val
     return test
@@ -106,59 +118,82 @@ def _name_list(choices, kind):
     return parse
 
 
-def _emit(args, doc, human):
-    if args.json:
-        print(json.dumps(doc, indent=1, default=str))
-    else:
-        print(human)
+def _truncation(complete):
+    """The note that ends the report of a search that was cut short."""
+    return "" if complete else " (the search was truncated: raise --unroll or --max-candidates)"
+
+
+def _emit(args, doc, human, complete=None):
+    """doc as JSON under --json, else human. Given whether the search behind
+    them was complete, doc says so and the first line of human notes a
+    truncation."""
+    if complete is not None:
+        doc["complete"] = complete
+        head, sep, rest = human.partition("\n")
+        human = head + _truncation(complete) + sep + rest
+    print(json.dumps(doc, indent=1, default=str) if args.json else human)
+
+
+def _search(test, unroll, max_candidates, check=None):
+    """test's candidate search: its report, which describes the search once
+    the stream is drained, and a stream of (candidate, verdict). Without
+    check the stream holds every candidate, with verdict None. With check
+    it holds the candidates that check finds consistent, with its verdict,
+    drawn from the coherent stream: that stream keeps each of them in
+    order, since every model rejects the completions it drops."""
+    report = EnumerationReport()
+    stream = candidate_executions(test.program, unroll=unroll, max_candidates=max_candidates,
+                                  report=report, coherent=check is not None)
+    if check is None:
+        return report, ((cand, None) for cand in stream)
+    return report, ((cand, v) for cand in stream if (v := check(cand.execution)).consistent)
+
+
+def _outcome_key(test, g):
+    """g's final values at the declared locations, as sorted pairs."""
+    return tuple(sorted(g.outcome(locations=range(len(test.program.locations))).items()))
+
+
+def _named(test, pairs):
+    """(location, value) pairs as a dict keyed by location name."""
+    names = test.program.locations
+    return {names[loc] if loc < len(names) else f"loc{loc}": val for loc, val in pairs}
+
+
+def _model_entry(test, model, unroll, max_candidates, check=None):
+    """model's entry for test, and the outcome keys of its consistent
+    candidates. The verdict is allowed if a consistent candidate meets the
+    assertion; else forbidden after a complete search, unknown after a
+    truncated one. check is the model's own unless given."""
+    report, stream = _search(test, unroll, max_candidates,
+                             check or consistency.checker_for(model))
+    hit = False
+    outcomes = set()
+    for cand, _ in stream:
+        key = _outcome_key(test, cand.execution)
+        outcomes.add(key)
+        if test.assertion and not hit:
+            hit = assertion_holds(cand, test, dict(key))
+    verdict = "allowed" if hit else "forbidden" if report.complete else "unknown"
+    expected = test.expectations.get(model)
+    entry = {"verdict": verdict, "expected": expected,
+             "ok": expected is None or expected == verdict, "complete": report.complete,
+             "pruned": report.pruned, "shapes": report.shapes}
+    return entry, outcomes
 
 
 def cmd_enumerate(args):
     test = _load(args)
-    report = EnumerationReport()
-    count = 0
+    report, stream = _search(test, args.unroll, args.max_candidates)
     outcomes = set()
-    for cand in candidate_executions(test.program, unroll=args.unroll,
-                                     max_candidates=args.max_candidates, report=report):
-        _dump(args, f"candidate-{count:05d}", cand.execution)
-        count += 1
-        o = cand.execution.outcome(locations=range(len(test.program.locations)))
-        outcomes.add(tuple(sorted(o.items())))
-    doc = {
-        "schema": 1, "test": test.name, "candidates": count,
-        "complete": report.complete, "truncated_threads": report.truncated_threads,
-        "outcomes": sorted(outcomes),
-    }
-    human = (
-        f"{test.name}: {count} candidate executions"
-        + ("" if report.complete else " (lower bound: enumeration truncated)")
-        + f", {len(outcomes)} raw outcome(s)"
-    )
-    _emit(args, doc, human)
+    for i, (cand, _) in enumerate(stream):
+        _dump(args, f"candidate-{i:05d}", cand.execution)
+        outcomes.add(_outcome_key(test, cand.execution))
+    doc = {"schema": 1, "test": test.name, "candidates": report.candidates,
+           "truncated_threads": report.truncated_threads, "outcomes": sorted(outcomes)}
+    _emit(args, doc, f"{test.name}: {report.candidates} candidate executions, "
+          f"{len(outcomes)} raw outcome(s)", report.complete)
     return 0
-
-
-def _model_verdict(test, check, unroll, max_candidates):
-    """allowed if a check-consistent candidate meets the assertion; else
-    forbidden after a complete search, unknown after a truncated one. Only
-    the coherent candidates are checked: every model rejects the rest."""
-    report = EnumerationReport()
-    hit = False
-    outcomes = set()
-    for cand in candidate_executions(test.program, unroll=unroll,
-                                     max_candidates=max_candidates, report=report,
-                                     coherent=True):
-        if not check(cand.execution).consistent:
-            continue
-        o = cand.execution.outcome(locations=range(len(test.program.locations)))
-        outcomes.add(tuple(sorted(o.items())))
-        if test.assertion and assertion_holds(cand, test, o):
-            hit = True
-    if hit:
-        verdict = "allowed"
-    else:
-        verdict = "forbidden" if report.complete else "unknown"
-    return verdict, outcomes, report
 
 
 def cmd_check(args):
@@ -166,49 +201,35 @@ def cmd_check(args):
         print("--power-at-axiom and --armv7 apply only to --model power", file=sys.stderr)
         return 2
     test = _load(args)
+    check = None
     if args.power_at_axiom or args.armv7:
         check = functools.partial(hwmodels.check_imm_via_power,
                                   at_axiom=args.power_at_axiom, armv7=args.armv7)
-    else:
-        check = consistency.checker_for(args.model)
-    verdict, _, report = _model_verdict(test, check, args.unroll, args.max_candidates)
-    expected = test.expectations.get(args.model)
-    ok = expected is None or expected == verdict
-    doc = {
-        "schema": 1, "test": test.name, "model": args.model, "verdict": verdict,
-        "expected": expected, "ok": ok, "complete": report.complete,
-        "pruned": report.pruned, "shapes": report.shapes,
-    }
-    human = f"{test.name} [{args.model}]: assertion {verdict}" + (
-        "" if expected is None else f" (expected {expected}: {'ok' if ok else 'MISMATCH'})"
-    )
-    _emit(args, doc, human)
-    return 0 if ok else 1
+    entry, _ = _model_entry(test, args.model, args.unroll, args.max_candidates, check)
+    expected = entry["expected"]
+    human = f"{test.name} [{args.model}]: assertion {entry['verdict']}" + (
+        "" if expected is None
+        else f" (expected {expected}: {'ok' if entry['ok'] else 'MISMATCH'})")
+    _emit(args, {"schema": 1, "test": test.name, "model": args.model, **entry}, human)
+    return 0 if entry["ok"] else 1
 
 
 def cmd_outcomes(args):
     test = _load(args)
-    verdict, outcomes, report = _model_verdict(
-        test, consistency.checker_for(args.model), args.unroll, args.max_candidates)
-    names = test.program.locations
-    rendered = [
-        {names[loc] if loc < len(names) else f"loc{loc}": val for loc, val in oc}
-        for oc in sorted(outcomes)
-    ]
-    doc = {"schema": 1, "test": test.name, "model": args.model,
-           "outcomes": rendered, "complete": report.complete}
+    entry, outcomes = _model_entry(test, args.model, args.unroll, args.max_candidates)
+    rendered = [_named(test, oc) for oc in sorted(outcomes)]
     lines = [f"{test.name} [{args.model}]: {len(rendered)} outcome(s)"]
     lines += ["  " + " ".join(f"{k}={v}" for k, v in oc.items()) for oc in rendered]
-    _emit(args, doc, "\n".join(lines))
+    _emit(args, {"schema": 1, "test": test.name, "model": args.model, "outcomes": rendered},
+          "\n".join(lines), entry["complete"])
     return 0
 
 
 def cmd_map(args):
     test = _load(args)
-    count = 0
     problems = 0
-    for cand in candidate_executions(test.program, unroll=args.unroll,
-                                     max_candidates=args.max_candidates):
+    report, stream = _search(test, args.unroll, args.max_candidates)
+    for i, (cand, _) in enumerate(stream):
         g = cand.execution
         if args.target == "power":
             src = hwmodels.split_release(g)
@@ -218,57 +239,40 @@ def cmd_map(args):
             mapped = hwmodels.to_arm(g)
         if hwmodels.correspondence_check(src, mapped):
             problems += 1
-        _dump(args, f"{args.target}-{count:05d}", mapped)
-        count += 1
+        _dump(args, f"{args.target}-{i:05d}", mapped)
     doc = {"schema": 1, "test": test.name, "target": args.target,
-           "mapped": count, "correspondence_failures": problems}
-    _emit(args, doc,
-          f"{test.name} → {args.target}: mapped {count} candidates, "
-          f"{problems} correspondence failure(s)")
+           "mapped": report.candidates, "correspondence_failures": problems}
+    _emit(args, doc, f"{test.name} → {args.target}: mapped {report.candidates} candidates, "
+          f"{problems} correspondence failure(s)", report.complete)
     return 0 if problems == 0 else 1
 
 
-def _consistent_candidates(test, unroll, max_candidates, report):
-    """IMM_S-consistent candidates with their SC witness, enumeration order;
-    report records whether the search was complete. Drawn from the coherent
-    stream, which keeps every IMM_S-consistent candidate in order."""
-    out = []
-    for cand in candidate_executions(test.program, unroll=unroll,
-                                     max_candidates=max_candidates, report=report,
-                                     coherent=True):
-        v = consistency.check_imms(cand.execution)
-        if v.consistent:
-            out.append((cand, sc_witness_rel(cand.execution, v)))
-    return out
-
-
-def _pick_graph(graphs, index, report):
-    """graphs[index], or None once the reason there is none is reported;
-    graphs come from the search that report describes."""
-    truncated = "" if report.complete else (
-        " (the search was truncated: raise --unroll or --max-candidates)")
+def _pick_graph(test, args, imm=False):
+    """The --graph-index-th IMM_S-consistent candidate of test (IMM-consistent
+    too when imm) as (graph, its SC witness, its traversal steps), or None
+    once the reason there is none is reported."""
+    report, stream = _search(test, args.unroll, args.max_candidates, consistency.check_imms)
+    graphs = [(cand.execution, v) for cand, v in stream
+              if not imm or consistency.check_imm(cand.execution).consistent]
     if not graphs:
-        print("no consistent candidate executions" + truncated, file=sys.stderr)
-        return None
-    if not 0 <= index < len(graphs):
-        print(f"--graph-index out of range (0..{len(graphs) - 1}){truncated}",
+        print("no consistent candidate executions" + _truncation(report.complete),
               file=sys.stderr)
         return None
-    return graphs[index]
+    if not 0 <= args.graph_index < len(graphs):
+        print(f"--graph-index out of range (0..{len(graphs) - 1})"
+              + _truncation(report.complete), file=sys.stderr)
+        return None
+    g, v = graphs[args.graph_index]
+    sc = sc_witness_rel(g, v)
+    return g, sc, Traversal(g, sc=sc).traverse()
 
 
 def cmd_traverse(args):
     test = _load(args)
-    report = EnumerationReport()
-    picked = _pick_graph(
-        _consistent_candidates(test, args.unroll, args.max_candidates, report),
-        args.graph_index, report)
+    picked = _pick_graph(test, args)
     if picked is None:
         return 1
-    cand, sc = picked
-    g = cand.execution
-    trav = Traversal(g, sc=sc)
-    steps = trav.traverse()
+    g, _, steps = picked
     if args.trace or not args.json:
         for step in steps:
             print(json.dumps(step.to_json(g)))
@@ -284,16 +288,10 @@ def cmd_certify(args):
     if not 0 <= args.thread < threads:
         print(f"--thread out of range (0..{threads - 1})", file=sys.stderr)
         return 1
-    report = EnumerationReport()
-    picked = _pick_graph(
-        _consistent_candidates(test, args.unroll, args.max_candidates, report),
-        args.graph_index, report)
+    picked = _pick_graph(test, args)
     if picked is None:
         return 1
-    cand, sc = picked
-    g = cand.execution
-    trav = Traversal(g, sc=sc)
-    steps = trav.traverse()
+    g, sc, steps = picked
     if not 0 <= args.step <= len(steps):
         print(f"--step out of range (0..{len(steps)})", file=sys.stderr)
         return 1
@@ -325,19 +323,10 @@ def cmd_certify(args):
 
 def cmd_simulate(args):
     test = _load(args)
-    report = EnumerationReport()
-    graphs = [
-        (cand, sc)
-        for cand, sc in _consistent_candidates(test, args.unroll, args.max_candidates,
-                                               report)
-        if consistency.check_imm(cand.execution).consistent
-    ]
-    picked = _pick_graph(graphs, args.graph_index, report)
+    picked = _pick_graph(test, args, imm=True)
     if picked is None:
         return 1
-    cand, sc = picked
-    g = cand.execution
-    steps = Traversal(g, sc=sc).traverse()
+    g, _, steps = picked
     try:
         trace, outcome = simulate_traversal(g, steps, test.program, unroll=args.unroll)
     except PromiseError as err:
@@ -346,87 +335,72 @@ def cmd_simulate(args):
     if args.trace or not args.json:
         for line in trace:
             print(json.dumps(line))
-    names = test.program.locations
-    rendered = {names[loc] if loc < len(names) else f"loc{loc}": val
-                for loc, val in sorted(outcome.items())}
+    rendered = _named(test, sorted(outcome.items()))
+    matches = outcome == g.outcome()
     doc = {"schema": 1, "test": test.name, "graph_index": args.graph_index,
-           "outcome": rendered, "machine_steps": len(trace),
-           "matches_graph": outcome == g.outcome()}
+           "outcome": rendered, "machine_steps": len(trace), "matches_graph": matches}
     _emit(args, doc, f"machine outcome: {rendered} "
-          f"({'matches' if doc['matches_graph'] else 'DIFFERS FROM'} the graph)")
-    return 0 if doc["matches_graph"] else 1
+          f"({'matches' if matches else 'DIFFERS FROM'} the graph)")
+    return 0 if matches else 1
 
 
 def cmd_compare(args):
+    """Consistency of every candidate under two models, and the inclusions
+    of their outcome sets, which a truncated search leaves unknown."""
     test = _load(args)
-    chk_a = consistency.checker_for(args.model_a)
-    chk_b = consistency.checker_for(args.model_b)
-    only_a, only_b, both, neither = 0, 0, 0, 0
+    a, b = args.model_a, args.model_b
+    chk_a, chk_b = consistency.checker_for(a), consistency.checker_for(b)
+    seen = collections.Counter()  # (consistent under a, under b) -> candidates
     outcomes_a, outcomes_b = set(), set()
-    for cand in candidate_executions(test.program, unroll=args.unroll,
-                                     max_candidates=args.max_candidates):
+    report, stream = _search(test, args.unroll, args.max_candidates)
+    for cand, _ in stream:
         g = cand.execution
         ca, cb = chk_a(g).consistent, chk_b(g).consistent
-        o = tuple(sorted(g.outcome(locations=range(len(test.program.locations))).items()))
+        seen[ca, cb] += 1
+        key = _outcome_key(test, g)
         if ca:
-            outcomes_a.add(o)
+            outcomes_a.add(key)
         if cb:
-            outcomes_b.add(o)
-        only_a += ca and not cb
-        only_b += cb and not ca
-        both += ca and cb
-        neither += not ca and not cb
+            outcomes_b.add(key)
+    a_in_b = outcomes_a <= outcomes_b if report.complete else None
+    b_in_a = outcomes_b <= outcomes_a if report.complete else None
     doc = {
-        "schema": 1, "test": test.name,
-        "models": [args.model_a, args.model_b],
-        "consistent": {"both": both, f"only_{args.model_a}": only_a,
-                       f"only_{args.model_b}": only_b, "neither": neither},
-        "outcome_inclusion": {
-            f"{args.model_a}⊆{args.model_b}": outcomes_a <= outcomes_b,
-            f"{args.model_b}⊆{args.model_a}": outcomes_b <= outcomes_a,
-        },
+        "schema": 1, "test": test.name, "models": [a, b],
+        "consistent": {"both": seen[True, True], f"only_{a}": seen[True, False],
+                       f"only_{b}": seen[False, True], "neither": seen[False, False]},
+        "outcome_inclusion": {f"{a}⊆{b}": a_in_b, f"{b}⊆{a}": b_in_a},
     }
     human = (
-        f"{test.name}: {args.model_a} vs {args.model_b}: both={both} "
-        f"only-{args.model_a}={only_a} only-{args.model_b}={only_b} neither={neither}; "
-        f"outcomes {args.model_a}⊆{args.model_b}: {outcomes_a <= outcomes_b}"
+        f"{test.name}: {a} vs {b}: both={seen[True, True]} only-{a}={seen[True, False]} "
+        f"only-{b}={seen[False, True]} neither={seen[False, False]}; "
+        f"outcomes {a}⊆{b}: {'unknown' if a_in_b is None else a_in_b}"
     )
-    _emit(args, doc, human)
+    _emit(args, doc, human, report.complete)
     return 0
 
 
 def run_one(path, models, unroll, max_candidates):
     started = time.time()
     try:
-        with open(path, "rb") as fh:
-            test = parse_litmus(fh.read(), path)
+        test = _read(path)
     except (OSError, ParseError) as err:
         return {"file": path, "test": path, "models": {}, "ok": False,
                 "error": str(err), "seconds": round(time.time() - started, 3)}
-    wanted = models or sorted(test.expectations)
     entry = {"file": path, "test": test.name, "models": {}, "ok": True}
-    for model in wanted:
-        verdict, outcomes, report = _model_verdict(
-            test, consistency.checker_for(model), unroll, max_candidates)
-        expected = test.expectations.get(model)
-        ok = expected is None or expected == verdict
-        entry["models"][model] = {
-            "verdict": verdict, "expected": expected, "ok": ok,
-            "outcomes": len(outcomes), "complete": report.complete,
-            "pruned": report.pruned, "shapes": report.shapes,
-        }
-        entry["ok"] = entry["ok"] and ok
+    for model in models or sorted(test.expectations):
+        found, outcomes = _model_entry(test, model, unroll, max_candidates)
+        entry["models"][model] = {**found, "outcomes": len(outcomes)}
+        entry["ok"] = entry["ok"] and found["ok"]
     entry["seconds"] = round(time.time() - started, 3)
     return entry
 
 
 def cmd_run(args):
     paths = []
-    for root, _, files in os.walk(args.corpus):
+    for root, _, files in os.walk(args.corpus, onerror=lambda err: _fail(err.filename, err)):
         for name in sorted(files):
             if name.endswith(".litmus"):
                 paths.append(os.path.join(root, name))
-    results = []
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(args.jobs) as pool:
             futures = [pool.submit(run_one, p, args.models, args.unroll,

@@ -491,12 +491,18 @@ def _parse_instruction(line, lineno, loc_leaves):
     def expr(text):
         return _subst(parse_expr(text, lineno), loc_leaves)
 
-    if ":=" in line:
-        reg, _, rhs = line.partition(":=")
-        reg = reg.strip()
+    def dest(reg):
+        """reg as the register the instruction writes: a name, and not a
+        location's, which every expression would read as the location."""
         if not reg.isidentifier():
             raise ParseError(f"bad register name {reg!r}", lineno)
-        return Assign(reg, expr(rhs))
+        if Reg(reg) in loc_leaves:
+            raise ParseError(f"register {reg!r} has the name of a location", lineno)
+        return reg
+
+    if ":=" in line:
+        reg, _, rhs = line.partition(":=")
+        return Assign(dest(reg.strip()), expr(rhs))
     parts = line.split()
     head = parts[0]
     if head == "if":
@@ -522,7 +528,7 @@ def _parse_instruction(line, lineno, loc_leaves):
             raise ParseError(f"bad read mode {mode!r}", lineno)
         if len(rest) < 2:
             raise ParseError("r[o] expects: reg loc", lineno)
-        return Load(mode, rest[0], expr(" ".join(rest[1:])))
+        return Load(mode, dest(rest[0]), expr(" ".join(rest[1:])))
     if mnemonic == "f":
         (mode,), _ = _parse_modes(modes_spec, lineno, 1)
         if mode not in FENCE_MODES:
@@ -534,14 +540,14 @@ def _parse_instruction(line, lineno, loc_leaves):
             raise ParseError(f"bad fadd modes [{modes_spec}]", lineno)
         if len(rest) != 3:
             raise ParseError("fadd expects: reg loc addend", lineno)
-        return Fadd(rmode, wmode, rmw, rest[0], expr(rest[1]), expr(rest[2]))
+        return Fadd(rmode, wmode, rmw, dest(rest[0]), expr(rest[1]), expr(rest[2]))
     if mnemonic == "cas":
         (rmode, wmode), rmw = _parse_modes(modes_spec, lineno, 2)
         if rmode not in READ_MODES or wmode not in WRITE_MODES:
             raise ParseError(f"bad cas modes [{modes_spec}]", lineno)
         if len(rest) != 4:
             raise ParseError("cas expects: reg loc expected new", lineno)
-        return Cas(rmode, wmode, rmw, rest[0], expr(rest[1]), expr(rest[2]), expr(rest[3]))
+        return Cas(rmode, wmode, rmw, dest(rest[0]), expr(rest[1]), expr(rest[2]), expr(rest[3]))
     raise ParseError(f"unrecognized instruction {line!r}", lineno)
 
 

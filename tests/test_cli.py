@@ -1,11 +1,14 @@
 import json
 import os
+from collections import Counter
 import subprocess
 import sys
 
 import pytest
 
+from immlab import fuzz
 from immlab.cli import main
+from immlab.consistency import Verdict
 from immlab.enumeration import candidate_executions
 
 from conftest import CORPUS_DIR, SPIN_LITMUS
@@ -228,6 +231,27 @@ class TestOther:
                             "--checks", "inclusions")
         assert code == 0 and "1 truncated" in out
 
+    def test_fuzz_computes_each_verdict_once_where_it_is_read(self, monkeypatch):
+        # a c11 check that rejects every graph makes each implication that
+        # reads it fire, so the violations count the candidates it was read on
+        calls = Counter()
+        for name in ("check_imms", "check_c11", "split_release"):
+            def counted(g, _name=name, _check=getattr(fuzz, name)):
+                calls[_name] += 1
+                verdict = _check(g)
+                if _name == "check_c11":
+                    return Verdict("c11", violations=[("rejected", None)])
+                return verdict
+
+            monkeypatch.setattr(fuzz, name, counted)
+        report = fuzz.fuzz_run(7, count=5)
+        found = Counter(v["check"] for v in report.violations)
+        imm, rc11 = found["imm=>c11"], found["rc11=>c11"]  # consistent candidates
+        assert 0 < imm < report.candidates and rc11 > 0
+        assert calls["check_imms"] == imm
+        assert calls["split_release"] == report.candidates - imm
+        assert max(imm, rc11) <= calls["check_c11"] < imm + rc11
+
     def test_fuzz_seed_required(self, capsys):
         with pytest.raises(SystemExit):
             main(["fuzz", "--count", "1"])
@@ -262,6 +286,20 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert exit_info.value.code == 2 and captured.out == ""
         assert captured.err == f"immlab: {path}: No such file or directory\n"
+
+    # both once printed "all expectations met (0 tests)" and exited 0
+    @pytest.mark.parametrize("name, reason", [
+        ("absent", "No such file or directory"), ("mp.litmus", "Not a directory"),
+    ])
+    def test_run_on_a_path_that_is_no_directory_is_reported(self, capsys, tmp_path,
+                                                            name, reason):
+        (tmp_path / "mp.litmus").write_text((CORPUS_DIR / "mp.litmus").read_text())
+        path = tmp_path / name
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", str(path)])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2 and captured.out == ""
+        assert captured.err == f"immlab: {path}: {reason}\n"
 
     def test_no_traceback_from_the_command_line(self, tmp_path):
         path = tmp_path / "bad.litmus"
@@ -318,6 +356,33 @@ class TestBadArguments:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith(
             "no consistent candidate executions (the search was truncated")
+
+    # enumerate once printed its own note, and the other three none
+    @pytest.mark.parametrize("command, rest", [
+        ("enumerate", ()), ("outcomes", ("--model", "imm")), ("map", ("--target", "arm")),
+        ("compare", ("imm", "rc11")),
+    ])
+    def test_every_search_notes_a_truncation(self, capsys, command, rest):
+        argv = [command, str(CORPUS_DIR / "mp.litmus"), *rest, "--max-candidates", "1"]
+        code, out = run_cli(capsys, *argv)
+        first, *_ = out.splitlines()
+        assert code == 0 and first.endswith(
+            " (the search was truncated: raise --unroll or --max-candidates)")
+        code, out = run_cli(capsys, *argv, "--json")
+        assert code == 0 and json.loads(out)["complete"] is False
+        code, out = run_cli(capsys, *argv[:-2], "--json")
+        assert code == 0 and json.loads(out)["complete"] is True
+
+    def test_truncated_compare_leaves_inclusions_unknown(self, capsys):
+        # after 1 of mp's 4 candidates, imm⊆rc11 once read True
+        argv = ["compare", str(CORPUS_DIR / "mp.litmus"), "imm", "rc11", "--max-candidates", "1"]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0 and "outcomes imm⊆rc11: unknown (the search was truncated" in out
+        code, out = run_cli(capsys, *argv, "--json")
+        assert code == 0
+        assert json.loads(out)["outcome_inclusion"] == {"imm⊆rc11": None, "rc11⊆imm": None}
+        code, out = run_cli(capsys, *argv[:-2], "--json")
+        assert json.loads(out)["outcome_inclusion"] == {"imm⊆rc11": True, "rc11⊆imm": True}
 
     def test_simulation_failure_is_reported(self, capsys):
         code = main(["simulate", str(CORPUS_DIR / "mp.litmus")])

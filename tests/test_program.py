@@ -150,6 +150,7 @@ class TestParse:
 
 HEAD = 'prog "P"\nlocations x\n'
 ONE_STORE = "thread 0:\n  w[rlx] x 1\n"
+CLASH = 'prog "P"\nlocations x y\nthread 0:\n  w[rlx] x 1\n  r[rlx] x y\n  w[rlx] y x + 1\n'
 
 
 class TestMalformed:
@@ -166,12 +167,30 @@ class TestMalformed:
         (HEAD + "thread 0:\n  r[rlx] a x\n  if a goto\n", 5),
         (HEAD + "thread 0:\n  threads :=\n", 4),
         ((HEAD + ONE_STORE).encode() + b"  w[rlx] x \xff\n", 5),
+        (HEAD + "thread 0:\n  r[rlx] 5 x\n", 4),
+        (HEAD + ONE_STORE + "  fadd[rlx,rlx] 5 x 1\n", 5),
+        (HEAD + "thread 0:\n  cas[rlx,rlx] 7 x 0 1\n", 4),
+        (CLASH, 5),
+        (HEAD + "thread 0:\n  w[rlx] x 1\n  x := 2\n", 5),
     ], ids=["vals-word", "thread-word", "goto-word", "assert-word", "superscript-digit",
-            "bare-vals", "bare-thread", "goto-no-target", "register-threads", "not-utf8"])
+            "bare-vals", "bare-thread", "goto-no-target", "register-threads", "not-utf8",
+            "load-into-number", "fadd-into-number", "cas-into-number",
+            "load-into-location", "assign-into-location"])
     def test_malformed_input_is_a_parse_error(self, text, line):
         with pytest.raises(ParseError) as err:
             parse_litmus(text)
         assert err.value.line == line
+
+    @pytest.mark.parametrize("text, message", [
+        (HEAD + "thread 0:\n  r[rlx] 5 x\n", "bad register name '5' (line 4)"),
+        (CLASH, "register 'x' has the name of a location (line 5)"),
+    ], ids=["number", "location"])
+    def test_a_destination_is_a_register_name(self, text, message):
+        # `r[rlx] 5 x` once defined a register `5`, and under CLASH the store
+        # once wrote `0 + 1` to location 1, the load of `x` read as location 0
+        with pytest.raises(ParseError) as err:
+            parse_litmus(text)
+        assert str(err.value) == message
 
     def test_a_header_is_a_whole_first_word(self):
         # registers whose names start with a header keyword are registers
