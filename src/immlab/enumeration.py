@@ -192,20 +192,6 @@ class ThreadResult:
         return tuple((rec.label.slot, rec.rmw_from, rec.data, rec.addr, rec.ctrl,
                       rec.casdep) for rec in self.events)
 
-    @functools.cached_property
-    def po_loc_pairs(self):
-        """(a, b, b is a write) for each two events of the run at one
-        location with none there between them, as indices into events."""
-        pairs = []
-        last = {}
-        for idx, rec in enumerate(self.events):
-            loc = rec.label.loc
-            if loc is not None:
-                if loc in last:
-                    pairs.append((last[loc], idx, rec.label.kind == "w"))
-                last[loc] = idx
-        return pairs
-
 
 def step_budget(sprog, unroll):
     """How many instruction steps one run of thread program sprog may take:
@@ -284,13 +270,15 @@ def _dependencies(combo, n, base):
 def candidate_executions(program, unroll=8, max_candidates=None, report=None,
                          coherent=False):
     """Stream candidate full executions in deterministic lexicographic order,
-    at most max_candidates of them (at least 1) when a cap is given. A
-    register that a run never sets is 0 in its final registers.
+    at most max_candidates of them (at least 1) when a cap is given; the
+    search reads as cut only when a further candidate exists. A register
+    that a run never sets is 0 in its final registers.
 
     With coherent=True only the completions that satisfy SC-per-location
     are made (see _Completions.complete); they come in the same relative
     order as in the full stream, the cap counts them alone, and
-    report.pruned counts the completions dropped.
+    report.pruned counts the completions dropped under the rf choices
+    whose orders were all examined.
 
     Thread combinations whose runs agree on everything but values share
     one shape (execgraph.Shape) and one _Completions; the memo of them
@@ -319,68 +307,27 @@ def candidate_executions(program, unroll=8, max_candidates=None, report=None,
     for key, combo in zip(itertools.product(*key_ids), itertools.product(*per_thread)):
         completions = shapes.get(key)
         if completions is None:
-            completions = shapes[key] = _Completions(combo, coherent)
+            completions = shapes[key] = _Completions(combo)
         for cand in completions.complete(combo, report if coherent else None):
+            if emitted == max_candidates:  # and one more candidate exists
+                report.truncated_candidates = True
+                return
             made.add(key)
             report.shapes = len(made)
             yield cand
             emitted += 1
             report.candidates = emitted
-            if max_candidates is not None and emitted >= max_candidates:
-                report.truncated_candidates = True
-                return
-
-
-def _coherent_orders(pairs, positions, reads, parts):
-    """For one location, the function from an rf choice to those of its co
-    orders (`parts`, in co_parts form) that keep po_loc ∪ rf ∪ co ∪ fr
-    acyclic there, memoized on the location's own rf sub-choice (the
-    writers of the reads at `positions`). `pairs` holds each (a, b, b is a
-    write) with a and b po-consecutive events of one thread at the location.
-
-    Let pos(e) be e for a write and its rf source for a read. Every rf, co
-    and fr edge keeps pos co-non-decreasing, and co and fr raise it. Hence
-    the location is acyclic exactly when, along each pair (a, b), pos(a) is
-    co-before pos(b), or pos(a) = pos(b) with b a read: a cycle could then
-    hold only rf edges and po edges into reads, and those never close a
-    cycle; conversely a pair that fails closes one with co, fr, rf, co;rf
-    or fr;rf from b back to a. An rf choice under which some pair has
-    pos(a) = pos(b) for a write b (b feeds a po-earlier read: a po_loc ∪ rf
-    cycle) keeps no order at all."""
-    ranks = [{w: i for i, (w, _) in enumerate(part)} for part in parts]
-    loc_reads = [reads[p] for p in positions]
-    memo = {}
-
-    def survivors(rf_combo):
-        key = tuple(rf_combo[p] for p in positions)
-        kept = memo.get(key)
-        if kept is None:
-            src = dict(zip(loc_reads, key))
-            before = set()
-            for a, b, to_write in pairs:
-                sa, sb = src.get(a, a), src.get(b, b)
-                if sa != sb:
-                    before.add((sa, sb))
-                elif to_write:
-                    before = None
-                    break
-            kept = [] if before is None else [
-                part for part, rank in zip(parts, ranks)
-                if all(rank[x] < rank[y] for x, y in before)]
-            memo[key] = kept
-        return kept
-
-    return survivors
 
 
 class _Completions:
     """What every skeleton of one shape shares, built from the first thread
     combination seen with it: the shape, the writes each read may take its
-    value from, each location's co orders and, on the coherent stream, each
-    location's filter of them. A skeleton's events are one init write per
-    location first, by location, then each thread's events in order."""
+    value from, the co rows every order shares and the writes left to
+    order, and the po-consecutive pairs the coherent stream constrains. A
+    skeleton's events are one init write per location first, by location,
+    then each thread's events in order."""
 
-    def __init__(self, combo, coherent):
+    def __init__(self, combo):
         locs = sorted({rec.label.loc for res in combo for rec in res.events
                        if rec.label.loc is not None})
         self.init_labels = tuple(Write("rlx", loc, 0, "normal") for loc in locs)
@@ -395,34 +342,80 @@ class _Completions:
         # per read, the writes to its location, in event order
         self.sources = [sorted(shape.writes_to(slots[r].loc)) for r in reads]
 
-        co_parts = []  # per location, per order: (write, writes it precedes) pairs
+        # the init write k of each location is co-first, so its row is known;
+        # so is the row of a location's only other write. The writes of the
+        # other locations (`groups`: all of the location's writes as a mask,
+        # its non-init writes ascending) are ordered per completion.
+        self.co_base = [0] * shape.n
+        self.groups = []
+        self.full = 1
         for k, loc in enumerate(locs):
-            # the location's writes are the init write k, then its others
-            orders = [[k, *perm]
-                      for perm in itertools.permutations(sorted(shape.writes_to(loc) - {k}))]
-            co_parts.append([
-                [(w, sum(1 << v for v in order[i + 1:])) for i, w in enumerate(order)]
-                for order in orders
-            ])
-        self.co_parts = co_parts
-        self.full = math.prod(len(parts) for parts in co_parts)
+            rest = sorted(shape.writes_to(loc) - {k})
+            mask = (1 << k) + sum(1 << w for w in rest)
+            self.co_base[k] = mask - (1 << k)
+            if len(rest) > 1:
+                self.groups.append((mask, tuple(rest)))
+                self.full *= math.factorial(len(rest))
+        self.inits = (1 << len(locs)) - 1
+        # (a, b, b is a write) for each two po-consecutive events of a thread
+        # at one location
+        self.pairs = [(a, b, slots[b].kind == "w")
+                      for a, b in shape.po_loc.immediate() if a >= len(locs)]
 
-        # (position in co_parts, its filter) for each location where some
-        # thread has two events; at any other location every order is coherent
-        self.filters = []
-        if coherent:
-            pairs = {}
-            base = len(locs)
-            for res in combo:
-                for a, b, to_write in res.po_loc_pairs:
-                    pairs.setdefault(slots[base + b].loc, []).append(
-                        (base + a, base + b, to_write))
-                base += len(res.events)
-            for k, loc in enumerate(locs):
-                if loc in pairs:
-                    on_loc = [p for p, r in enumerate(reads) if slots[r].loc == loc]
-                    self.filters.append(
-                        (k, _coherent_orders(pairs[loc], on_loc, reads, co_parts[k])))
+    def _co_rows(self, need):
+        """The co of each completion, as rows: every location's non-init
+        writes take each order after its init write in which every write w
+        comes after the writes of the mask need[w], in the order of the
+        product over locations of itertools.permutations of its writes.
+        Orders are built depth-first, each next write the lowest-index
+        unplaced one whose required predecessors are placed, so none is
+        made that is not yielded. The rows are shared: read each before
+        asking for the next."""
+        rows = list(self.co_base)
+        groups = self.groups
+
+        def place(g, left, placed):
+            if not left:
+                g += 1
+                if g == len(groups):
+                    yield rows
+                    return
+                left = groups[g][1]
+            mask = groups[g][0]
+            for i, w in enumerate(left):
+                if need[w] & ~placed == 0:
+                    now = placed | 1 << w
+                    rows[w] = mask & ~now
+                    yield from place(g, left[:i] + left[i + 1:], now)
+
+        return place(-1, (), self.inits)
+
+    def _needs(self, rf_combo):
+        """Per write, the mask of the writes that co must put before it for
+        the completion with rf_combo to satisfy SC-per-location, or None if
+        no co does.
+
+        Let pos(e) be e for a write and its rf source for a read. Every rf,
+        co and fr edge keeps pos co-non-decreasing, and co and fr raise it.
+        Hence a location is acyclic exactly when, along each po-consecutive
+        pair (a, b) there, pos(a) is co-before pos(b), or pos(a) = pos(b)
+        with b a read: a cycle could then hold only rf edges and po edges
+        into reads, and those never close a cycle; conversely a pair that
+        fails closes one with co, fr, rf, co;rf or fr;rf from b back to a.
+        An rf choice under which some pair has pos(a) = pos(b) for a write b
+        (b feeds a po-earlier read: a po_loc ∪ rf cycle), or pos(b) is an
+        init write, keeps no order at all."""
+        src = dict(zip(self.reads, rf_combo))
+        need = [0] * self.shape.n
+        for a, b, to_write in self.pairs:
+            sa, sb = src.get(a, a), src.get(b, b)
+            if sa != sb:
+                if self.inits >> sb & 1:
+                    return None
+                need[sb] |= 1 << sa
+            elif to_write:
+                return None
+        return need
 
     def complete(self, combo, report=None):
         """Enumerate rf and co completions of the skeleton of combo, which
@@ -431,23 +424,23 @@ class _Completions:
         non-init writes take each permutation after its init write.
 
         Given a report, only the completions that satisfy SC-per-location,
-        acyclic(po_loc ∪ rf ∪ fr ∪ co), are made, and report.pruned counts
-        the rest; nothing is built for them. Every edge of that union joins
-        events of one location, so the check splits into one per location
-        that reads only that location's rf and co choices
-        (_coherent_orders), and the survivors are the product of each
-        location's surviving orders, taken in the order of the full
-        product. Dropping them loses no consistent candidate of any model
-        decided here:
+        acyclic(po_loc ∪ rf ∪ fr ∪ co), are made, and report.pruned counts,
+        per rf choice whose orders were all made, the orders not made;
+        nothing is built for them. Every edge of that union joins events of
+        one location, so the check splits into one per location that reads
+        only that location's rf and co choices, and it bounds which orders
+        are made (_needs, _co_rows); the survivors come in the order of the
+        full product. Dropping them loses no consistent candidate of any
+        model decided here:
 
         - imm, imms, c11, rc11: their coherence axiom is irreflexive(hb;eco?)
           with hb either the IMM hb or hb_rc11, and po ⊆ hb in both. Every
           completion has functional, total rf and a strict total co per
           location, so eco is rf ∪ co;rf? ∪ fr;rf?. A po_loc ∪ rf ∪ fr ∪ co
-          cycle contains a po_loc pair (a, b) that _coherent_orders rejects,
-          and every rejected pair has eco(b, a): co, fr, rf, co;rf or fr;rf
-          from b to a. With po(a, b) ⊆ hb, hb;eco? is reflexive at a. This
-          is the coherence theorem of Lahav et al., Repairing Sequential
+          cycle contains a po_loc pair (a, b) that _needs rejects, and every
+          rejected pair has eco(b, a): co, fr, rf, co;rf or fr;rf from b to
+          a. With po(a, b) ⊆ hb, hb;eco? is reflexive at a. This is the
+          coherence theorem of Lahav et al., Repairing Sequential
           Consistency in C/C++11 (PLDI 2017).
         - power (with or without the at-order axiom, POWER or ARMv7
           dependency order) and arm: their first row is sc-per-loc, the
@@ -470,29 +463,25 @@ class _Completions:
 
         shape = self.shape
         n = shape.n
-        filters = self.filters if report is not None else ()
+        need = [0] * n
         final_regs = {res.tid: dict(res.phi) for res in combo}
         for rf_combo in itertools.product(*writers_of):
-            co_choices = self.co_parts
-            if filters:
-                co_choices = list(co_choices)
-                for k, survivors in filters:
-                    co_choices[k] = survivors(rf_combo)
-                kept = math.prod(len(parts) for parts in co_choices)
-                report.pruned += self.full - kept
-                if not kept:
+            if report is not None and self.pairs:
+                need = self._needs(rf_combo)
+                if need is None:
+                    report.pruned += self.full
                     continue
             rf = [0] * n
             for w, r in zip(rf_combo, self.reads):
                 rf[w] |= 1 << r
             rf = Rel.from_rows(n, rf)
-            for co_combo in itertools.product(*co_choices):
-                co = [0] * n
-                for order in co_combo:
-                    for w, later in order:
-                        co[w] = later
+            made = 0
+            for co in self._co_rows(need):
                 execution = Execution.on(shape, labels, rf=rf, co=Rel.from_rows(n, co))
                 yield Candidate(execution=execution, final_regs=final_regs)
+                made += 1
+            if report is not None:
+                report.pruned += self.full - made
 
 
 def assertion_values(candidate, program, outcome=None):

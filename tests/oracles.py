@@ -1,7 +1,8 @@
 """Independent oracles: matrix algebra via numpy, naive set saturation, DFS,
 PairRel, a relation stored as a frozenset of pairs, pair_built_candidates,
-the candidate stream built from event pairs through Execution.build, and
-sc_per_location, SC-per-location decided over event pairs, and
+the candidate stream built from event pairs through Execution.build from
+co orders tabulated up front (on the coherent stream filtered per rf choice
+by rank), sc_per_location, SC-per-location decided over event pairs, and
 cert_co_pairs/cert_rf_pairs, the certification coherence and reads-from
 built by loops over event pairs, coverable_preimage/issuable_preimage/
 check_config_preimage, the traversal side conditions as preimage inclusions
@@ -13,6 +14,7 @@ routes.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -291,18 +293,27 @@ def pair_union_all(n, rels):
     return PairRel(n, pairs)
 
 
-def pair_built_candidates(program, unroll=8):
+def pair_built_candidates(program, unroll=8, coherent=False, report=None):
     """(execution, final registers) for every candidate, in the order of
     enumeration.candidate_executions, with each skeleton kept as (event,
     label) pairs and event-pair relations and each completion made by
-    Execution.build; a register a run never sets is 0."""
+    Execution.build; a register a run never sets is 0.
+
+    Co orders are tabulated up front: every permutation of each location's
+    non-init writes after its init write. With coherent=True each rf choice
+    keeps the orders that rank pos(a) before pos(b) for each po-consecutive
+    pair (a, b) at one location, where pos(e) is e for a write and its rf
+    source for a read; a pair with pos(a) = pos(b) and b a write keeps none.
+    report.pruned then counts, per rf choice, the orders not kept."""
     values = program.candidate_values()
     per_thread = [thread_graphs(body, tid, values, unroll)[0]
                   for tid, body in enumerate(program.threads)]
     for combo in itertools.product(*per_thread):
         event_labels = []
         rels = {"rmw": [], "data": [], "addr": [], "ctrl": [], "casdep": []}
+        pairs = []  # (a, b, b is a write), po-consecutive at one location
         for res in combo:
+            last = {}
             for idx, rec in enumerate(res.events):
                 ev = Event(res.tid, idx)
                 event_labels.append((ev, rec.label))
@@ -310,6 +321,10 @@ def pair_built_candidates(program, unroll=8):
                     rels["rmw"].append((Event(res.tid, rec.rmw_from), ev))
                 for name in ("data", "addr", "ctrl", "casdep"):
                     rels[name] += [(Event(res.tid, src), ev) for src in getattr(rec, name)]
+                if rec.label.loc is not None:
+                    if rec.label.loc in last:
+                        pairs.append((last[rec.label.loc], ev, rec.label.kind == "w"))
+                    last[rec.label.loc] = ev
         for loc in sorted({lab.loc for _, lab in event_labels if lab.loc is not None}):
             event_labels.append((Event.init(loc), Write("rlx", loc, 0, "normal")))
         label = dict(event_labels)
@@ -327,12 +342,40 @@ def pair_built_candidates(program, unroll=8):
         regs = {res.tid: dict.fromkeys(program.thread_regs(res.tid), 0) | res.phi
                 for res in combo}
         for rf_choice in itertools.product(*writers):
-            for orders in itertools.product(*co_orders):
+            kept = co_orders
+            if coherent:
+                kept = _ranked_orders(co_orders, pairs, dict(zip(reads, rf_choice)))
+                report.pruned += (math.prod(map(len, co_orders))
+                                  - math.prod(map(len, kept)))
+            for orders in itertools.product(*kept):
                 co = [(a, b) for order in orders
                       for i, a in enumerate(order) for b in order[i + 1:]]
                 g = Execution.build(event_labels, rf=list(zip(rf_choice, reads)), co=co,
                                     **rels)
                 yield g, regs
+
+
+def _ranked_orders(co_orders, pairs, src):
+    """Per location, the orders of co_orders that rank pos(a) before pos(b)
+    for each pair (a, b, b is a write) with pos(a) ≠ pos(b); none if some
+    pair has pos(a) = pos(b) for a write b. src maps each read to its
+    write."""
+    before = []
+    for a, b, to_write in pairs:
+        sa, sb = src.get(a, a), src.get(b, b)
+        if sa != sb:
+            before.append((sa, sb))
+        elif to_write:
+            return [[] for _ in co_orders]
+    kept = []
+    for orders in co_orders:
+        ranked = []
+        for order in orders:
+            rank = {w: i for i, w in enumerate(order)}
+            if all(rank[x] < rank[y] for x, y in before if x in rank):
+                ranked.append(order)
+        kept.append(ranked)
+    return kept
 
 
 def sc_per_location(g):

@@ -151,6 +151,17 @@ class TestCheck:
         doc = json.loads(out)
         assert code == 1 and doc["verdict"] == "unknown" and not doc["ok"]
 
+    def test_cap_equal_to_the_candidate_count_cuts_nothing(self, capsys):
+        # mp has exactly 4 candidates on either stream
+        mp = str(CORPUS_DIR / "mp.litmus")
+        code, out = run_cli(capsys, "check", mp, "--model", "imm", "--max-candidates", "4")
+        assert code == 0 and "assertion forbidden (expected forbidden: ok)" in out
+        note = " (the search was truncated: raise --unroll or --max-candidates)"
+        for cap, cut in (("4", False), ("3", True)):
+            code, out = run_cli(capsys, "enumerate", mp, "--max-candidates", cap)
+            first, *_ = out.splitlines()
+            assert code == 0 and first.endswith(note) is cut, cap
+
 
 class TestOther:
     def test_enumerate(self, capsys):
