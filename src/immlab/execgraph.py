@@ -35,7 +35,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .program import FENCE_MODES, READ_MODES, WRITE_MODES, mode_leq
-from .relalg import Rel, remapping_onto
+from .relalg import Rel
 
 INIT_TID = -1
 
@@ -238,12 +238,6 @@ def _sw(g, rs, rf):
     return release.seq(rs, rf, acquire)
 
 
-def _psc(g, hb, eco):
-    """[F^sc];hb;eco;hb;[F^sc]"""
-    id_fsc = g.ident(g.F_sc)
-    return id_fsc.seq(hb, eco, hb, id_fsc)
-
-
 IMM_STATIC = {
     "deps": lambda g, r: (
         g.data | g.ctrl | g.addr.compose(g.po.opt()) | g.casdep
@@ -267,7 +261,7 @@ IMM_RELS = BASE_RELS | static_entries(IMM_STATIC) | {
     "sw": lambda g, r: _sw(g, r.rs, r.rfi | g.po_loc.opt().compose(r.rfe)),
     "hb": lambda g, r: (g.po | r.sw).plus(),
     "ppo": lambda g, r: g.ident(g.R).seq((r.deps | r.rfi).plus(), g.ident(g.W)),
-    "psc": lambda g, r: _psc(g, r.hb, r.eco),
+    "psc": lambda g, r: g.ident(g.F_sc).seq(r.hb, r.eco, r.hb, g.ident(g.F_sc)),
     "ar_base": lambda g, r: r.rfe | r.bob | r.ppo | r.detour | r.strong_po,
     "ar": lambda g, r: r.ar_base | r.psc,
     "rs_rc11": lambda g, r: (
@@ -275,8 +269,6 @@ IMM_RELS = BASE_RELS | static_entries(IMM_STATIC) | {
     ),
     "sw_rc11": lambda g, r: _sw(g, r.rs_rc11, g.rf),
     "hb_rc11": lambda g, r: (g.po | r.sw_rc11).plus(),
-    "psc_rc11": lambda g, r: _psc(g, r.hb_rc11, r.eco),
-    "ar_rc11": lambda g, r: r.ar_base | r.psc_rc11,
     "vf_rlx": lambda g, r: g.rf.opt().compose(g.po.opt()),
 }
 _IMM = namespace(IMM_RELS)
@@ -612,11 +604,6 @@ class Execution:
                 out.append("sc shape: outside F^sc × F^sc")
         return out
 
-    def is_initialized(self):
-        used = {lab.loc for lab in self.labels if lab.loc is not None}
-        have = {self.events[i].init_loc for i in self.init_events}
-        return used <= have
-
     # -- derived relations ------------------------------------------------------------
 
     def derive(self):
@@ -640,36 +627,6 @@ class Execution:
         sc_rel = sc if sc is not None else Rel(self.n)
         return rf_d.seq(
             hb.compose(self.ident(self.F_sc)).opt(), sc_rel.opt(), hb
-        )
-
-    # -- transformations ---------------------------------------------------------------
-
-    def restrict_thread(self, tid):
-        """Thread-local restriction: events of one thread, rf = co = ∅."""
-        keep = sorted(self.thread_events(tid))
-        m = remapping_onto(keep, self.n)
-        return Execution(
-            [self.events[i] for i in keep], [self.labels[i] for i in keep],
-            rmw=m(self.rmw), data=m(self.data), addr=m(self.addr),
-            ctrl=m(self.ctrl), casdep=m(self.casdep), model=self.model,
-        )
-
-    def signature(self):
-        """Structure modulo event ids: labels plus relations as event pairs."""
-        ev = self.events
-
-        def sig(rel):
-            return tuple(
-                sorted(
-                    ((ev[a], ev[b]) for a, b in rel),
-                    key=lambda p: (p[0].key(), p[1].key()),
-                )
-            )
-
-        return (
-            tuple((e, lab) for e, lab in zip(ev, self.labels)),
-            sig(self.rmw), sig(self.data), sig(self.addr), sig(self.ctrl),
-            sig(self.casdep), sig(self.rf), sig(self.co),
         )
 
     def outcome(self, locations=None):

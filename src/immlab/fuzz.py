@@ -46,7 +46,7 @@ class FuzzConfig:
 def random_program(rng, cfg):
     n_threads = rng.choice(cfg.threads)
     threads = []
-    sc_budget = 3  # keeps the existential SC-order search at ≤ 3! permutations
+    sc_budget = 3  # at most 3 SC fences; lifting it would change every seeded stream
     for tid in range(n_threads):
         body = []
         regs = []

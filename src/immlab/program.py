@@ -15,7 +15,6 @@ MODES = ("rlx", "acq", "rel", "acqrel", "sc")
 READ_MODES = ("rlx", "acq")
 WRITE_MODES = ("rlx", "rel")
 FENCE_MODES = ("acq", "rel", "acqrel", "sc")
-RMW_MODES = ("normal", "strong")
 
 _MODE_GENERATORS = {
     ("rlx", "acq"),

@@ -6,8 +6,12 @@ by rank), sc_per_location, SC-per-location decided over event pairs, and
 cert_co_pairs/cert_rf_pairs, the certification coherence and reads-from
 built by loops over event pairs, coverable_preimage/issuable_preimage/
 check_config_preimage, the traversal side conditions as preimage inclusions
-per event, and sim_invariants_full, every simulation-invariant clause of
-every thread with nothing carried between checks.
+per event, sim_invariants_full, every simulation-invariant clause of every
+thread with nothing carried between checks, and sc_fence_order_by_search,
+the s-model's SC-fence order sought over every permutation of the fences.
+
+It also keeps the graph helpers that only tests call: restrict_thread,
+is_initialized and signature.
 
 The relation oracles deliberately avoid immlab.relalg so each check has two
 routes.
@@ -19,9 +23,11 @@ import math
 import numpy as np
 
 from immlab.certification import CertificationError
+from immlab.consistency import _imms_sc_axioms
 from immlab.enumeration import thread_graphs
 from immlab.execgraph import Event, Execution, Write
 from immlab.promise import Message, _can_reach
+from immlab.relalg import Rel, remapping_onto
 
 
 def matrix_of(pairs, n):
@@ -539,3 +545,53 @@ def sim_invariants_full(g, tmap, covered, issued, ms, unroll):
         if not _can_reach(g, tid, ts.sigma, unroll):
             problems.append(f"thread {tid} cannot reach its full graph")
     return problems
+
+
+def sc_fence_order_by_search(g, d):
+    """consistency._sc_fence_order on a graph with SC fences and no sc, with
+    the order sought, not built: the first permutation of the sorted fences
+    whose total order passes _imms_sc_axioms."""
+    for perm in itertools.permutations(sorted(g.F_sc)):
+        sc = Rel(g.n, ((perm[i], perm[j])
+                       for i in range(len(perm))
+                       for j in range(i + 1, len(perm))))
+        if _imms_sc_axioms(g, d, sc):
+            return [], tuple(sc)
+    return [("s-no-thin-air", "no total SC-fence order satisfies the axioms")], None
+
+
+def restrict_thread(g, tid):
+    """Thread-local restriction of g: events of one thread, rf = co = ∅."""
+    keep = sorted(g.thread_events(tid))
+    m = remapping_onto(keep, g.n)
+    return Execution(
+        [g.events[i] for i in keep], [g.labels[i] for i in keep],
+        rmw=m(g.rmw), data=m(g.data), addr=m(g.addr),
+        ctrl=m(g.ctrl), casdep=m(g.casdep), model=g.model,
+    )
+
+
+def is_initialized(g):
+    """Every location a label names has an initialization event."""
+    used = {lab.loc for lab in g.labels if lab.loc is not None}
+    have = {g.events[i].init_loc for i in g.init_events}
+    return used <= have
+
+
+def signature(g):
+    """Structure of g modulo event ids: labels plus relations as event pairs."""
+    ev = g.events
+
+    def sig(rel):
+        return tuple(
+            sorted(
+                ((ev[a], ev[b]) for a, b in rel),
+                key=lambda p: (p[0].key(), p[1].key()),
+            )
+        )
+
+    return (
+        tuple((e, lab) for e, lab in zip(ev, g.labels)),
+        sig(g.rmw), sig(g.data), sig(g.addr), sig(g.ctrl),
+        sig(g.casdep), sig(g.rf), sig(g.co),
+    )

@@ -1,5 +1,9 @@
 import itertools
+import random
 
+import pytest
+
+from immlab import consistency
 from immlab.consistency import (
     check_c11,
     check_imm,
@@ -7,8 +11,12 @@ from immlab.consistency import (
     check_rc11,
     sc_witness_rel,
 )
-from immlab.enumeration import assertion_holds
+from immlab.enumeration import assertion_holds, candidate_executions
 from immlab.execgraph import Execution
+from immlab.fuzz import FuzzConfig, random_program
+from immlab.program import parse_litmus
+
+from oracles import sc_fence_order_by_search
 
 
 def annotated(corpus, corpus_candidates, name):
@@ -104,6 +112,106 @@ class TestImms:
             assert v2.sc_witness == tuple(sorted(reversed_sc.pairs)) or not v2.consistent
             return
         raise AssertionError("expected some consistent IRIW+sc candidate")
+
+
+def iriw_sc(k):
+    """IRIW+sc-k: two w[rel] writers, then k readers of both locations, each
+    with f[sc] between two r[acq] reads, the readers alternating x-first and
+    y-first."""
+    lines = [f'prog "IRIW+sc-{k}"', "locations x y", "vals 0..1",
+             "thread 0:", "  w[rel] x 1", "thread 1:", "  w[rel] y 1"]
+    for i in range(k):
+        first, second = ("x", "y") if i % 2 == 0 else ("y", "x")
+        lines += [f"thread {i + 2}:", f"  r[acq] a {first}", "  f[sc]",
+                  f"  r[acq] b {second}"]
+    return "\n".join(lines) + "\n"
+
+
+# thread 2's fence reaches thread 0's by an ar_base path through rfe and a
+# data dependency that no hb_rc11 edge follows, so only ar_base orders them
+SC_AR = """
+prog "SC-AR"
+locations x y
+vals 0..1
+thread 0:
+  r[rlx] b y
+  f[sc]
+thread 1:
+  r[rlx] a x
+  w[rlx] y a
+thread 2:
+  f[sc]
+  w[rlx] x 1
+"""
+
+
+def coherent_graphs(src):
+    return (c.execution
+            for c in candidate_executions(parse_litmus(src).program, coherent=True))
+
+
+def fuzz_graphs(seed, cfg, programs):
+    rng = random.Random(seed)
+    for _ in range(programs):
+        program = random_program(rng, cfg)
+        for c in candidate_executions(program, max_candidates=cfg.max_candidates_per_program):
+            yield c.execution
+
+
+SC_GRAPH_SETS = {
+    "fuzz-7": lambda: fuzz_graphs(7, FuzzConfig(), 80),
+    "fuzz-29": lambda: fuzz_graphs(29, FuzzConfig(), 80),
+    "fuzz-5-three-four-threads": lambda: fuzz_graphs(5, FuzzConfig(threads=(3, 4)), 60),
+    "iriw-sc-2": lambda: coherent_graphs(iriw_sc(2)),
+    "iriw-sc-3": lambda: coherent_graphs(iriw_sc(3)),
+    "iriw-sc-4": lambda: coherent_graphs(iriw_sc(4)),
+}
+
+
+class TestScFenceOrder:
+    """The SC-fence order built by a lowest-index topological sort against
+    the first permutation that satisfies both s-model conditions."""
+
+    @staticmethod
+    def assert_same_as_search(graphs):
+        seen = 0
+        for g in graphs:
+            if not g.F_sc:
+                continue
+            d = g.derive()
+            assert consistency._sc_fence_order(g, d) == sc_fence_order_by_search(g, d), g.dumps()
+            seen += 1
+        return seen
+
+    def test_matches_search_on_corpus_full_stream(self, corpus_candidates):
+        graphs = (c.execution for cands in corpus_candidates.values() for c in cands)
+        assert self.assert_same_as_search(graphs) >= 20
+
+    @pytest.mark.parametrize("name", SC_GRAPH_SETS)
+    def test_matches_search(self, name):
+        assert self.assert_same_as_search(SC_GRAPH_SETS[name]()) > 0
+
+    def test_ar_base_path_puts_the_higher_index_fence_first(self):
+        test = parse_litmus(SC_AR)
+        cands = list(candidate_executions(test.program))
+        assert self.assert_same_as_search(c.execution for c in cands) == len(cands)
+        (chain,) = [c.execution for c in cands if c.final_regs[0]["b"] == 1]
+        f0, f2 = sorted(chain.F_sc)
+        d = chain.derive()
+        assert (f2, f0) in d.ar_base.plus() and (f2, f0) not in consistency._sc_fences(chain, d)
+        assert check_imms(chain).sc_witness == ((f2, f0),)
+
+    def test_iriw_sc_5_checks_at_most_one_order_per_graph(self, monkeypatch):
+        # the search tried up to 5! orders per graph: 42,291 checks on 1,024
+        calls = []
+        real = consistency._imms_sc_axioms
+        monkeypatch.setattr(consistency, "_imms_sc_axioms",
+                            lambda *a: calls.append(1) or real(*a))
+        graphs = list(coherent_graphs(iriw_sc(5)))
+        assert len(graphs) == 1024
+        for g in graphs:
+            check_imms(g)
+        assert len(calls) <= len(graphs)
 
 
 class TestC11:

@@ -20,7 +20,7 @@ from immlab.fuzz import FuzzConfig, random_program
 from immlab.program import parse_litmus
 
 from conftest import CORPUS_DIR
-from oracles import pair_built_candidates, sc_per_location
+from oracles import is_initialized, pair_built_candidates, sc_per_location, signature
 
 FUZZ_SEEDS = (11, 29)
 FUZZ_PROGRAMS = 20  # per seed
@@ -218,7 +218,7 @@ class TestCandidates:
                 assert g.rf.codom() == g.R, name
                 for loc in g.locations():
                     assert g.co.is_total_on(g.writes_to(loc)), name
-                assert g.is_initialized(), name
+                assert is_initialized(g), name
 
     def test_row_built_candidates_match_pair_built(self, corpus, corpus_candidates):
         # the rows filled per candidate against Execution.build over event pairs
@@ -228,8 +228,8 @@ class TestCandidates:
             assert rows == built, name
 
     def test_deterministic_order(self, corpus):
-        a = [c.execution.signature() for c in candidate_executions(corpus["mp"].program)]
-        b = [c.execution.signature() for c in candidate_executions(corpus["mp"].program)]
+        a = [signature(c.execution) for c in candidate_executions(corpus["mp"].program)]
+        b = [signature(c.execution) for c in candidate_executions(corpus["mp"].program)]
         assert a == b
 
     def test_max_candidates_flags_truncation(self, corpus):
@@ -265,7 +265,7 @@ def streams(corpus):
 
 
 def signatures(cands, check=None):
-    return [c.execution.signature() for c in cands
+    return [signature(c.execution) for c in cands
             if check is None or check(c.execution).consistent]
 
 
