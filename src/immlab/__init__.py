@@ -5,4 +5,4 @@ __version__ = "0.1.0"
 
 from .execgraph import Event, Execution, Fence, Read, Write  # noqa: F401
 from .program import LitmusTest, Program, parse_litmus  # noqa: F401
-from .relalg import EventSet, Rel  # noqa: F401
+from .relalg import Rel  # noqa: F401

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .enumeration import ThreadState, step_budget, thread_step
+from .enumeration import UNROLL, ThreadState, pinned_run, step_budget
 from .execgraph import Execution, Read, Write
 from .relalg import Rel, remapping, remapping_onto
 from .traversal import Traversal, TraversalConfig
@@ -115,7 +115,7 @@ def cert_rf(g, tc, tid, keep, det, sc=None):
     return g.rf.restrict(range(g.n), det) | best, co_crt
 
 
-def reexecute_labels(g, tid, keep, rf_crt, sprog, unroll=8):
+def reexecute_labels(g, tid, keep, rf_crt, sprog, unroll=UNROLL):
     """Re-run one thread with pinned read values; returns {source id: label}.
 
     Reads take the (recomputed) value of their certification rf source, in
@@ -128,44 +128,36 @@ def reexecute_labels(g, tid, keep, rf_crt, sprog, unroll=8):
     )
     sources = {r: w for w, r in rf_crt}
     new_labels = {}
-    budget = step_budget(sprog, unroll)
+
+    def value_at(k):
+        src_id = target[k]
+        if src_id not in g.R:
+            raise ShapeChangeError(f"expected {g.events[src_id]} to be a read at position {k}")
+        src = sources.get(src_id)
+        if src is None:
+            raise CertificationError(f"no rf source for {g.events[src_id]}")
+        return new_labels[src].val if src in new_labels else g.labels[src].val
+
     st = ThreadState(list(sprog), tid)
-    emitted = 0
-    while emitted < len(target):
+    for k, rec in pinned_run(st, len(target), value_at, step_budget(sprog, unroll)):
+        if k >= len(target):
+            raise ShapeChangeError(f"thread {tid} emitted extra events")
+        sid = target[k]
+        old = g.labels[sid]
+        new = rec.label
+        if (new.kind, getattr(new, "ex", None), new.loc) != (
+            old.kind, getattr(old, "ex", None), old.loc
+        ):
+            raise ShapeChangeError(
+                f"event shape changed at {g.events[sid]}: {old} vs {new}"
+            )
+        if isinstance(new, (Read, Write)) and getattr(new, "mode", None) != old.mode:
+            raise ShapeChangeError(f"mode changed at {g.events[sid]}")
+        new_labels[sid] = new
+    if len(st.events) < len(target):
         if st.terminal:
-            raise ShapeChangeError(f"thread {tid} terminated before event {emitted}")
-        if st.steps >= budget:
-            raise ShapeChangeError(f"thread {tid} exceeded the step budget")
-        before = len(st.events)
-        if st.needs_value():
-            src_id = target[emitted]
-            if src_id not in g.R:
-                raise ShapeChangeError(
-                    f"expected {g.events[src_id]} to be a read at position {emitted}"
-                )
-            src = sources.get(src_id)
-            if src is None:
-                raise CertificationError(f"no rf source for {g.events[src_id]}")
-            pinned = new_labels[src].val if src in new_labels else g.labels[src].val
-            thread_step(st, read_value=pinned)
-        else:
-            thread_step(st)
-        for rec in st.events[before:]:
-            if emitted >= len(target):
-                raise ShapeChangeError(f"thread {tid} emitted extra events")
-            sid = target[emitted]
-            old = g.labels[sid]
-            new = rec.label
-            if (new.kind, getattr(new, "ex", None), new.loc) != (
-                old.kind, getattr(old, "ex", None), old.loc
-            ):
-                raise ShapeChangeError(
-                    f"event shape changed at {g.events[sid]}: {old} vs {new}"
-                )
-            if isinstance(new, (Read, Write)) and getattr(new, "mode", None) != old.mode:
-                raise ShapeChangeError(f"mode changed at {g.events[sid]}")
-            new_labels[sid] = new
-            emitted += 1
+            raise ShapeChangeError(f"thread {tid} terminated before event {len(st.events)}")
+        raise ShapeChangeError(f"thread {tid} exceeded the step budget")
     return new_labels
 
 
@@ -180,7 +172,7 @@ class CertGraph:
     source_sc: Rel | None = None
 
 
-def build_cert_graph(g, tc, tid, sprog, sc=None, unroll=8):
+def build_cert_graph(g, tc, tid, sprog, sc=None, unroll=UNROLL):
     """Compose events, coherence, reads-from, and re-labeling (thread tid's
     program sprog re-run with pinned reads) into the certification graph and
     its traversal configuration."""
@@ -215,7 +207,7 @@ def build_cert_graph(g, tc, tid, sprog, sc=None, unroll=8):
     )
 
 
-def check_cert_compl(g, tc, cg, sprog, unroll=8):
+def check_cert_compl(g, tc, cg, sprog, unroll=UNROLL):
     """The certification-completeness clauses, adapted to this construction
     (dependency clauses source-restricted; coherence preservation on issued
     determined writes; the visibility formula in place of the undefined

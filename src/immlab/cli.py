@@ -17,6 +17,7 @@ from . import consistency, hwmodels
 from .certification import CertificationError, build_cert_graph, check_cert_compl
 from .consistency import sc_witness_rel
 from .enumeration import (
+    UNROLL,
     EnumerationReport,
     assertion_holds,
     candidate_executions,
@@ -53,8 +54,8 @@ def _thread_counts(text):
 # flags shared between subcommands; each subcommand takes the ones it reads
 _FLAGS = {
     "--max-val": dict(type=_int_at_least(0), default=None,
-                      help="override the litmus value bound"),
-    "--unroll": dict(type=_int_at_least(1), default=8,
+                      help="override the litmus value bound (reads take 0..N)"),
+    "--unroll": dict(type=_int_at_least(1), default=UNROLL,
                      help="per-thread loop unroll bound"),
     "--max-candidates": dict(type=_int_at_least(1), default=None,
                              help="cap the candidate stream"),

@@ -29,6 +29,7 @@ from .program import (
     Store,
     eval_expr,
     expr_regs,
+    registers,
 )
 from .relalg import Rel
 
@@ -43,35 +44,36 @@ class EventRec:
     casdep: frozenset
 
 
+UNROLL = 8  # the default per-thread loop unroll bound
+
+
 @dataclass
 class ThreadState:
-    """One thread's state: ⟨sprog, pc, Φ, G, Ψ, S⟩ plus a step budget."""
+    """One thread's state: ⟨sprog, pc, Φ, G, Ψ, S⟩ plus a step budget. A
+    state made without phi starts from λr.0 over sprog's registers."""
 
     sprog: list
     tid: int
     pc: int = 0
-    phi: dict = field(default_factory=dict)
+    phi: dict | None = None
     events: list = field(default_factory=list)
     psi: dict = field(default_factory=dict)
     ctrl_set: frozenset = frozenset()
     steps: int = 0
-    choices: tuple = ()  # read values chosen so far, for deterministic ordering
+
+    def __post_init__(self):
+        if self.phi is None:
+            self.phi = dict.fromkeys(registers(self.sprog), 0)
 
     def copy(self):
         return ThreadState(
             self.sprog, self.tid, self.pc, dict(self.phi), list(self.events),
-            dict(self.psi), self.ctrl_set, self.steps, self.choices,
+            dict(self.psi), self.ctrl_set, self.steps,
         )
 
     @property
     def terminal(self):
         return not (0 <= self.pc < len(self.sprog))
-
-    def _phi(self, expr):
-        # the initial register map is λr.0; fill on demand
-        for reg in expr_regs(expr):
-            self.phi.setdefault(reg, 0)
-        return eval_expr(expr, self.phi)
 
     def _psi(self, expr):
         out = frozenset()
@@ -95,77 +97,70 @@ class ThreadState:
 def thread_step(state, read_value=None):
     """One instruction step; mutates and returns the state.
 
-    read_value supplies the value for load/fadd/cas instructions.
+    read_value is the value of the read step of load, fadd and cas: the
+    read takes it into the destination register, then fadd always makes its
+    write and cas makes its write when the value is the expected one.
     """
     inst = state.sprog[state.pc]
+    phi = state.phi
     state.steps += 1
-    if isinstance(inst, Assign):
-        state.phi[inst.reg] = state._phi(inst.expr)
-        state.psi[inst.reg] = state._psi(inst.expr)
-        state.pc += 1
-    elif isinstance(inst, IfGoto):
-        taken = state._phi(inst.expr) != 0
+    if isinstance(inst, IfGoto):
         state.ctrl_set = state.ctrl_set | state._psi(inst.expr)
-        state.pc = inst.target if taken else state.pc + 1
+        state.pc = inst.target if eval_expr(inst.expr, phi) else state.pc + 1
+        return state
+    if isinstance(inst, Assign):
+        phi[inst.reg] = eval_expr(inst.expr, phi)
+        state.psi[inst.reg] = state._psi(inst.expr)
     elif isinstance(inst, Store):
         state._append(
-            Write(inst.mode, state._phi(inst.loc), state._phi(inst.value), "normal"),
+            Write(inst.mode, eval_expr(inst.loc, phi), eval_expr(inst.value, phi), "normal"),
             data=state._psi(inst.value),
             addr=state._psi(inst.loc),
         )
-        state.pc += 1
-    elif isinstance(inst, Load):
+    elif isinstance(inst, FenceInst):
+        state._append(Fence(inst.mode))
+    elif isinstance(inst, (Load, Fadd, Cas)):
         assert read_value is not None
-        idx = state._append(
-            Read(inst.mode, state._phi(inst.loc), read_value, ex=False),
-            addr=state._psi(inst.loc),
-        )
-        state.phi[inst.reg] = read_value
-        state.psi[inst.reg] = frozenset((idx,))
-        state.choices += (read_value,)
-        state.pc += 1
-    elif isinstance(inst, Fadd):
-        assert read_value is not None
-        loc = state._phi(inst.loc)
+        loc = eval_expr(inst.loc, phi)
         addr = state._psi(inst.loc)
-        ridx = state._append(Read(inst.read_mode, loc, read_value, ex=True), addr=addr)
-        state._append(
-            Write(inst.write_mode, loc, read_value + state._phi(inst.addend),
-                  inst.rmw_mode),
-            rmw_from=ridx,
-            data=frozenset((ridx,)) | state._psi(inst.addend),
-            addr=addr,
-        )
-        state.phi[inst.reg] = read_value
-        state.psi[inst.reg] = frozenset((ridx,))
-        state.choices += (read_value,)
-        state.pc += 1
-    elif isinstance(inst, Cas):
-        assert read_value is not None
-        loc = state._phi(inst.loc)
-        addr = state._psi(inst.loc)
-        ridx = state._append(
-            Read(inst.read_mode, loc, read_value, ex=True),
-            addr=addr,
-            casdep=state._psi(inst.expected),
-        )
-        if read_value == state._phi(inst.expected):
+        ex = not isinstance(inst, Load)
+        casdep = state._psi(inst.expected) if isinstance(inst, Cas) else frozenset()
+        ridx = state._append(Read(inst.read_mode if ex else inst.mode, loc, read_value, ex=ex),
+                             addr=addr, casdep=casdep)
+        if isinstance(inst, Fadd):
             state._append(
-                Write(inst.write_mode, loc, state._phi(inst.new), inst.rmw_mode),
+                Write(inst.write_mode, loc, read_value + eval_expr(inst.addend, phi),
+                      inst.rmw_mode),
+                rmw_from=ridx,
+                data=frozenset((ridx,)) | state._psi(inst.addend),
+                addr=addr,
+            )
+        elif isinstance(inst, Cas) and read_value == eval_expr(inst.expected, phi):
+            state._append(
+                Write(inst.write_mode, loc, eval_expr(inst.new, phi), inst.rmw_mode),
                 rmw_from=ridx,
                 data=state._psi(inst.new),
                 addr=addr,
             )
-        state.phi[inst.reg] = read_value
+        phi[inst.reg] = read_value
         state.psi[inst.reg] = frozenset((ridx,))
-        state.choices += (read_value,)
-        state.pc += 1
-    elif isinstance(inst, FenceInst):
-        state._append(Fence(inst.mode))
-        state.pc += 1
     else:
         raise TypeError(inst)
+    state.pc += 1
     return state
+
+
+def pinned_run(state, count, value_at, budget):
+    """Run state on until it has made count events, has ended, or has taken
+    budget steps in all; the read that makes event k takes value_at(k).
+    Yields (k, record) for each event made, in order; a step may make one
+    event more than count asks for (a fetch-add's write)."""
+    events = state.events
+    while len(events) < count and not state.terminal and state.steps < budget:
+        k = len(events)
+        thread_step(state, value_at(k) if state.needs_value() else None)
+        for k in range(k, len(events)):
+            yield k, events[k]
 
 
 @dataclass
@@ -173,8 +168,6 @@ class ThreadResult:
     tid: int
     events: list  # EventRecs
     phi: dict
-    choices: tuple
-    terminal: bool
 
     @functools.cached_property
     def event_ids(self):
@@ -200,11 +193,15 @@ def step_budget(sprog, unroll):
     return max(1, unroll * max(1, len(sprog)))
 
 
-def thread_graphs(sprog, tid, values, unroll=8):
-    """All thread-local graphs reachable within the step budget.
+def thread_graphs(sprog, tid, values, unroll=UNROLL):
+    """All thread-local graphs reachable within the step budget, each read
+    taking every value of values (ascending).
 
-    Returns (results, truncated_count); results hold terminal runs only,
-    sorted by their read-value choice sequence.
+    Returns (results, truncated_count); results hold the runs that ended,
+    in lexicographic order of their read values. The order comes by
+    construction: the depth-first search takes the smallest value first,
+    and no ended run's read values extend another's, since a thread given
+    the same values makes the same steps and so ends at the same point.
     """
     budget = step_budget(sprog, unroll)
     results = []
@@ -217,7 +214,7 @@ def thread_graphs(sprog, tid, values, unroll=8):
                 break
             thread_step(st)
         if st.terminal:
-            results.append(ThreadResult(tid, st.events, st.phi, st.choices, True))
+            results.append(ThreadResult(tid, st.events, st.phi))
             continue
         if st.steps >= budget:
             truncated += 1
@@ -226,7 +223,6 @@ def thread_graphs(sprog, tid, values, unroll=8):
             branch = st.copy()
             thread_step(branch, read_value=v)
             stack.append(branch)
-    results.sort(key=lambda r: r.choices)
     return results, truncated
 
 
@@ -267,12 +263,12 @@ def _dependencies(combo, n, base):
     return {name: Rel.from_rows(n, r) for name, r in rows.items()}
 
 
-def candidate_executions(program, unroll=8, max_candidates=None, report=None,
+def candidate_executions(program, unroll=UNROLL, max_candidates=None, report=None,
                          coherent=False):
     """Stream candidate full executions in deterministic lexicographic order,
     at most max_candidates of them (at least 1) when a cap is given; the
     search reads as cut only when a further candidate exists. A register
-    that a run never sets is 0 in its final registers.
+    that a run never sets is 0 in its final registers (λr.0).
 
     With coherent=True only the completions that satisfy SC-per-location
     are made (see _Completions.complete); they come in the same relative
@@ -294,9 +290,6 @@ def candidate_executions(program, unroll=8, max_candidates=None, report=None,
     for tid, body in enumerate(program.threads):
         results, truncated = thread_graphs(body, tid, values, unroll)
         report.truncated_threads += truncated
-        zeros = dict.fromkeys(program.thread_regs(tid), 0)
-        for res in results:
-            res.phi = zeros | res.phi
         ids = {}
         key_ids.append([ids.setdefault(res.shape_key, len(ids)) for res in results])
         per_thread.append(results)

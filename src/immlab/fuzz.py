@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 
 from .consistency import check_c11, check_imm, check_imms, check_rc11
-from .enumeration import EnumerationReport, candidate_executions
+from .enumeration import UNROLL, EnumerationReport, candidate_executions
 from .hwmodels import check_arm, check_power, split_release, to_arm, to_power
 from .program import (
     Assign,
@@ -142,7 +142,7 @@ class FuzzReport:
 CHECKS = ("inclusions", "mappings", "promise")
 
 
-def fuzz_run(seed, count=50, cfg=None, checks=CHECKS, unroll=8):
+def fuzz_run(seed, count=50, cfg=None, checks=CHECKS, unroll=UNROLL):
     """Generate `count` programs from `seed` and sweep the property checks."""
     rng = random.Random(seed)
     cfg = cfg or FuzzConfig()

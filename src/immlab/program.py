@@ -111,14 +111,6 @@ def expr_regs(expr):
     return frozenset()
 
 
-def expr_lits(expr):
-    if isinstance(expr, Lit):
-        return frozenset((expr.value,))
-    if isinstance(expr, BinOp):
-        return expr_lits(expr.left) | expr_lits(expr.right)
-    return frozenset()
-
-
 # -- instructions ----------------------------------------------------------------
 
 
@@ -206,41 +198,22 @@ class Program:
     locations: list  # declared location names, index = numeric location
     max_val: int = 2
 
-    def thread_regs(self, tid):
-        regs = set(_dest_regs(self.threads[tid]))
-        for inst in self.threads[tid]:
-            for e in _inst_exprs(inst):
-                regs |= expr_regs(e)
-        return frozenset(regs)
-
-    def literals(self):
-        lits = {0}
-        for body in self.threads:
-            for inst in body:
-                for e in _inst_exprs(inst):
-                    lits |= expr_lits(e)
-        return frozenset(lits)
-
     def candidate_values(self):
-        """Read-value candidates: 0, program literals, fadd closure; ≤ max_val."""
-        vals = {v for v in self.literals() if v <= self.max_val}
-        addends = set()
-        for body in self.threads:
-            for inst in body:
-                if isinstance(inst, Fadd):
-                    addends |= {v for v in expr_lits(inst.addend)}
-        changed = True
-        while changed:
-            changed = False
-            for v in list(vals):
-                for a in addends:
-                    if v + a <= self.max_val and v + a not in vals:
-                        vals.add(v + a)
-                        changed = True
-        return tuple(sorted(vals))
+        """The values a read may return: the declared domain 0..max_val."""
+        return tuple(range(self.max_val + 1))
 
     def is_relaxed_only(self):
         return all(is_relaxed(inst) for body in self.threads for inst in body)
+
+
+def registers(body):
+    """The registers of thread program body, those it writes and those it
+    reads: its initial register map is λr.0 over them."""
+    regs = set(_dest_regs(body))
+    for inst in body:
+        for e in _inst_exprs(inst):
+            regs |= expr_regs(e)
+    return frozenset(regs)
 
 
 def _dest_regs(body):
@@ -279,7 +252,6 @@ class LitmusTest:
     assertion: list  # [(name, value), ...] conjunction
     assertion_kind: str | None  # 'allowed' | 'forbidden' | None
     expectations: dict = field(default_factory=dict)  # model -> 'allowed'|'forbidden'
-    path: str | None = None
 
 
 class ParseError(ValueError):
@@ -418,6 +390,8 @@ def parse_litmus(text, path=None):
             if _int(lo, lineno) != 0:
                 raise ParseError("value domain must start at 0", lineno)
             max_val = _int(hi, lineno)
+            if max_val < 0:
+                raise ParseError(f"value domain 0..{max_val} is empty", lineno)
         elif word == "thread":
             head, _, after = rest.partition(":")
             if after.strip():
@@ -482,7 +456,6 @@ def parse_litmus(text, path=None):
         assertion=[(lhs, value) for lhs, value, _ in assertion],
         assertion_kind=assertion_kind,
         expectations=expectations,
-        path=path,
     )
 
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .enumeration import ThreadState, step_budget, thread_step
-from .program import Cas, Fadd, FenceInst, Load, Store, is_relaxed
+from .enumeration import UNROLL, ThreadState, pinned_run, step_budget, thread_step
+from .program import Cas, Fadd, FenceInst, Load, Store, eval_expr, is_relaxed
 
 
 class PromiseError(RuntimeError):
@@ -112,6 +112,9 @@ def thread_machine_step(ts, memory, action):
         if ts2.sigma.terminal or not isinstance(ts2.sigma.sprog[ts2.sigma.pc], Load):
             raise SimulationError("next instruction is not a load")
         thread_step(ts2.sigma, read_value=msg.val)
+        emitted = ts2.sigma.events[-1].label
+        if emitted.loc != loc:
+            raise SimulationError(f"load read {emitted.loc}, wanted {loc}")
         ts2.view[loc] = t
         return ts2, memory
 
@@ -142,7 +145,7 @@ def thread_machine_step(ts, memory, action):
     raise ValueError(action)
 
 
-def certify(ts, memory, unroll=8):
+def certify(ts, memory, unroll=UNROLL):
     """Can the thread, running alone, fulfill all its promises?
 
     Bounded DFS over thread steps; new messages take any unused timestamp
@@ -182,7 +185,7 @@ def certify(ts, memory, unroll=8):
         seen.add(k)
         inst = sigma.sprog[sigma.pc]
         if isinstance(inst, Load):
-            loc = sigma._phi(inst.loc)
+            loc = eval_expr(inst.loc, sigma.phi)
             for msg in sorted(memory2, key=lambda m: m.t):
                 if msg.loc != loc or msg.t < ts2.v(loc):
                     continue
@@ -191,8 +194,8 @@ def certify(ts, memory, unroll=8):
                     return True
             return False
         if isinstance(inst, Store):
-            loc = sigma._phi(inst.loc)
-            val = sigma._phi(inst.value)
+            loc = eval_expr(inst.loc, sigma.phi)
+            val = eval_expr(inst.value, sigma.phi)
             used = {m.t for m in memory2 if m.loc == loc}
             top = max(used, default=0) + 1
             for t in range(ts2.v(loc) + 1, top + 1):
@@ -334,31 +337,19 @@ class _SimCheck:
 
 def _can_reach(g, tid, sigma, unroll):
     """Replaying the remaining instructions with graph-pinned reads must
-    reproduce the thread's restriction of g within the step budget that
-    enumeration gave the thread."""
+    reproduce the thread's restriction of g, and then end, within the step
+    budget that enumeration gave the thread."""
     targets = sorted(g.thread_events(tid), key=lambda i: g.events[i].sn)
     probe = sigma.copy()
-    k = len(probe.events)
     budget = step_budget(probe.sprog, unroll)
-    while k < len(targets) and probe.steps < budget:
-        if probe.terminal:
+    for k, rec in pinned_run(probe, len(targets), lambda k: g.labels[targets[k]].val, budget):
+        if k >= len(targets) or rec.label != g.labels[targets[k]]:
             return False
-        if probe.needs_value():
-            thread_step(probe, read_value=g.labels[targets[k]].val)
-        else:
-            thread_step(probe)
-        for rec in probe.events[k:]:
-            if rec.label != g.labels[targets[k]]:
-                return False
-            k += 1
-    while probe.steps < budget and not probe.terminal and not probe.needs_value():
-        thread_step(probe)
-        if len(probe.events) > len(targets):
-            return False
-    return probe.terminal and k == len(targets)
+    advance_silent(probe, budget)
+    return probe.terminal and len(probe.events) == len(targets)
 
 
-def simulate_traversal(g, steps, program, unroll=8):
+def simulate_traversal(g, steps, program, unroll=UNROLL):
     """Drive the machine along a traversal; returns (trace, outcome).
 
     issue ↦ promise (certified at once); cover of a read ↦ read from the

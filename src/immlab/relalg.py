@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from . import kernels
 
-EventSet = frozenset
-
 
 class UniverseMismatch(ValueError):
     pass

@@ -7,8 +7,10 @@ cert_co_pairs/cert_rf_pairs, the certification coherence and reads-from
 built by loops over event pairs, coverable_preimage/issuable_preimage/
 check_config_preimage, the traversal side conditions as preimage inclusions
 per event, sim_invariants_full, every simulation-invariant clause of every
-thread with nothing carried between checks, and sc_fence_order_by_search,
-the s-model's SC-fence order sought over every permutation of the fences.
+thread with nothing carried between checks, sc_fence_order_by_search,
+the s-model's SC-fence order sought over every permutation of the fences,
+and literal_values, the narrower read-value rule that the declared domain
+replaced.
 
 It also keeps the graph helpers that only tests call: restrict_thread,
 is_initialized and signature.
@@ -24,8 +26,9 @@ import numpy as np
 
 from immlab.certification import CertificationError
 from immlab.consistency import _imms_sc_axioms
-from immlab.enumeration import thread_graphs
+from immlab.enumeration import UNROLL, thread_graphs
 from immlab.execgraph import Event, Execution, Write
+from immlab.program import BinOp, Fadd, Lit, _inst_exprs, registers
 from immlab.promise import Message, _can_reach
 from immlab.relalg import Rel, remapping_onto
 
@@ -299,7 +302,7 @@ def pair_union_all(n, rels):
     return PairRel(n, pairs)
 
 
-def pair_built_candidates(program, unroll=8, coherent=False, report=None):
+def pair_built_candidates(program, unroll=UNROLL, coherent=False, report=None):
     """(execution, final registers) for every candidate, in the order of
     enumeration.candidate_executions, with each skeleton kept as (event,
     label) pairs and event-pair relations and each completion made by
@@ -345,7 +348,7 @@ def pair_built_candidates(program, unroll=8, coherent=False, report=None):
             rest = [w for w in ws if not w.is_init]
             co_orders.append([[w for w in ws if w.is_init] + list(perm)
                               for perm in itertools.permutations(rest)])
-        regs = {res.tid: dict.fromkeys(program.thread_regs(res.tid), 0) | res.phi
+        regs = {res.tid: dict.fromkeys(registers(program.threads[res.tid]), 0) | res.phi
                 for res in combo}
         for rf_choice in itertools.product(*writers):
             kept = co_orders
@@ -359,6 +362,35 @@ def pair_built_candidates(program, unroll=8, coherent=False, report=None):
                 g = Execution.build(event_labels, rf=list(zip(rf_choice, reads)), co=co,
                                     **rels)
                 yield g, regs
+
+
+def literal_values(program):
+    """The read values of an earlier rule: 0, the program's literals and
+    their closure under its fetch-add addends, up to max_val. It misses a
+    value that only a computed write makes (`w[rlx] y a + 1`)."""
+    def lits(expr):
+        if isinstance(expr, Lit):
+            return {expr.value}
+        if isinstance(expr, BinOp):
+            return lits(expr.left) | lits(expr.right)
+        return set()
+
+    found, addends = {0}, set()
+    for body in program.threads:
+        for inst in body:
+            for expr in _inst_exprs(inst):
+                found |= lits(expr)
+            if isinstance(inst, Fadd):
+                addends |= lits(inst.addend)
+    vals = {v for v in found if v <= program.max_val}
+    frontier = list(vals)
+    while frontier:
+        v = frontier.pop()
+        for a in addends:
+            if v + a <= program.max_val and v + a not in vals:
+                vals.add(v + a)
+                frontier.append(v + a)
+    return tuple(sorted(vals))
 
 
 def _ranked_orders(co_orders, pairs, src):

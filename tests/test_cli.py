@@ -290,6 +290,18 @@ class TestBadInput:
         assert exit_info.value.code == 2 and captured.out == ""
         assert captured.err == f"immlab: {path}: bad write mode 'oops' (line 4)\n"
 
+    def test_empty_value_domain_is_reported(self, capsys, tmp_path):
+        # it once printed "assertion forbidden (expected forbidden: ok)" and
+        # exited 0, no read having a value to return
+        path = tmp_path / "empty.litmus"
+        path.write_text('prog "E"\nlocations x\nvals 0..-1\nthread 0:\n  r[rlx] a x\n'
+                        "assert forbidden: a=0\nexpect imm=forbidden\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", str(path), "--model", "imm"])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2 and captured.out == ""
+        assert captured.err == f"immlab: {path}: value domain 0..-1 is empty (line 3)\n"
+
     def test_missing_file_is_reported(self, capsys, tmp_path):
         path = tmp_path / "absent.litmus"
         with pytest.raises(SystemExit) as exit_info:

@@ -20,11 +20,23 @@ from immlab.fuzz import FuzzConfig, random_program
 from immlab.program import parse_litmus
 
 from conftest import CORPUS_DIR
-from oracles import is_initialized, pair_built_candidates, sc_per_location, signature
+from oracles import (
+    is_initialized,
+    literal_values,
+    pair_built_candidates,
+    sc_per_location,
+    signature,
+)
 
 FUZZ_SEEDS = (11, 29)
 FUZZ_PROGRAMS = 20  # per seed
 FUZZ_CAP = 400  # programs with more candidates are skipped
+
+# b=2 is a value that only a computed write makes
+COMPUTED = ('prog "COMPUTED"\nlocations x y\nvals 0..2\n'
+            "thread 0:\n  r[rlx] a x\n  w[rlx] y a + 1\n"
+            "thread 1:\n  w[rlx] x 1\nthread 2:\n  r[rlx] b y\n"
+            "assert allowed: b=2\n")
 
 # every checker a verdict is decided with, keyed by model and flags
 CHECKERS = {model: consistency.checker_for(model) for model in consistency.MODELS}
@@ -154,8 +166,22 @@ class TestThreadGraphs:
             "  r[rlx] a x\n  a := a - 1\n  if a goto 1\n  w[rlx] x 9\n"
         )
         results, truncated = thread_graphs(t.program.threads[0], 0, (0, 1, 2))
-        assert truncated == 0
-        assert all(r.terminal for r in results)
+        assert truncated == 0 and results
+        # the store is the last instruction, made only once the loop exits:
+        # every run ended
+        assert all(r.labels[-1] == Write("rlx", 0, 9, "normal") for r in results)
+
+    @pytest.mark.parametrize("seed", FUZZ_SEEDS)
+    def test_runs_come_in_order_of_their_read_values(self, corpus, seed):
+        rng = random.Random(seed)
+        programs = [test.program for test in corpus.values()]
+        programs += [random_program(rng, FuzzConfig()) for _ in range(FUZZ_PROGRAMS)]
+        for program in programs:
+            for tid, body in enumerate(program.threads):
+                results, _ = thread_graphs(body, tid, program.candidate_values())
+                reads = [tuple(lab.val for lab in r.labels if lab.kind == "r")
+                         for r in results]
+                assert all(a < b for a, b in zip(reads, reads[1:])), (program, tid)
 
 
 class TestCandidates:
@@ -209,6 +235,40 @@ class TestCandidates:
         path.write_text(src)
         assert main(["check", str(path), "--model", "imm", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["verdict"] == "allowed"
+
+    def test_a_computed_value_is_read_back(self, tmp_path, capsys):
+        # reads once took only the literals and the fetch-add closure, and
+        # check answered forbidden, complete
+        path = tmp_path / "computed.litmus"
+        path.write_text(COMPUTED)
+        assert main(["check", str(path), "--model", "imm", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdict"] == "allowed" and doc["complete"]
+
+    def test_every_candidate_of_the_literal_rule_in_order(self, corpus, monkeypatch):
+        # the declared domain holds every literal value, so its stream holds
+        # the stream of the narrower rule as a subsequence
+        programs = [test.program for test in corpus.values()]
+        programs.append(parse_litmus(COMPUTED).program)
+        for seed in (7, *FUZZ_SEEDS):
+            rng = random.Random(seed)
+            programs += [random_program(rng, FuzzConfig()) for _ in range(FUZZ_PROGRAMS)]
+        compared = grew = 0
+        for program in programs:
+            new_report, old_report = EnumerationReport(), EnumerationReport()
+            new = [(signature(c.execution), c.final_regs) for c in candidate_executions(
+                program, max_candidates=FUZZ_CAP, report=new_report)]
+            monkeypatch.setattr(program, "candidate_values",
+                                functools.partial(literal_values, program))
+            old = [(signature(c.execution), c.final_regs) for c in candidate_executions(
+                program, max_candidates=FUZZ_CAP, report=old_report)]
+            if not new_report.complete:
+                continue
+            rest = iter(new)
+            assert all(cand in rest for cand in old), program
+            compared += 1
+            grew += len(new) > len(old)
+        assert compared >= 3 * FUZZ_PROGRAMS and grew
 
     def test_every_candidate_wellformed_and_complete(self, corpus_candidates):
         for name, cands in corpus_candidates.items():

@@ -181,6 +181,13 @@ class TestMalformed:
             parse_litmus(text)
         assert err.value.line == line
 
+    def test_an_empty_value_domain_is_a_parse_error(self):
+        # `vals 0..-1` once parsed: no read had a value to return, and check
+        # answered every assertion with forbidden
+        with pytest.raises(ParseError) as err:
+            parse_litmus(HEAD + "vals 0..-1\n" + ONE_STORE)
+        assert str(err.value) == "value domain 0..-1 is empty (line 3)"
+
     @pytest.mark.parametrize("text, message", [
         (HEAD + "thread 0:\n  r[rlx] 5 x\n", "bad register name '5' (line 4)"),
         (CLASH, "register 'x' has the name of a location (line 5)"),
@@ -273,13 +280,18 @@ class TestEval:
 
 
 class TestCandidateValues:
-    def test_literals_and_zero(self, corpus):
+    def test_declared_domain(self, corpus):
         vals = corpus["mp"].program.candidate_values()
-        assert vals == (0, 1)
+        assert vals == (0, 1)  # vals 0..1
 
-    def test_fadd_closure(self, corpus):
+    def test_domain_holds_the_fadd_results(self, corpus):
         vals = corpus["strong-rmw"].program.candidate_values()
-        assert vals == (0, 1, 2)  # 0, literal 1, fadd closure 0+1, 1+1 ≤ max
+        assert vals == (0, 1, 2)  # vals 0..2: 0, literal 1, fadd results 0+1, 1+1
+
+    def test_domain_holds_values_that_no_literal_names(self):
+        # only a computed write makes 2 and 3, and a read may still return them
+        t = parse_litmus(HEAD + "vals 0..3\nthread 0:\n  r[rlx] a x\n  w[rlx] x a + 1\n")
+        assert t.program.candidate_values() == (0, 1, 2, 3)
 
     def test_relaxed_only(self, corpus):
         assert corpus["lb-data"].program.is_relaxed_only()

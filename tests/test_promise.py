@@ -90,6 +90,16 @@ class TestMachineSteps:
         with pytest.raises(PromiseError, match="not above view"):
             thread_machine_step(ts, mem, ("write", 1, 1, 2))
 
+    def test_read_of_another_location_rejected(self):
+        # the load reads x; a read step at y once ran it with y's value and
+        # raised the thread's view of y
+        t = parse_litmus('prog "R"\nlocations x y\nthread 0:\n  r[rlx] a x\n  w[rlx] y 1\n')
+        ts = PThreadState(ThreadState(list(t.program.threads[0]), 0))
+        mem = init_memory() | {Message(1, 2, 1)}
+        with pytest.raises(SimulationError, match="load read 0, wanted 1"):
+            thread_machine_step(ts, mem, ("read", 1, 1))
+        assert ts.v(1) == 0 and ts.sigma.events == []
+
     def test_unsupported_fragment(self, corpus):
         with pytest.raises(UnsupportedFragment):
             check_relaxed(corpus["mp"].program)
