@@ -9,10 +9,12 @@ after construction.
 An execution is split in two, as herd's pre-execution and execution witness
 are (Alglave, Maranget and Tautschnig, Herding Cats, TOPLAS 2014). Its
 `Shape` holds the events, each label without its value (a `Slot`), rmw,
-data, addr, ctrl and casdep, and every view computed from them alone: po,
-po_loc, the event sets, the writes per location. The `Execution` adds the
-valued labels, rf, co and sc. Every completion of one shape shares it
-(`Execution.on`), so a view is computed once per shape.
+data, addr, ctrl and casdep, and every view computed from them alone, once,
+when the shape is made: po, po_loc, the event sets, the writes per
+location, the per-thread and per-location indexes. `Execution` extends
+`Shape` with the valued labels, rf, co and sc: `Execution.on` starts from a
+copy of its shape's attributes, so every completion of one shape holds the
+same view objects, and a view is computed once per shape.
 
 Derived relations are stated once each, as rows of a definition table
 (name -> (g, rels) -> Rel, the shape of the axiom rows in `consistency`),
@@ -30,8 +32,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
-from operator import attrgetter
 from typing import NamedTuple
 
 from .program import FENCE_MODES, READ_MODES, WRITE_MODES, mode_leq
@@ -276,23 +276,23 @@ _IMM = namespace(IMM_RELS)
 
 class Shape:
     """The value-free part of an execution: events in canonical order, their
-    slots (labels without values), rmw, data, addr, ctrl and casdep, and the
-    model. It has no rf, co, sc or values, so what is computed here holds for
-    every execution over it, and a computation that reads them raises
-    AttributeError. Besides the views below it keeps, per static table, the
-    relations computed from it (`static`), and per key, a value computed once
-    from it (`memo`; hwmodels keeps its mapping layouts there)."""
+    slots (labels without values), rmw, data, addr, ctrl and casdep, the
+    model, and every view computed from them alone, each once, when the
+    shape is made. It has no rf, co, sc or values, so what is computed here
+    holds for every execution over it, and a computation that reads them
+    raises AttributeError. It also keeps, per static table, the relations
+    computed from it (`static`), and per key, a value computed once from it
+    (`memo`; hwmodels keeps its mapping layouts there)."""
 
     def __init__(self, events, labels, rmw=None, data=None, addr=None, ctrl=None,
                  casdep=None, model="imm"):
-        self.events = tuple(events)
-        n = len(self.events)
-        self.n = n
-        keys = [e.key() for e in self.events]
+        self.events = events = tuple(events)
+        n = self.n = len(events)
+        keys = [e.key() for e in events]
         if not all(a < b for a, b in zip(keys, keys[1:])):
             raise ValueError("events not in canonical order")
-        self.labels = tuple(labels)
-        if len(self.labels) != n:
+        self.labels = labels = tuple(labels)
+        if len(labels) != n:
             raise ValueError("labels misaligned")
         empty = Rel(n)
         self.rmw = rmw if rmw is not None else empty
@@ -301,7 +301,30 @@ class Shape:
         self.ctrl = ctrl if ctrl is not None else empty
         self.casdep = casdep if casdep is not None else empty
         self.model = model
-        self.po = program_order(self.events)
+        self.po = program_order(events)
+        self.loc_of = [lab.loc for lab in labels]
+        self.po_loc = self.po.restrict_loc(self.loc_of)
+        self.R, self.W, self.F = (
+            frozenset(i for i, lab in enumerate(labels) if lab.kind == kind)
+            for kind in "rwf"
+        )
+        self.RW = self.R | self.W
+        self.init_events = frozenset(i for i, e in enumerate(events) if e.is_init)
+        self.R_ex = frozenset(i for i in self.R if labels[i].ex)
+        self.W_strong = frozenset(i for i in self.W if labels[i].rmw_mode == "strong")
+        self.W_rel = frozenset(i for i in self.W if labels[i].mode == "rel")
+        self.R_acq = frozenset(i for i in self.R if labels[i].mode == "acq")
+        self.F_sc = self.fences_with_mode("sc")
+        by_loc = {}
+        for i in self.W:
+            by_loc.setdefault(labels[i].loc, set()).add(i)
+        self.writes_by_loc = {loc: frozenset(ws) for loc, ws in by_loc.items()}
+        by_thread = {}
+        for i, e in enumerate(events):
+            by_thread.setdefault(e.tid, set()).add(i)
+        self._by_thread = {tid: frozenset(es) for tid, es in by_thread.items()}
+        self._locations = tuple(sorted({loc for loc in self.loc_of if loc is not None}))
+        self._index = {e: i for i, e in enumerate(events)}
         self._cache = {}
 
     def static(self, over_shape):
@@ -315,70 +338,11 @@ class Shape:
             self._cache[key] = make(self)
         return self._cache[key]
 
-    @cached_property
-    def loc_of(self):
-        return [lab.loc for lab in self.labels]
-
-    @cached_property
-    def po_loc(self):
-        return self.po.restrict_loc(self.loc_of)
-
-    def set_of(self, kind):
-        return frozenset(i for i, lab in enumerate(self.labels) if lab.kind == kind)
-
-    @cached_property
-    def R(self):
-        return self.set_of("r")
-
-    @cached_property
-    def W(self):
-        return self.set_of("w")
-
-    @cached_property
-    def F(self):
-        return self.set_of("f")
-
-    @cached_property
-    def RW(self):
-        return self.R | self.W
-
-    @cached_property
-    def init_events(self):
-        return frozenset(i for i, e in enumerate(self.events) if e.is_init)
-
-    @cached_property
-    def R_ex(self):
-        return frozenset(i for i in self.R if self.labels[i].ex)
-
-    @cached_property
-    def W_strong(self):
-        return frozenset(i for i in self.W if self.labels[i].rmw_mode == "strong")
-
-    @cached_property
-    def W_rel(self):
-        return frozenset(i for i in self.W if self.labels[i].mode == "rel")
-
-    @cached_property
-    def R_acq(self):
-        return frozenset(i for i in self.R if self.labels[i].mode == "acq")
-
-    @cached_property
-    def F_sc(self):
-        return self.fences_with_mode("sc")
-
     def fences_with_mode(self, mode):
         return frozenset(i for i in self.F if self.labels[i].mode == mode)
 
     def fences_geq(self, mode):
         return frozenset(i for i in self.F if mode_leq(mode, self.labels[i].mode))
-
-    @cached_property
-    def writes_by_loc(self):
-        """location -> the writes to it."""
-        out = {}
-        for i in self.W:
-            out.setdefault(self.labels[i].loc, set()).add(i)
-        return {loc: frozenset(ws) for loc, ws in out.items()}
 
     def writes_to(self, loc):
         return self.writes_by_loc.get(loc, frozenset())
@@ -386,22 +350,11 @@ class Shape:
     def tid_of(self, i):
         return self.events[i].tid
 
-    @cached_property
-    def _by_thread(self):
-        out = {}
-        for i, e in enumerate(self.events):
-            out.setdefault(e.tid, set()).add(i)
-        return {tid: frozenset(es) for tid, es in out.items()}
-
     def thread_events(self, tid):
         return self._by_thread.get(tid, frozenset())
 
     def tids(self):
         return sorted({e.tid for e in self.events if not e.is_init})
-
-    @cached_property
-    def _locations(self):
-        return tuple(sorted({lab.loc for lab in self.labels if lab.loc is not None}))
 
     def locations(self):
         return list(self._locations)
@@ -409,25 +362,16 @@ class Shape:
     def ident(self, members):
         return Rel.identity(self.n, members)
 
-    @cached_property
-    def _index(self):
-        return {e: i for i, e in enumerate(self.events)}
-
     def index_of(self, event):
         return self._index[event]
 
 
-def _from_shape(name):
-    """An Execution attribute that reads its shape's."""
-    return property(attrgetter("shape." + name))
-
-
-class Execution:
+class Execution(Shape):
     """A Shape plus valued labels and rf, co and the optional sc order;
-    model ∈ imm|power|arm. The shape's views read as the execution's own."""
-
-    __slots__ = ("shape", "events", "n", "labels", "rmw", "data", "addr", "ctrl",
-                 "casdep", "rf", "co", "sc", "model", "_cache")
+    model ∈ imm|power|arm. An execution starts from a copy of its shape's
+    attributes (`on`), so every execution over one shape holds the same view
+    objects; `shape` is that shape, on which the static tables are
+    evaluated."""
 
     def __init__(self, events, labels, rmw=None, data=None, addr=None, ctrl=None,
                  casdep=None, rf=None, co=None, sc=None, model="imm"):
@@ -445,19 +389,12 @@ class Execution:
         return g
 
     def _fill(self, shape, labels, rf, co, sc):
+        self.__dict__.update(shape.__dict__)
         self.shape = shape
-        self.events = shape.events
-        self.n = shape.n
         self.labels = labels
-        self.rmw = shape.rmw
-        self.data = shape.data
-        self.addr = shape.addr
-        self.ctrl = shape.ctrl
-        self.casdep = shape.casdep
         self.rf = rf if rf is not None else Rel(shape.n)
         self.co = co if co is not None else Rel(shape.n)
         self.sc = sc
-        self.model = shape.model
         self._cache = {"po": shape.po}
 
     @staticmethod
@@ -501,28 +438,6 @@ class Execution:
             "val_of",
             lambda: [getattr(lab, "val", None) for lab in self.labels],
         )
-
-    loc_of = _from_shape("loc_of")
-    po_loc = _from_shape("po_loc")
-    R = _from_shape("R")
-    W = _from_shape("W")
-    F = _from_shape("F")
-    RW = _from_shape("RW")
-    init_events = _from_shape("init_events")
-    R_ex = _from_shape("R_ex")
-    W_strong = _from_shape("W_strong")
-    W_rel = _from_shape("W_rel")
-    R_acq = _from_shape("R_acq")
-    F_sc = _from_shape("F_sc")
-    fences_with_mode = _from_shape("fences_with_mode")
-    fences_geq = _from_shape("fences_geq")
-    writes_to = _from_shape("writes_to")
-    tid_of = _from_shape("tid_of")
-    thread_events = _from_shape("thread_events")
-    tids = _from_shape("tids")
-    locations = _from_shape("locations")
-    ident = _from_shape("ident")
-    index_of = _from_shape("index_of")
 
     # -- well-formedness -----------------------------------------------------------
 

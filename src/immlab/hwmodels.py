@@ -267,9 +267,10 @@ POWER_RELS = BASE_RELS | static_entries(POWER_STATIC) | {
     "rdw": lambda g, r: r.fre.compose(r.rfe) & g.po,
     "ppo": lambda g, r: _ppo(g.ident(g.R), r.ii, r.ic, g.ident(g.W)),
     "hb": lambda g, r: r.ppo | r.fence | r.rfe,
-    "prop1": lambda g, r: g.ident(g.W).seq(r.rfe.opt(), r.fence, r.hb.star(), g.ident(g.W)),
+    "hb_star": lambda g, r: r.hb.star(),
+    "prop1": lambda g, r: g.ident(g.W).seq(r.rfe.opt(), r.fence, r.hb_star, g.ident(g.W)),
     "prop2": lambda g, r: (r.coe | r.fre).opt().seq(
-        r.rfe.opt(), r.fence.compose(r.hb.star()).opt(), r.sync, r.hb.star()),
+        r.rfe.opt(), r.fence.compose(r.hb_star).opt(), r.sync, r.hb_star),
     "prop": lambda g, r: r.prop1 | r.prop2,
 }
 _POWER = namespace(POWER_RELS)
@@ -314,7 +315,7 @@ _SC_PER_LOC = (
 )
 POWER = (
     _SC_PER_LOC,
-    ("observation", "irreflexive", lambda g, r: r.fre.seq(r.prop, r.hb.star())),
+    ("observation", "irreflexive", lambda g, r: r.fre.seq(r.prop, r.hb_star)),
     ("propagation", "acyclic", lambda g, r: g.co | r.prop),
     ("atomicity", "empty", atomicity),
     ("power-no-thin-air", "acyclic", lambda g, r: r.hb),

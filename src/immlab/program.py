@@ -16,30 +16,14 @@ READ_MODES = ("rlx", "acq")
 WRITE_MODES = ("rlx", "rel")
 FENCE_MODES = ("acq", "rel", "acqrel", "sc")
 
-_MODE_GENERATORS = {
-    ("rlx", "acq"),
-    ("rlx", "rel"),
-    ("acq", "acqrel"),
-    ("rel", "acqrel"),
-    ("acqrel", "sc"),
-}
-
-
-def _close_mode_order():
-    order = set(_MODE_GENERATORS)
-    order |= {(m, m) for m in MODES}
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(order):
-            for c, d in list(order):
-                if b == c and (a, d) not in order:
-                    order.add((a, d))
-                    changed = True
-    return frozenset(order)
-
-
-_MODE_LEQ = _close_mode_order()
+# a ⊑ b: rlx below acq and rel, both below acqrel, acqrel below sc
+_MODE_LEQ = frozenset({
+    ("rlx", "rlx"), ("rlx", "acq"), ("rlx", "rel"), ("rlx", "acqrel"), ("rlx", "sc"),
+    ("acq", "acq"), ("acq", "acqrel"), ("acq", "sc"),
+    ("rel", "rel"), ("rel", "acqrel"), ("rel", "sc"),
+    ("acqrel", "acqrel"), ("acqrel", "sc"),
+    ("sc", "sc"),
+})
 
 
 def mode_leq(a, b):

@@ -243,11 +243,6 @@ def machine_outcome(ms):
     return {loc: val for loc, (_, val) in out.items()}
 
 
-def _sim_invariants(g, tmap, covered, issued, ms, unroll):
-    """The per-thread simulation relation, asserted over every thread."""
-    return _SimCheck(g, tmap, unroll).problems(covered, issued, ms)
-
-
 class _SimCheck:
     """The simulation invariants over the states of one machine run.
 
@@ -357,16 +352,18 @@ def simulate_traversal(g, steps, program, unroll=UNROLL):
     simulation invariants are checked at the start and after every step,
     each thread within the step budget of unroll passes over its program.
 
-    Every check runs the clauses over timestamps, issued writes and memory.
-    A step changes one thread's state and adds at most one event to covered
-    or issued, so a thread's own clauses, `_can_reach` among them, are
-    skipped when its state (compared as a value: pc, registers, step count,
-    events, view and promises), its covered events and its issued events
-    equal those of its last passing check. Those clauses read nothing else
+    One `_SimCheck` makes the checks. Each runs the clauses over timestamps,
+    issued writes and memory. A step changes one thread's state and adds at
+    most one event to covered or issued, so a thread's own clauses,
+    `_can_reach` among them, are skipped when its state (compared as a
+    value: pc, registers, step count, events, view and promises), its
+    covered events and its issued events equal those of its last passing
+    check. Those clauses read nothing else
     that changes in a run, and `_can_reach` is a function of the state, so a
     skipped thread's result is the same empty list. A state changed in place
     differs from the copy kept at its last pass, and is checked.
-    The diagnostics, and their order, are those of `_sim_invariants`.
+    The diagnostics, and their order, are those of a check of every clause
+    over every thread (the `sim_invariants_full` oracle of the tests).
     """
     check_relaxed(program)
     tmap = timestamp_map(g)

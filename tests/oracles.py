@@ -533,7 +533,8 @@ def check_config_preimage(trav, tc):
 
 
 def sim_invariants_full(g, tmap, covered, issued, ms, unroll):
-    """promise._sim_invariants with every clause run over every thread."""
+    """The problems of promise._SimCheck, with every clause run over every
+    thread and nothing skipped."""
     problems = []
     vf = g.derive().vf_rlx
     for w in g.init_events:

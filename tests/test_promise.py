@@ -11,7 +11,6 @@ from immlab.promise import (
     PThreadState,
     SimulationError,
     UnsupportedFragment,
-    _sim_invariants,
     certify,
     check_relaxed,
     initial_machine,
@@ -286,7 +285,7 @@ class TestSimulation:
 
 
 class TestSimInvariants:
-    """_sim_invariants on a machine tampered after the first promise of the
+    """_SimCheck on a machine tampered after the first promise of the
     lb-data traversal."""
 
     @pytest.fixture
@@ -302,7 +301,8 @@ class TestSimInvariants:
         ms.threads[tid], ms.memory = thread_machine_step(
             ms.threads[tid], ms.memory, ("promise", msg))
         inits = frozenset(g.init_events)
-        check = lambda: _sim_invariants(g, tmap, inits, inits | {w}, ms, 8)  # noqa: E731
+        check = lambda: promise._SimCheck(g, tmap, 8).problems(  # noqa: E731
+            inits, inits | {w}, ms)
         assert check() == []
         return g, w, tid, msg, ms, check
 
@@ -341,7 +341,7 @@ class TestSimInvariants:
         ms.memory = ms.memory - {Message(g.loc_of[init], 0, 0)} | {
             Message(g.loc_of[init], 0, 1)}
         inits = frozenset(g.init_events)
-        assert _sim_invariants(g, tmap, inits, inits | {w}, ms, 8) == [
+        assert promise._SimCheck(g, tmap, 8).problems(inits, inits | {w}, ms) == [
             "init timestamp not 0"]
 
     def test_t_disagrees_with_co(self, promised):
@@ -354,7 +354,7 @@ class TestSimInvariants:
         ms.threads[tid].promises = frozenset({early})
         init = next(i for i in g.init_events if g.loc_of[i] == msg.loc)
         inits = frozenset(g.init_events)
-        assert _sim_invariants(g, tmap, inits, inits | {w}, ms, 8) == [
+        assert promise._SimCheck(g, tmap, 8).problems(inits, inits | {w}, ms) == [
             f"T disagrees with co on ({init},{w})"]
 
     def test_state_does_not_match_covered_events(self, promised):

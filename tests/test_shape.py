@@ -11,7 +11,7 @@ import pytest
 from immlab import hwmodels
 from immlab.cli import main
 from immlab.enumeration import EnumerationReport, candidate_executions
-from immlab.execgraph import IMM_STATIC, Execution, namespace, static_entries
+from immlab.execgraph import IMM_STATIC, Execution, Slot, namespace, static_entries
 from immlab.fuzz import FuzzConfig, random_program
 from immlab.program import parse_litmus
 
@@ -112,6 +112,34 @@ def test_candidates_of_one_shape_share_it(corpus):
     first, last = cands[0].execution, cands[-1].execution
     assert hwmodels.to_arm(first).shape is hwmodels.to_arm(last).shape
     assert hwmodels.to_arm(first).to_json() != hwmodels.to_arm(last).to_json()
+
+
+@pytest.mark.parametrize("image", (lambda g: g, hwmodels.to_arm), ids=("enumerated", "arm"))
+def test_executions_hold_their_shapes_views(corpus, image):
+    # each execution holds its shape's view objects and its own labels; an
+    # attribute set on one execution stays its own
+    views = ("R", "po_loc", "writes_by_loc", "F_sc")
+    shared = 0
+    for name, test in corpus.items():
+        graphs = [image(c.execution) for c in candidate_executions(test.program)]
+        for g in graphs:
+            shape = g.shape
+            assert type(shape) is not Execution
+            for view in views:
+                assert getattr(g, view) is getattr(shape, view), (name, view)
+            assert all(isinstance(slot, Slot) for slot in shape.labels), name
+            assert not any(isinstance(lab, Slot) for lab in g.labels), name
+            assert tuple(lab.slot for lab in g.labels) == shape.labels, name
+        first = graphs[0]
+        shape = first.shape
+        others = [g for g in graphs[1:] if g.shape is shape]
+        kept = {view: getattr(shape, view) for view in views}
+        for view in views:
+            setattr(first, view, None)
+        for h in [shape] + others:
+            assert all(getattr(h, view) is kept[view] for view in views), name
+        shared += bool(others)
+    assert shared == len(corpus) - 1  # casdep has a single candidate
 
 
 def test_static_entry_reading_rf_raises(corpus):
