@@ -46,6 +46,8 @@ def _cycle_witness(rel, g):
 
 
 def _reflexive_witness(rel, g):
+    if rel.is_irreflexive():
+        return None
     for i in range(rel.n):
         if (i, i) in rel:
             return [str(g.events[i])]

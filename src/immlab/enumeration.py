@@ -339,13 +339,13 @@ class _Completions:
         # so is the row of a location's only other write. The writes of the
         # other locations (`groups`: all of the location's writes as a mask,
         # its non-init writes ascending) are ordered per completion.
-        self.co_base = [0] * shape.n
+        self.co_base = 0
         self.groups = []
         self.full = 1
         for k, loc in enumerate(locs):
             rest = sorted(shape.writes_to(loc) - {k})
             mask = (1 << k) + sum(1 << w for w in rest)
-            self.co_base[k] = mask - (1 << k)
+            self.co_base |= (mask - (1 << k)) << k * shape.n
             if len(rest) > 1:
                 self.groups.append((mask, tuple(rest)))
                 self.full *= math.factorial(len(rest))
@@ -355,33 +355,32 @@ class _Completions:
         self.pairs = [(a, b, slots[b].kind == "w")
                       for a, b in shape.po_loc.immediate() if a >= len(locs)]
 
-    def _co_rows(self, need):
-        """The co of each completion, as rows: every location's non-init
-        writes take each order after its init write in which every write w
-        comes after the writes of the mask need[w], in the order of the
-        product over locations of itertools.permutations of its writes.
-        Orders are built depth-first, each next write the lowest-index
-        unplaced one whose required predecessors are placed, so none is
-        made that is not yielded. The rows are shared: read each before
-        asking for the next."""
-        rows = list(self.co_base)
+    def _co_orders(self, need):
+        """The co of each completion, as relalg's int (bit w*n + v for the
+        pair (w, v)): every location's non-init writes take each order after
+        its init write in which every write w comes after the writes of the
+        mask need[w], in the order of the product over locations of
+        itertools.permutations of its writes. Orders are built depth-first,
+        each next write the lowest-index unplaced one whose required
+        predecessors are placed, so none is made that is not yielded."""
+        n = self.shape.n
         groups = self.groups
 
-        def place(g, left, placed):
+        def place(g, left, placed, co):
             if not left:
                 g += 1
                 if g == len(groups):
-                    yield rows
+                    yield co
                     return
                 left = groups[g][1]
             mask = groups[g][0]
             for i, w in enumerate(left):
                 if need[w] & ~placed == 0:
                     now = placed | 1 << w
-                    rows[w] = mask & ~now
-                    yield from place(g, left[:i] + left[i + 1:], now)
+                    yield from place(g, left[:i] + left[i + 1:], now,
+                                     co | (mask & ~now) << w * n)
 
-        return place(-1, (), self.inits)
+        return place(-1, (), self.inits, self.co_base)
 
     def _needs(self, rf_combo):
         """Per write, the mask of the writes that co must put before it for
@@ -422,7 +421,7 @@ class _Completions:
         nothing is built for them. Every edge of that union joins events of
         one location, so the check splits into one per location that reads
         only that location's rf and co choices, and it bounds which orders
-        are made (_needs, _co_rows); the survivors come in the order of the
+        are made (_needs, _co_orders); the survivors come in the order of the
         full product. Dropping them loses no consistent candidate of any
         model decided here:
 
@@ -464,13 +463,13 @@ class _Completions:
                 if need is None:
                     report.pruned += self.full
                     continue
-            rf = [0] * n
+            rf = 0
             for w, r in zip(rf_combo, self.reads):
-                rf[w] |= 1 << r
-            rf = Rel.from_rows(n, rf)
+                rf |= 1 << w * n + r
+            rf = Rel.from_bits(n, rf)
             made = 0
-            for co in self._co_rows(need):
-                execution = Execution.on(shape, labels, rf=rf, co=Rel.from_rows(n, co))
+            for co in self._co_orders(need):
+                execution = Execution.on(shape, labels, rf=rf, co=Rel.from_bits(n, co))
                 yield Candidate(execution=execution, final_regs=final_regs)
                 made += 1
             if report is not None:

@@ -25,7 +25,10 @@ it with the IMM and RC11 relations, and `hwmodels` extends it with the POWER
 and ARM ones. The entries that read only a shape form static tables
 (`IMM_STATIC` here, `POWER_STATIC` and `ARM_STATIC` in hwmodels), evaluated
 on the Shape itself and shared by all its executions (`static_entries`); an
-entry that reads rf, co, sc or a value there raises AttributeError.
+entry that reads rf, co, sc or a value there raises AttributeError. A
+composition with an empty factor is empty, so an entry whose static factor
+is empty for a shape returns without building its other factors; each such
+entry says why its short cut holds.
 """
 
 from __future__ import annotations
@@ -231,11 +234,19 @@ BASE_RELS = {
 }
 
 
-def _sw(g, rs, rf):
-    """([W^rel] ∪ [F^⊒rel];po);rs;rf;([R^acq] ∪ po;[F^⊒acq])"""
-    release = g.ident(g.W_rel) | g.ident(g.fences_geq("rel")).compose(g.po)
-    acquire = g.ident(g.R_acq) | g.po.compose(g.ident(g.fences_geq("acq")))
-    return release.seq(rs, rf, acquire)
+def _eco(rf, co_fr):
+    """rf ∪ co;rf? ∪ fr;rf?, given co ∪ fr: composition distributes over
+    union, and X;rf? is X ∪ X;rf."""
+    return rf | co_fr | co_fr.compose(rf)
+
+
+def _sw(g, r, rs, rf):
+    """release;rs;rf;acquire with the static brackets of IMM_STATIC, and rs
+    and rf given as thunks: a composition with an empty factor is empty, so
+    neither is read when a bracket is empty."""
+    if not r.sw_release or not r.sw_acquire:
+        return Rel(g.n)
+    return r.sw_release.seq(rs(), rf(), r.sw_acquire)
 
 
 IMM_STATIC = {
@@ -251,24 +262,37 @@ IMM_STATIC = {
         | g.ident(g.W_rel).seq(g.po_loc, g.ident(g.W))
     ),
     "strong_po": lambda g, r: g.ident(g.W_strong).seq(g.po, g.ident(g.W)),
+    # the brackets of sw and the first part of rs
+    "sw_release": lambda g, r: g.ident(g.W_rel) | g.ident(g.fences_geq("rel")).compose(g.po),
+    "sw_acquire": lambda g, r: g.ident(g.R_acq) | g.po.compose(g.ident(g.fences_geq("acq"))),
+    "rs_static": lambda g, r: g.ident(g.W).seq(g.po_loc, g.ident(g.W)),
+    "R_W": lambda g, r: Rel.product(g.n, g.R, g.W),  # [R];X;[W] is X ∩ (R × W)
 }
 IMM_RELS = BASE_RELS | static_entries(IMM_STATIC) | {
-    "eco": lambda g, r: g.rf | g.co.compose(g.rf.opt()) | r.fr.compose(g.rf.opt()),
+    "eco": lambda g, r: _eco(g.rf, g.co | r.fr),
+    # [W];po_loc;[W] ∪ [W];(po_loc?;rf;rmw)*
     "rs": lambda g, r: (
-        g.ident(g.W).seq(g.po_loc, g.ident(g.W))
-        | g.ident(g.W).compose(g.po_loc.opt().seq(g.rf, g.rmw).star())
+        r.rs_static | g.ident(g.W).compose(g.po_loc.opt().seq(g.rf, g.rmw).star())
     ),
-    "sw": lambda g, r: _sw(g, r.rs, r.rfi | g.po_loc.opt().compose(r.rfe)),
-    "hb": lambda g, r: (g.po | r.sw).plus(),
-    "ppo": lambda g, r: g.ident(g.R).seq((r.deps | r.rfi).plus(), g.ident(g.W)),
-    "psc": lambda g, r: g.ident(g.F_sc).seq(r.hb, r.eco, r.hb, g.ident(g.F_sc)),
+    # ([W^rel] ∪ [F^⊒rel];po);rs;(rfi ∪ po_loc?;rfe);([R^acq] ∪ po;[F^⊒acq])
+    "sw": lambda g, r: _sw(g, r, lambda: r.rs, lambda: r.rfi | g.po_loc.opt().compose(r.rfe)),
+    # (po ∪ sw)⁺, which is po when sw is empty: po is transitive
+    "hb": lambda g, r: (g.po | r.sw).plus() if r.sw else g.po,
+    # [R];(deps ∪ rfi)⁺;[W]
+    "ppo": lambda g, r: (r.deps | r.rfi).plus() & r.R_W,
+    # [F^sc];hb;eco;hb;[F^sc], empty when there is no SC fence
+    "psc": lambda g, r: (
+        g.ident(g.F_sc).seq(r.hb, r.eco, r.hb, g.ident(g.F_sc)) if g.F_sc else Rel(g.n)
+    ),
     "ar_base": lambda g, r: r.rfe | r.bob | r.ppo | r.detour | r.strong_po,
     "ar": lambda g, r: r.ar_base | r.psc,
     "rs_rc11": lambda g, r: (
         g.ident(g.W).seq(g.po_loc.opt(), g.ident(g.W)).compose(g.rf.compose(g.rmw).star())
     ),
-    "sw_rc11": lambda g, r: _sw(g, r.rs_rc11, g.rf),
-    "hb_rc11": lambda g, r: (g.po | r.sw_rc11).plus(),
+    # release;rs_rc11;rf;acquire, with the brackets of sw
+    "sw_rc11": lambda g, r: _sw(g, r, lambda: r.rs_rc11, lambda: g.rf),
+    # (po ∪ sw_rc11)⁺, po when sw_rc11 is empty
+    "hb_rc11": lambda g, r: (g.po | r.sw_rc11).plus() if r.sw_rc11 else g.po,
     "vf_rlx": lambda g, r: g.rf.opt().compose(g.po.opt()),
 }
 _IMM = namespace(IMM_RELS)
@@ -324,7 +348,7 @@ class Shape:
             by_thread.setdefault(e.tid, set()).add(i)
         self._by_thread = {tid: frozenset(es) for tid, es in by_thread.items()}
         self._locations = tuple(sorted({loc for loc in self.loc_of if loc is not None}))
-        self._index = {e: i for i, e in enumerate(events)}
+        self._index = None  # event -> position, made by the first index_of
         self._cache = {}
 
     def static(self, over_shape):
@@ -363,6 +387,8 @@ class Shape:
         return Rel.identity(self.n, members)
 
     def index_of(self, event):
+        if self._index is None:
+            self._index = {e: i for i, e in enumerate(self.events)}
         return self._index[event]
 
 

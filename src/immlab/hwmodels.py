@@ -245,11 +245,6 @@ def _lwsync(order, g):
     return order - order.restrict(g.W, g.R)
 
 
-def _ppo(id_r, ii, ic, id_w):
-    """[R];ii;[R] ∪ [R];ic;[W]"""
-    return id_r.seq(ii, id_r) | id_r.seq(ic, id_w)
-
-
 def _with_mode(g, members, mode):
     """The identity on the members labelled with mode."""
     return g.ident(i for i in members if g.labels[i].mode == mode)
@@ -261,16 +256,30 @@ POWER_STATIC = {
     "fence": lambda g, r: r.sync | r.lwsync,
     "ctrl_isync": lambda g, r: g.ident(g.R).seq(
         g.ctrl, g.ident(g.fences_with_mode("isync")), g.po),
+    # the shape's parts of the ii and cc seeds of power_ppo_fixpoint
+    "ii_static": lambda g, r: g.addr | g.data,
+    "cc_static_armv7": lambda g, r: g.data | g.ctrl | g.addr.compose(g.po.opt()),
+    "cc_static": lambda g, r: r.cc_static_armv7 | g.po_loc,
+    # [A];X;[B] is X ∩ (A × B)
+    "R_R": lambda g, r: Rel.product(g.n, g.R, g.R),
+    "R_W": lambda g, r: Rel.product(g.n, g.R, g.W),
 }
 # ii/ic/ci/cc are not entries: power_ppo_fixpoint computes them together
 POWER_RELS = BASE_RELS | static_entries(POWER_STATIC) | {
     "rdw": lambda g, r: r.fre.compose(r.rfe) & g.po,
-    "ppo": lambda g, r: _ppo(g.ident(g.R), r.ii, r.ic, g.ident(g.W)),
+    # [R];ii;[R] ∪ [R];ic;[W]
+    "ppo": lambda g, r: r.ii & r.R_R | r.ic & r.R_W,
     "hb": lambda g, r: r.ppo | r.fence | r.rfe,
     "hb_star": lambda g, r: r.hb.star(),
-    "prop1": lambda g, r: g.ident(g.W).seq(r.rfe.opt(), r.fence, r.hb_star, g.ident(g.W)),
-    "prop2": lambda g, r: (r.coe | r.fre).opt().seq(
-        r.rfe.opt(), r.fence.compose(r.hb_star).opt(), r.sync, r.hb_star),
+    # [W];rfe?;fence;hb*;[W], empty when fence is
+    "prop1": lambda g, r: (
+        g.ident(g.W).seq(r.rfe.opt(), r.fence, r.hb_star, g.ident(g.W)) if r.fence else r.fence
+    ),
+    # (coe ∪ fre)?;rfe?;(fence;hb*)?;sync;hb*, empty when sync is
+    "prop2": lambda g, r: (
+        (r.coe | r.fre).opt().seq(r.rfe.opt(), r.fence.compose(r.hb_star).opt(), r.sync,
+                                  r.hb_star) if r.sync else r.sync
+    ),
     "prop": lambda g, r: r.prop1 | r.prop2,
 }
 _POWER = namespace(POWER_RELS)
@@ -291,11 +300,9 @@ def power_ppo_fixpoint(gp, armv7=False):
     of the closure. armv7 drops po_loc from the cc seed."""
     r = _POWER(gp)
     n = gp.n
-    ii0 = gp.addr | gp.data | r.rdw | r.rfi
+    ii0 = r.ii_static | r.rdw | r.rfi
     ci0 = r.ctrl_isync | r.detour
-    cc0 = gp.data | gp.ctrl | gp.addr.compose(gp.po.opt())
-    if not armv7:
-        cc0 = cc0 | gp.po_loc
+    cc0 = r.cc_static_armv7 if armv7 else r.cc_static
     rows = [a | (a | c) << n for a, c in zip((ii0 | ci0).rows(), cc0.rows())]
     rows += [a | (a | c) << n for a, c in zip(ci0.rows(), cc0.rows())]
     closed = Rel.from_rows(2 * n, rows).plus().rows()
@@ -331,8 +338,23 @@ def check_power(gp, at_axiom=False, armv7=False):
 # -- ARM consistency ----------------------------------------------------------------
 
 
+def _dob(g, r):
+    """(addr ∪ data);rfi? ∪ (ctrl ∪ data);[W];coi? ∪ addr;po;[W]. X;r? is
+    X ∪ X;r, and a term whose static factor X is empty is empty, so its r
+    is not read."""
+    out = r.addr_po_w
+    if r.addr_data:
+        out = out | r.addr_data | r.addr_data.compose(r.rfi)
+    if r.ctrl_data_w:
+        out = out | r.ctrl_data_w | r.ctrl_data_w.compose(r.coi)
+    return out
+
+
 ARM_STATIC = {
     "addr_po_w": lambda g, r: g.addr.seq(g.po, g.ident(g.W)),
+    # the static factors of dob's other two terms
+    "addr_data": lambda g, r: g.addr | g.data,
+    "ctrl_data_w": lambda g, r: (g.ctrl | g.data).compose(g.ident(g.W)),
     "po_rel": lambda g, r: g.po.compose(_with_mode(g, g.W, "L")),
     # bob but for its po;[L];coi edges
     "bob_static": lambda g, r: (
@@ -344,14 +366,10 @@ ARM_STATIC = {
 }
 ARM_RELS = BASE_RELS | static_entries(ARM_STATIC) | {
     "obs": lambda g, r: r.rfe | r.fre | r.coe,
-    "dob": lambda g, r: (
-        (g.addr | g.data).compose(r.rfi.opt())
-        | (g.ctrl | g.data).seq(g.ident(g.W), r.coi.opt())
-        | r.addr_po_w
-    ),
+    "dob": _dob,
     "aob": lambda g, r: g.rmw | g.ident(g.rmw.codom()).seq(r.rfi, _with_mode(g, g.R, "Q")),
-    # po;[L];coi? ∪ the fence and acquire edges
-    "bob": lambda g, r: r.bob_static | r.po_rel.compose(r.coi),
+    # po;[L];coi? ∪ the fence and acquire edges; coi is not read without an L
+    "bob": lambda g, r: r.bob_static | r.po_rel.compose(r.coi) if r.po_rel else r.bob_static,
 }
 _ARM = namespace(ARM_RELS)
 

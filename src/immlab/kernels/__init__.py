@@ -1,6 +1,6 @@
-"""The bitset kernels: transitive closure, composition and cycle detection
-over int rows, in pure Python (pure.py)."""
+"""The relation kernels: transitive closure, composition and cycle detection
+over relations stored as one int each, in pure Python (pure.py)."""
 
-from .pure import compose, has_cycle, transitive_closure
+from .pure import compose, has_cycle, masks, transitive_closure, transpose
 
 BACKEND = "pure"

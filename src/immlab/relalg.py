@@ -3,21 +3,29 @@
 Every consistency predicate in the package is a formula over these. Relations
 carry their universe size; ids are 0..n-1. All values are immutable.
 
-A relation is stored as a list of bitset rows: bit j of row i is set when
-(i, j) is in the relation. Every operation works on the rows; the set of
-pairs is built only when asked for (`pairs`), for JSON, witnesses and tests.
+A relation over n events is one Python int: bit i*n + j is set when (i, j)
+is in the relation, so row i is the n bits from i*n up. Union, intersection,
+difference, reflexive closure (against the diagonal mask, bit i*(n+1) for
+every i), irreflexivity, size, emptiness and equality are one int operation
+each. Composition and closure multiply a column by a row (kernels): the
+column mask has bit i*n for every i, and (r >> j) & COL times row j of s
+copies that row into every row i with (i, j) ∈ r, with no carry between rows.
+The list of rows (`rows`) is made on the first call and kept, for callers
+that test one row at a time; the set of pairs is built only when asked for
+(`pairs`), for JSON, witnesses and tests.
 """
 
 from __future__ import annotations
 
 from . import kernels
+from .kernels import masks
 
 
 class UniverseMismatch(ValueError):
     pass
 
 
-def _bits(mask):
+def _ones(mask):
     """The set bits of mask, ascending."""
     while mask:
         low = mask & -mask
@@ -34,28 +42,41 @@ def _mask(members, n):
     return mask
 
 
-def _new(n, rows):
-    """A relation over rows the caller hands over and no longer touches."""
+def _product(n, a, b):
+    """The bits of A × B: B's mask copied into the row of each member of A."""
+    bmask = _mask(b, n)
+    bits = 0
+    if bmask:
+        for x in a:
+            if 0 <= x < n:
+                bits |= bmask << x * n
+    return bits
+
+
+def _new(n, bits):
     rel = Rel.__new__(Rel)
     rel.n = n
-    rel._rows = rows
+    rel.bits = bits
+    rel._rows = None
     rel._inv = None
     return rel
 
 
 class Rel:
-    """A binary relation over {0..n-1}, stored as a list of int bitset rows."""
+    """A binary relation over {0..n-1}, stored as one int (bit i*n + j for
+    the pair (i, j))."""
 
-    __slots__ = ("n", "_rows", "_inv")
+    __slots__ = ("n", "bits", "_rows", "_inv")
 
     def __init__(self, n, pairs=()):
-        rows = [0] * n
+        bits = 0
         for x, y in pairs:
             if not (0 <= x < n and 0 <= y < n):
                 raise ValueError(f"pair ({x},{y}) outside universe of size {n}")
-            rows[x] |= 1 << y
+            bits |= 1 << x * n + y
         self.n = n
-        self._rows = rows
+        self.bits = bits
+        self._rows = None
         self._inv = None
 
     # -- construction helpers -------------------------------------------------
@@ -63,29 +84,47 @@ class Rel:
     @staticmethod
     def identity(n, members=None):
         if members is None:
-            return _new(n, [1 << x for x in range(n)])
-        rows = [0] * n
+            return _new(n, masks(n)[2])
+        bits = 0
         for x in members:
             if not 0 <= x < n:
                 raise ValueError(f"pair ({x},{x}) outside universe of size {n}")
-            rows[x] = 1 << x
-        return _new(n, rows)
+            bits |= 1 << x * (n + 1)
+        return _new(n, bits)
 
     @staticmethod
     def product(n, a, b):
         """A × B."""
-        amask, bmask = _mask(a, n), _mask(b, n)
-        return _new(n, [bmask if amask >> x & 1 else 0 for x in range(n)])
+        return _new(n, _product(n, a, b))
 
     @staticmethod
     def from_rows(n, rows):
         rows = list(rows)
         if len(rows) != n or rows and (min(rows) < 0 or max(rows) >> n):
             raise ValueError(f"rows do not describe a relation over {n} events")
-        return _new(n, rows)
+        bits = 0
+        for i, row in enumerate(rows):
+            if row:
+                bits |= row << i * n
+        rel = _new(n, bits)
+        rel._rows = rows
+        return rel
+
+    @staticmethod
+    def from_bits(n, bits):
+        """The relation whose int is bits: bit i*n + j for the pair (i, j)."""
+        if bits < 0 or bits >> n * n:
+            raise ValueError(f"bits do not describe a relation over {n} events")
+        return _new(n, bits)
 
     def rows(self):
-        """The bitset rows; shared, so callers must not modify them."""
+        """The bitset rows (bit j of row i for the pair (i, j)); made once
+        and shared, so callers must not modify them."""
+        if self._rows is None:
+            n = self.n
+            row = (1 << n) - 1
+            bits = self.bits
+            self._rows = [bits >> i * n & row for i in range(n)]
         return self._rows
 
     @property
@@ -100,69 +139,87 @@ class Rel:
 
     def __or__(self, other):
         self._check(other)
-        return _new(self.n, [a | b for a, b in zip(self._rows, other._rows)])
+        return _new(self.n, self.bits | other.bits)
 
     def __and__(self, other):
         self._check(other)
-        return _new(self.n, [a & b for a, b in zip(self._rows, other._rows)])
+        return _new(self.n, self.bits & other.bits)
 
     def __sub__(self, other):
         self._check(other)
-        return _new(self.n, [a & ~b for a, b in zip(self._rows, other._rows)])
+        return _new(self.n, self.bits & ~other.bits)
 
     def __eq__(self, other):
-        return isinstance(other, Rel) and self.n == other.n and self._rows == other._rows
+        return isinstance(other, Rel) and self.n == other.n and self.bits == other.bits
 
     def __hash__(self):
-        return hash((self.n, tuple(self._rows)))
+        return hash((self.n, self.bits))
 
     def __contains__(self, pair):
         x, y = pair
-        return 0 <= x < self.n and 0 <= y < self.n and self._rows[x] >> y & 1 == 1
+        return 0 <= x < self.n and 0 <= y < self.n and self.bits >> x * self.n + y & 1 == 1
 
     def __len__(self):
-        return sum(r.bit_count() for r in self._rows)
+        return self.bits.bit_count()
 
     def __bool__(self):
-        return any(self._rows)
+        return self.bits != 0
 
     def __iter__(self):
-        """Pairs in ascending order."""
-        for x, row in enumerate(self._rows):
-            for y in _bits(row):
-                yield (x, y)
+        """Pairs in ascending order, row by row."""
+        n = self.n
+        row = (1 << n) - 1
+        bits = self.bits
+        x = 0
+        while bits:
+            if bits & row:
+                for y in _ones(bits & row):
+                    yield (x, y)
+            bits >>= n
+            x += 1
 
     def __repr__(self):
         return f"Rel({self.n}, {list(self)})"
 
     def inverse(self):
         if self._inv is None:
-            cols = [0] * self.n
-            for x, row in enumerate(self._rows):
-                bit = 1 << x
-                for y in _bits(row):
-                    cols[y] |= bit
             # cached one way only: a cycle back would outlive refcounting
-            self._inv = _new(self.n, cols)
+            self._inv = _new(self.n, kernels.transpose(self.bits, self.n))
         return self._inv
 
     def dom(self):
-        return frozenset(x for x, row in enumerate(self._rows) if row)
+        n = self.n
+        row = (1 << n) - 1
+        bits = self.bits
+        out = []
+        x = 0
+        while bits:
+            if bits & row:
+                out.append(x)
+            bits >>= n
+            x += 1
+        return frozenset(out)
 
     def codom(self):
+        n = self.n
+        row = (1 << n) - 1
+        bits = self.bits
         acc = 0
-        for row in self._rows:
-            acc |= row
-        return frozenset(_bits(acc))
+        while bits:
+            acc |= bits & row
+            bits >>= n
+        return frozenset(_ones(acc))
 
     # -- composition and closures ----------------------------------------------
 
     def compose(self, other):
         """Left composition self;other."""
         self._check(other)
-        if not any(self._rows) or not any(other._rows):
-            return _new(self.n, [0] * self.n)
-        return _new(self.n, kernels.compose(self._rows, other._rows, self.n))
+        if not self.bits:
+            return self
+        if not other.bits:
+            return other
+        return _new(self.n, kernels.compose(self.bits, other.bits, self.n))
 
     def seq(self, *others):
         out = self
@@ -172,13 +229,13 @@ class Rel:
 
     def plus(self):
         """Transitive closure (least fixpoint of r ∪ r;r)."""
-        if not any(self._rows):
+        if not self.bits:
             return self
-        return _new(self.n, kernels.transitive_closure(self._rows, self.n))
+        return _new(self.n, kernels.transitive_closure(self.bits, self.n))
 
     def opt(self):
         """Reflexive closure: adds identity on the whole universe."""
-        return _new(self.n, [row | 1 << x for x, row in enumerate(self._rows)])
+        return _new(self.n, self.bits | masks(self.n)[2])
 
     def star(self):
         return self.plus().opt()
@@ -194,33 +251,40 @@ class Rel:
     # -- predicates -------------------------------------------------------------
 
     def is_irreflexive(self):
-        return not any(row >> x & 1 for x, row in enumerate(self._rows))
+        return not self.bits & masks(self.n)[2]
 
     def is_acyclic(self):
-        if not any(self._rows):
+        if not self.bits:
             return True
-        return not kernels.has_cycle(self._rows, self.n)
+        return not kernels.has_cycle(self.bits, self.n)
 
     def is_transitive(self):
-        return all(c & ~r == 0 for c, r in zip(self.compose(self)._rows, self._rows))
+        return self.compose(self).bits & ~self.bits == 0
 
     def total_order(self, members):
         """The members first to last if r is a strict total order on them
         (total, and a strict order there), else None."""
         members = frozenset(members)
-        if any(not 0 <= x < self.n for x in members):
+        n = self.n
+        size = len(members)
+        mask = _mask(members, n)
+        if mask.bit_count() != size:
             # no pair reaches an id outside the universe
-            return list(members) if len(members) <= 1 else None
+            return list(members) if size <= 1 else None
         # r is a strict total order on M iff, ranking the members by how many
         # members they precede, each precedes exactly the members ranked
         # after it
-        rows = self._rows
-        mask = _mask(members, self.n)
+        bits = self.bits
+        order = [None] * size
+        for x in members:
+            rank = size - 1 - (bits >> x * n & mask).bit_count()
+            if rank < 0 or order[rank] is not None:
+                return None
+            order[rank] = x
         later = mask
-        order = [x for _, x in sorted((-(rows[x] & mask).bit_count(), x) for x in members)]
         for x in order:
             later ^= 1 << x
-            if rows[x] & mask != later:
+            if bits >> x * n & mask != later:
                 return None
         return order
 
@@ -231,27 +295,30 @@ class Rel:
 
     def restrict(self, a, b):
         """[A];r;[B]."""
-        amask = _mask(a, self.n)
-        bmask = _mask(b, self.n)
-        return _new(self.n, [row & bmask if amask >> x & 1 else 0
-                             for x, row in enumerate(self._rows)])
+        return _new(self.n, self.bits & _product(self.n, a, b))
 
     def restrict_loc(self, locmap):
         """Pairs whose endpoints have the same (non-None) location."""
+        n = self.n
         at = {}
-        for x in range(self.n):
+        for x in range(n):
             if locmap[x] is not None:
                 at[locmap[x]] = at.get(locmap[x], 0) | 1 << x
-        return _new(self.n, [row & at[locmap[x]] if locmap[x] is not None else 0
-                             for x, row in enumerate(self._rows)])
+        mask = 0
+        for x in range(n):
+            if locmap[x] is not None:
+                mask |= at[locmap[x]] << x * n
+        return _new(n, self.bits & mask)
 
     def image(self, members):
+        n = self.n
+        row = (1 << n) - 1
+        bits = self.bits
         acc = 0
-        rows = self._rows
         for x in members:
-            if 0 <= x < self.n:
-                acc |= rows[x]
-        return frozenset(_bits(acc))
+            if 0 <= x < n:
+                acc |= bits >> x * n & row
+        return frozenset(_ones(acc))
 
     def preimage(self, members):
         return self.inverse().image(members)
@@ -260,7 +327,7 @@ class Rel:
         """A shortest cycle (event list, first repeated) or None. BFS per node."""
         if self.is_acyclic():
             return None
-        adj = {x: list(_bits(row)) for x, row in enumerate(self._rows) if row}
+        adj = {x: list(_ones(row)) for x, row in enumerate(self.rows()) if row}
         best = None
         for start in adj:
             # BFS back to start
@@ -292,12 +359,12 @@ class Rel:
 
 
 def union_all(n, rels):
-    rows = [0] * n
+    bits = 0
     for r in rels:
         if r.n != n:
             raise UniverseMismatch(f"universes differ: {n} vs {r.n}")
-        rows = [a | b for a, b in zip(rows, r._rows)]
-    return _new(n, rows)
+        bits |= r.bits
+    return _new(n, bits)
 
 
 def remapping(index, n):
@@ -316,14 +383,21 @@ def remapping(index, n):
         last_x, last_y = x, y
 
     def carry(rel):
-        rows = [0] * n
-        for x, row in enumerate(rel._rows):
-            if row and index[x] is not None:
+        m = rel.n
+        row = (1 << m) - 1
+        bits = rel.bits
+        out = 0
+        x = 0
+        while bits:
+            old = bits & row
+            if old and index[x] is not None:
                 acc = 0
                 for start, width, to in runs:
-                    acc |= (row >> start & width) << to
-                rows[index[x]] = acc
-        return _new(n, rows)
+                    acc |= (old >> start & width) << to
+                out |= acc << index[x] * n
+            bits >>= m
+            x += 1
+        return _new(n, out)
 
     return carry
 

@@ -3,58 +3,65 @@ import random
 from immlab import kernels
 from immlab.kernels import pure
 
-from oracles import matrix_closure, matrix_compose
+from oracles import dfs_has_cycle, matrix_closure, matrix_compose
 
 
-def random_rows(rng, n, density=0.3):
-    rows = []
-    for _ in range(n):
-        row = 0
-        for j in range(n):
-            if rng.random() < density:
-                row |= 1 << j
-        rows.append(row)
-    return rows
+def random_pairs(rng, n, density=0.3):
+    return {(i, j) for i in range(n) for j in range(n) if rng.random() < density}
 
 
-def rows_to_pairs(rows, n):
-    out = set()
-    for i in range(n):
-        rest = rows[i]
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            out.add((i, j))
-    return out
+def flat(pairs, n):
+    """The kernels' layout: bit i*n + j for the pair (i, j)."""
+    bits = 0
+    for i, j in pairs:
+        bits |= 1 << i * n + j
+    return bits
+
+
+def pairs_of_flat(bits, n):
+    assert bits >= 0 and not bits >> n * n
+    return {divmod(k, n) for k in range(n * n) if bits >> k & 1}
+
+
+def assert_kernels_match_oracles(pairs, other, n):
+    bits, other_bits = flat(pairs, n), flat(other, n)
+    assert pairs_of_flat(kernels.transitive_closure(bits, n), n) == matrix_closure(pairs, n)
+    assert pairs_of_flat(kernels.compose(bits, other_bits, n), n) == \
+        matrix_compose(pairs, other, n)
+    assert kernels.has_cycle(bits, n) == dfs_has_cycle(pairs, n)
+    assert pairs_of_flat(kernels.transpose(bits, n), n) == {(j, i) for i, j in pairs}
 
 
 def test_selected_backend_matches_pure():
     rng = random.Random(17)
     for n in (1, 3, 8, 17, 65, 130):
-        rows = random_rows(rng, n, density=0.15)
-        assert kernels.transitive_closure(rows, n) == pure.transitive_closure(rows, n)
-        other = random_rows(rng, n, density=0.15)
-        assert kernels.compose(rows, other, n) == pure.compose(rows, other, n)
-        assert kernels.has_cycle(rows, n) == pure.has_cycle(rows, n)
+        pairs = random_pairs(rng, n, density=0.15)
+        other = random_pairs(rng, n, density=0.15)
+        bits, other_bits = flat(pairs, n), flat(other, n)
+        assert kernels.transitive_closure(bits, n) == pure.transitive_closure(bits, n)
+        assert kernels.compose(bits, other_bits, n) == pure.compose(bits, other_bits, n)
+        assert kernels.has_cycle(bits, n) == pure.has_cycle(bits, n)
+        assert_kernels_match_oracles(pairs, other, n)
+        # an acyclic relation at the same size: edges only to higher ids
+        dag = {(i, j) for i, j in pairs if i < j}
+        assert kernels.has_cycle(flat(dag, n), n) is False
+        assert_kernels_match_oracles(dag, other, n)
 
 
 def test_backends_match_matrix_oracle():
     rng = random.Random(23)
     for _ in range(25):
         n = rng.randint(1, 12)
-        rows = random_rows(rng, n)
-        pairs = rows_to_pairs(rows, n)
-        closed = rows_to_pairs(kernels.transitive_closure(rows, n), n)
-        assert closed == matrix_closure(pairs, n)
-        other = random_rows(rng, n)
-        composed = rows_to_pairs(kernels.compose(rows, other, n), n)
-        assert composed == matrix_compose(pairs, rows_to_pairs(other, n), n)
+        density = rng.choice((0.05, 0.3))  # sparse and dense transposes
+        assert_kernels_match_oracles(random_pairs(rng, n, density),
+                                     random_pairs(rng, n, density), n)
 
 
 def test_empty_universe():
-    assert kernels.transitive_closure([], 0) == []
-    assert kernels.compose([], [], 0) == []
-    assert kernels.has_cycle([], 0) is False
+    assert kernels.transitive_closure(0, 0) == 0
+    assert kernels.compose(0, 0, 0) == 0
+    assert kernels.has_cycle(0, 0) is False
+    assert kernels.transpose(0, 0) == 0
 
 
 def test_backend_is_reported():

@@ -326,3 +326,17 @@ def test_set_algebra_universe_mismatch():
             getattr(Rel(3), op)(Rel(4))
     with pytest.raises(UniverseMismatch):
         union_all(3, [Rel(3), Rel(4)])
+
+
+@pytest.mark.parametrize("bits", [-1, 1 << 9, 1 << 20])
+def test_bits_outside_the_universe_are_rejected(bits):
+    with pytest.raises(ValueError):
+        Rel.from_bits(3, bits)
+
+
+def test_bits_round_trip():
+    rng = random.Random(13)
+    for n in range(0, 9):
+        r = random_rel(rng, n)
+        assert Rel.from_bits(n, r.bits) == r
+        assert Rel.from_bits(n, r.bits).rows() == Rel.from_rows(n, r.rows()).rows()
