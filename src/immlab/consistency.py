@@ -3,9 +3,10 @@
 A model is an ordered table of (axiom, kind, relation) rows, in the style of
 herd7's cat language: kind is "acyclic", "irreflexive" or "empty", and
 relation(g, rels) is the relation the axiom constrains, built from the graph
-and a namespace of its derived relations (execgraph.Derived), which computes
-each relation the first time a row reads it, so a model builds only what its
-rows reach. `evaluate` checks rf-completeness and co-totality first, then
+and a namespace of its derived relations (execgraph.Derived). The namespace
+starts from the model's static table, built in full once per shape, and
+computes each rf/co relation the first time a row reads it, so a model builds
+only the rf/co relations its rows reach. `evaluate` checks rf-completeness and co-totality first, then
 every row in order, and reports each violated axiom with a witness of its
 kind's shape: a shortest cycle, the first reflexive event, or the offending
 pairs.

@@ -17,18 +17,19 @@ copy of its shape's attributes, so every completion of one shape holds the
 same view objects, and a view is computed once per shape.
 
 Derived relations are stated once each, as rows of a definition table
-(name -> (g, rels) -> Rel, the shape of the axiom rows in `consistency`),
-and read through a namespace (an instance of the `Derived` class that
-`namespace(table)` makes) that computes an entry the first time its name is
-read. `BASE_RELS` holds the relations every model reads; `IMM_RELS` extends
-it with the IMM and RC11 relations, and `hwmodels` extends it with the POWER
-and ARM ones. The entries that read only a shape form static tables
-(`IMM_STATIC` here, `POWER_STATIC` and `ARM_STATIC` in hwmodels), evaluated
-on the Shape itself and shared by all its executions (`static_entries`); an
-entry that reads rf, co, sc or a value there raises AttributeError. A
-composition with an empty factor is empty, so an entry whose static factor
-is empty for a shape returns without building its other factors; each such
-entry says why its short cut holds.
+(name -> (g, rels) -> Rel, the shape of the axiom rows in `consistency`).
+The entries that read only a shape form static tables (`BASE_STATIC` and
+`IMM_STATIC`, which extends it, here; `POWER_STATIC` and `ARM_STATIC` in
+hwmodels): `static_relations` builds one in full, once per shape, on the
+Shape itself, where an entry that reads rf, co, sc or a value raises
+AttributeError. The rest read rf or co: `BASE_RELS`, extended by `IMM_RELS`
+here and by the POWER and ARM tables in hwmodels. A namespace (an instance
+of the `Derived` class that `namespace(table)` makes) starts its store as a
+copy of the shape's static relations and computes an rf/co entry the first
+time its name is read, so a model builds only the rf/co relations its rows
+reach. A composition with an empty factor is empty, so an entry whose static
+factor is empty for a shape returns without building its other factors; each
+such entry says why its short cut holds.
 """
 
 from __future__ import annotations
@@ -211,16 +212,18 @@ def namespace(table):
     return type("Derived", (Derived,), {"__slots__": (), **entries})
 
 
-def static_entries(table):
-    """The entries of a static table, whose entries read only a Shape, as
-    entries of an execution's table: each is computed on the execution's
-    shape (g.shape.static) and shared by every execution over it."""
-    over_shape = namespace(table)
+def static_relations(shape, table):
+    """The relations of a static table on shape, evaluated once, in table
+    order (an entry reads the shape and the entries above it), as a dict
+    kept in the shape's memo under the table's entries."""
 
-    def read(name):
-        return lambda g, r: getattr(g.shape.static(over_shape), name)
+    def evaluate(shape):
+        rels = Derived(shape)
+        for name, define in table.items():
+            rels.__dict__[name] = define(shape, rels)
+        return rels.__dict__
 
-    return {name: read(name) for name in table}
+    return shape.memo(tuple(table.items()), evaluate)
 
 
 BASE_RELS = {
@@ -249,7 +252,9 @@ def _sw(g, r, rs, rf):
     return r.sw_release.seq(rs(), rf(), r.sw_acquire)
 
 
-IMM_STATIC = {
+# [R];X;[W] is X ∩ (R × W)
+BASE_STATIC = {"R_W": lambda g, r: Rel.product(g.n, g.R, g.W)}
+IMM_STATIC = BASE_STATIC | {
     "deps": lambda g, r: (
         g.data | g.ctrl | g.addr.compose(g.po.opt()) | g.casdep
         | g.ident(g.R_ex).compose(g.po)
@@ -266,9 +271,8 @@ IMM_STATIC = {
     "sw_release": lambda g, r: g.ident(g.W_rel) | g.ident(g.fences_geq("rel")).compose(g.po),
     "sw_acquire": lambda g, r: g.ident(g.R_acq) | g.po.compose(g.ident(g.fences_geq("acq"))),
     "rs_static": lambda g, r: g.ident(g.W).seq(g.po_loc, g.ident(g.W)),
-    "R_W": lambda g, r: Rel.product(g.n, g.R, g.W),  # [R];X;[W] is X ∩ (R × W)
 }
-IMM_RELS = BASE_RELS | static_entries(IMM_STATIC) | {
+IMM_RELS = BASE_RELS | {
     "eco": lambda g, r: _eco(g.rf, g.co | r.fr),
     # [W];po_loc;[W] ∪ [W];(po_loc?;rf;rmw)*
     "rs": lambda g, r: (
@@ -304,9 +308,8 @@ class Shape:
     model, and every view computed from them alone, each once, when the
     shape is made. It has no rf, co, sc or values, so what is computed here
     holds for every execution over it, and a computation that reads them
-    raises AttributeError. It also keeps, per static table, the relations
-    computed from it (`static`), and per key, a value computed once from it
-    (`memo`; hwmodels keeps its mapping layouts there)."""
+    raises AttributeError. It also keeps, per key, a value computed once
+    from it (`memo`): its static relations and hwmodels' mapping layouts."""
 
     def __init__(self, events, labels, rmw=None, data=None, addr=None, ctrl=None,
                  casdep=None, model="imm"):
@@ -351,11 +354,6 @@ class Shape:
         self._index = None  # event -> position, made by the first index_of
         self._cache = {}
 
-    def static(self, over_shape):
-        """A namespace of the static table that over_shape (a `namespace`
-        class) was made from, over this shape; its relations are kept here."""
-        return over_shape(self, self._cache.setdefault(over_shape, {}))
-
     def memo(self, key, make):
         """make(self), computed on the first call with key."""
         if key not in self._cache:
@@ -397,7 +395,7 @@ class Execution(Shape):
     model ∈ imm|power|arm. An execution starts from a copy of its shape's
     attributes (`on`), so every execution over one shape holds the same view
     objects; `shape` is that shape, on which the static tables are
-    evaluated."""
+    evaluated. Its own memo keeps its values, co orders and IMM relations."""
 
     def __init__(self, events, labels, rmw=None, data=None, addr=None, ctrl=None,
                  casdep=None, rf=None, co=None, sc=None, model="imm"):
@@ -449,21 +447,13 @@ class Execution(Shape):
 
     # -- basic views -------------------------------------------------------------
 
-    def _cached(self, key, thunk):
-        if key not in self._cache:
-            self._cache[key] = thunk()
-        return self._cache[key]
-
     @property
     def po(self):
         return self._cache["po"]
 
     @property
     def val_of(self):
-        return self._cached(
-            "val_of",
-            lambda: [getattr(lab, "val", None) for lab in self.labels],
-        )
+        return self.memo("val_of", lambda g: [getattr(lab, "val", None) for lab in g.labels])
 
     # -- well-formedness -----------------------------------------------------------
 
@@ -552,13 +542,13 @@ class Execution(Shape):
         read through any namespace this returns."""
         if self.model != "imm":
             raise ValueError("derived relations are defined for imm executions")
-        return _IMM(self, self._cached("derived", dict))
+        return _IMM(self, self.memo(
+            "derived", lambda g: dict(static_relations(g.shape, IMM_STATIC))))
 
     def co_order(self, loc):
         """The writes to loc first to last in co, or None if co is not a
         strict total order on them."""
-        return self._cached(("co_order", loc),
-                            lambda: self.co.total_order(self.writes_to(loc)))
+        return self.memo(("co_order", loc), lambda g: g.co.total_order(g.writes_to(loc)))
 
     def bvf(self, determined, sc=None):
         """Certification visibility into non-determined reads:

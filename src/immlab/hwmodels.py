@@ -2,13 +2,15 @@
 the POWER and ARMv8 models, and the correspondence check between a source
 graph and its POWER or ARM image.
 
-Each model is two tables: its relations (POWER_RELS, ARM_RELS), which extend
-execgraph.BASE_RELS and are read through an execgraph.namespace, and
-its axioms, decided by consistency.evaluate. The relations that read only a
-graph's shape are static tables (POWER_STATIC, ARM_STATIC), computed once per
-shape. POWER's ii/ic/ci/cc are the four blocks of one transitive closure over
-two copies of the events (see power_ppo_fixpoint), which stores them in the
-namespace it returns.
+Each model is three tables: its static relations (POWER_STATIC, ARM_STATIC),
+which read only a graph's shape and are built in full once per shape; its
+rf/co relations (POWER_RELS, ARM_RELS), which extend execgraph.BASE_RELS and
+are read through an execgraph.namespace whose store, fresh per check, starts
+as a copy of the static ones, so a check builds only the rf/co relations its
+rows reach; and its axioms, decided by consistency.evaluate. POWER's
+ii/ic/ci/cc are the four blocks of one transitive closure over two copies of
+the events (see power_ppo_fixpoint), which stores them in the namespace it
+returns.
 
 Mappings are graph-level: each source event keeps its identity, inserted
 barriers take half-step serial numbers, and the mapped graph is the minimal
@@ -30,7 +32,8 @@ from typing import Callable, NamedTuple
 
 from .consistency import Verdict, atomicity, evaluate
 from .execgraph import (
-    BASE_RELS, Event, Execution, Shape, Slot, namespace, program_order, static_entries,
+    BASE_RELS, BASE_STATIC, Event, Execution, Shape, Slot, namespace, program_order,
+    static_relations,
 )
 from .relalg import Rel, remapping, union_all
 
@@ -250,7 +253,7 @@ def _with_mode(g, members, mode):
     return g.ident(i for i in members if g.labels[i].mode == mode)
 
 
-POWER_STATIC = {
+POWER_STATIC = BASE_STATIC | {
     "sync": lambda g, r: _fence_order(g, "sync"),
     "lwsync": lambda g, r: _lwsync(_fence_order(g, "lwsync"), g),
     "fence": lambda g, r: r.sync | r.lwsync,
@@ -260,12 +263,11 @@ POWER_STATIC = {
     "ii_static": lambda g, r: g.addr | g.data,
     "cc_static_armv7": lambda g, r: g.data | g.ctrl | g.addr.compose(g.po.opt()),
     "cc_static": lambda g, r: r.cc_static_armv7 | g.po_loc,
-    # [A];X;[B] is X ∩ (A × B)
+    # [R];X;[R] is X ∩ (R × R)
     "R_R": lambda g, r: Rel.product(g.n, g.R, g.R),
-    "R_W": lambda g, r: Rel.product(g.n, g.R, g.W),
 }
 # ii/ic/ci/cc are not entries: power_ppo_fixpoint computes them together
-POWER_RELS = BASE_RELS | static_entries(POWER_STATIC) | {
+POWER_RELS = BASE_RELS | {
     "rdw": lambda g, r: r.fre.compose(r.rfe) & g.po,
     # [R];ii;[R] ∪ [R];ic;[W]
     "ppo": lambda g, r: r.ii & r.R_R | r.ic & r.R_W,
@@ -286,8 +288,9 @@ _POWER = namespace(POWER_RELS)
 
 
 def power_ppo_fixpoint(gp, armv7=False):
-    """The POWER relations of gp (POWER_RELS) with ii/ic/ci/cc stored: the
-    least fixpoint of their rule table, as one transitive closure.
+    """The POWER relations of gp (POWER_STATIC and POWER_RELS) in a fresh
+    store, with ii/ic/ci/cc stored: the least fixpoint of their rule table,
+    as one transitive closure.
 
     Node x stands for event x in state i and node n+x for x in state c, so
     that (x, y) ∈ st is an edge from x in state s to y in state t. Every rule
@@ -298,7 +301,7 @@ def power_ppo_fixpoint(gp, armv7=False):
     half and ii₀|ci₀|cc₀ in the high half, row n+x is ci₀ in the low half
     and ci₀|cc₀ in the high half. ii, ic, ci and cc are the four n×n blocks
     of the closure. armv7 drops po_loc from the cc seed."""
-    r = _POWER(gp)
+    r = _POWER(gp, dict(static_relations(gp.shape, POWER_STATIC)))
     n = gp.n
     ii0 = r.ii_static | r.rdw | r.rfi
     ci0 = r.ctrl_isync | r.detour
@@ -364,7 +367,7 @@ ARM_STATIC = {
         | r.po_rel
     ),
 }
-ARM_RELS = BASE_RELS | static_entries(ARM_STATIC) | {
+ARM_RELS = BASE_RELS | {
     "obs": lambda g, r: r.rfe | r.fre | r.coe,
     "dob": _dob,
     "aob": lambda g, r: g.rmw | g.ident(g.rmw.codom()).seq(r.rfi, _with_mode(g, g.R, "Q")),
@@ -381,8 +384,13 @@ ARM = (
 )
 
 
+def arm_relations(ga):
+    """The ARM relations of ga (ARM_STATIC and ARM_RELS) in a fresh store."""
+    return _ARM(ga, dict(static_relations(ga.shape, ARM_STATIC)))
+
+
 def check_arm(ga):
-    return Verdict("arm", evaluate(ARM, ga, _ARM(ga)))
+    return Verdict("arm", evaluate(ARM, ga, arm_relations(ga)))
 
 
 # -- the correspondence check ---------------------------------------------------------

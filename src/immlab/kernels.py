@@ -1,4 +1,5 @@
-"""Pure-Python kernels over a relation stored as one int.
+"""The relation kernels: transitive closure, composition, cycle detection
+and transposition over a relation stored as one int, in pure Python.
 
 A relation over n events is an int whose bit i*n + j is set when (i, j) is
 an edge: row i is the n bits from i*n up. The column mask COL has bit i*n
@@ -8,6 +9,8 @@ copies do not overlap, so no carry crosses a row. Composition is that
 product summed over j, and closure is Floyd-Warshall with one such product
 per k. The boolean-matrix-power oracle lives in the test suite, not here.
 """
+
+BACKEND = "pure"
 
 _MASKS = {}
 

@@ -1,7 +1,6 @@
 import random
 
 from immlab import kernels
-from immlab.kernels import pure
 
 from oracles import dfs_has_cycle, matrix_closure, matrix_compose
 
@@ -32,15 +31,11 @@ def assert_kernels_match_oracles(pairs, other, n):
     assert pairs_of_flat(kernels.transpose(bits, n), n) == {(j, i) for i, j in pairs}
 
 
-def test_selected_backend_matches_pure():
+def test_kernels_match_oracles_up_to_n130():
     rng = random.Random(17)
     for n in (1, 3, 8, 17, 65, 130):
         pairs = random_pairs(rng, n, density=0.15)
         other = random_pairs(rng, n, density=0.15)
-        bits, other_bits = flat(pairs, n), flat(other, n)
-        assert kernels.transitive_closure(bits, n) == pure.transitive_closure(bits, n)
-        assert kernels.compose(bits, other_bits, n) == pure.compose(bits, other_bits, n)
-        assert kernels.has_cycle(bits, n) == pure.has_cycle(bits, n)
         assert_kernels_match_oracles(pairs, other, n)
         # an acyclic relation at the same size: edges only to higher ids
         dag = {(i, j) for i, j in pairs if i < j}

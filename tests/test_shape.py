@@ -3,29 +3,28 @@ its static relations and its mapping layouts. Sharing must change nothing:
 each candidate is compared with an unshared copy of itself, rebuilt from
 its JSON, on every static entry, every hardware image and every verdict."""
 
+import gc
 import json
 import random
+import weakref
+from collections import Counter
 
 import pytest
 
-from immlab import hwmodels
+from immlab import consistency, execgraph, hwmodels
 from immlab.cli import main
 from immlab.enumeration import EnumerationReport, candidate_executions
-from immlab.execgraph import IMM_STATIC, Execution, Slot, namespace, static_entries
+from immlab.execgraph import IMM_STATIC, Execution, Shape, Slot, static_relations
 from immlab.fuzz import FuzzConfig, random_program
 from immlab.program import parse_litmus
+from immlab.traversal import Traversal
 
 from conftest import CORPUS_DIR
 from oracles import pair_built_candidates
 from test_enumeration import CHECKERS, FUZZ_CAP, FUZZ_PROGRAMS, FUZZ_SEEDS
 
-# the IMM, POWER and ARM namespaces over an execution, and the static
-# entries each reads from its shape
-STATIC = (
-    (lambda g: g.derive(), IMM_STATIC),
-    (namespace(hwmodels.POWER_RELS), hwmodels.POWER_STATIC),
-    (namespace(hwmodels.ARM_RELS), hwmodels.ARM_STATIC),
-)
+# the static tables of a source graph, its POWER image and its ARM image
+STATIC = (IMM_STATIC, hwmodels.POWER_STATIC, hwmodels.ARM_STATIC)
 
 
 def images(g):
@@ -84,11 +83,9 @@ def test_shared_candidates_equal_unshared_copies(programs, coherent):
                     == [h.to_json() for h in alone_images]), name
             graphs = (g, shared_images[1], shared_images[2])
             unshared = (alone, alone_images[1], alone_images[2])
-            for (rels, table), h, h_alone in zip(STATIC, graphs, unshared):
-                shared_rels, alone_rels = rels(h), rels(h_alone)
-                for entry in table:
-                    assert getattr(shared_rels, entry) == getattr(alone_rels, entry), \
-                        (name, entry)
+            for table, h, h_alone in zip(STATIC, graphs, unshared):
+                assert (static_relations(h.shape, table)
+                        == static_relations(h_alone.shape, table)), name
             for checker, check in CHECKERS.items():
                 assert check(g) == check(alone), (name, checker)
             compared += 1
@@ -112,6 +109,14 @@ def test_candidates_of_one_shape_share_it(corpus):
     first, last = cands[0].execution, cands[-1].execution
     assert hwmodels.to_arm(first).shape is hwmodels.to_arm(last).shape
     assert hwmodels.to_arm(first).to_json() != hwmodels.to_arm(last).to_json()
+    # their static relations are one object each, their stores their own
+    assert first.derive().deps is last.derive().deps
+    assert vars(first.derive()) is not vars(last.derive())
+    power = [hwmodels.power_ppo_fixpoint(hwmodels.to_power(hwmodels.split_release(g)))
+             for g in (first, last)]
+    assert power[0].sync is power[1].sync and power[0].R_W is power[1].R_W
+    arm = [hwmodels.arm_relations(hwmodels.to_arm(g)) for g in (first, last)]
+    assert arm[0].bob_static is arm[1].bob_static
 
 
 @pytest.mark.parametrize("image", (lambda g: g, hwmodels.to_arm), ids=("enumerated", "arm"))
@@ -143,13 +148,64 @@ def test_executions_hold_their_shapes_views(corpus, image):
 
 
 def test_static_entry_reading_rf_raises(corpus):
-    g = next(candidate_executions(corpus["mp"].program)).execution
-    reads_rf = namespace(static_entries({"bad": lambda g, r: g.rf & g.po}))(g)
+    # a static table is evaluated whole, on the shape, whatever is read later
+    shape = next(candidate_executions(corpus["mp"].program)).execution.shape
     with pytest.raises(AttributeError, match="rf"):
-        reads_rf.bad
-    reads_value = namespace(static_entries({"bad": lambda g, r: g.labels[1].val}))(g)
+        static_relations(shape, {"bad": lambda g, r: g.rf & g.po})
     with pytest.raises(AttributeError, match="val"):
-        reads_value.bad
+        static_relations(shape, {"bad": lambda g, r: g.labels[1].val})
+    # an entry reads only the entries above it
+    with pytest.raises(AttributeError, match="later"):
+        static_relations(shape, {"bad": lambda g, r: r.later, "later": lambda g, r: g.po})
+
+
+def test_static_tables_evaluated_once_per_shape(corpus, monkeypatch):
+    calls = Counter()  # (table, entry, shape) -> evaluations
+
+    def counted(table_name, table):
+        def count(name, define):
+            def counted_define(g, r):
+                calls[table_name, name, g] += 1
+                return define(g, r)
+            return counted_define
+        return {name: count(name, define) for name, define in table.items()}
+
+    tables = ((execgraph, "IMM_STATIC"), (hwmodels, "POWER_STATIC"), (hwmodels, "ARM_STATIC"))
+    for module, table_name in tables:
+        monkeypatch.setattr(module, table_name, counted(table_name, getattr(module, table_name)))
+    for test in corpus.values():
+        for cand in candidate_executions(test.program):
+            for model in consistency.MODELS:
+                consistency.checker_for(model)(cand.execution)
+    assert set(calls.values()) == {1}
+    for module, table_name in tables:
+        shapes = {g for t, _, g in calls if t == table_name}
+        assert len(shapes) >= len(corpus) and all(type(g) is Shape for g in shapes)
+        assert {(name, g) for t, name, g in calls if t == table_name} \
+            == {(name, g) for name in getattr(module, table_name) for g in shapes}
+
+
+def _check_and_traverse(program, refs):
+    for cand in candidate_executions(program):
+        g = cand.execution
+        verdicts = {model: consistency.checker_for(model)(g) for model in consistency.MODELS}
+        if verdicts["imms"] and not g.F_sc:
+            Traversal(g).traverse()
+        refs += [weakref.ref(g), weakref.ref(g.shape)]
+
+
+def test_checked_graphs_need_no_cyclic_collector(corpus):
+    # a store holds relations only, so a checked graph, its shape and their
+    # memos are freed by reference counting once the graph is dropped
+    refs = []
+    gc.disable()
+    try:
+        for test in corpus.values():
+            _check_and_traverse(test.program, refs)
+        alive = sum(ref() is not None for ref in refs)
+    finally:
+        gc.enable()
+    assert len(refs) == 2 * 247 and alive == 0
 
 
 def test_shapes_counted_per_stream(corpus):

@@ -10,7 +10,9 @@ import pytest
 
 from immlab.enumeration import candidate_executions
 from immlab.fuzz import FuzzConfig, random_program
-from immlab.hwmodels import _ARM, power_ppo_fixpoint, split_release, to_arm, to_power
+from immlab.hwmodels import (
+    arm_relations, power_ppo_fixpoint, split_release, to_arm, to_power,
+)
 from immlab.program import parse_litmus
 from immlab.relalg import Rel
 
@@ -96,7 +98,7 @@ def arm_formulas(ga):
 def branches(g, gp, ga):
     """Per rule, whether its static factor is empty for these graphs (the
     short cut is taken)."""
-    d, p, a = g.derive(), power_ppo_fixpoint(gp), _ARM(ga)
+    d, p, a = g.derive(), power_ppo_fixpoint(gp), arm_relations(ga)
     return {
         "sw bracket": not d.sw_release or not d.sw_acquire,
         "psc F^sc": not g.F_sc,
@@ -133,7 +135,7 @@ def test_short_circuited_entries_equal_their_full_formulas(source):
             rels = power_ppo_fixpoint(gp, armv7=armv7)
             for name, full in power_formulas(gp, armv7).items():
                 assert getattr(rels, name) == full, (name, armv7)
-        arm = _ARM(ga)
+        arm = arm_relations(ga)
         for name, full in arm_formulas(ga).items():
             assert getattr(arm, name) == full, name
         for rule, short in branches(g, gp, ga).items():
