@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .enumeration import UNROLL, ThreadState, pinned_run, step_budget
-from .execgraph import Execution, Read, Write
+from .execgraph import Execution
 from .relalg import Rel, remapping, remapping_onto
 from .traversal import Traversal, TraversalConfig
 
@@ -145,13 +145,11 @@ def reexecute_labels(g, tid, keep, rf_crt, sprog, unroll=UNROLL):
         sid = target[k]
         old = g.labels[sid]
         new = rec.label
-        if (new.kind, getattr(new, "ex", None), new.loc) != (
-            old.kind, getattr(old, "ex", None), old.loc
-        ):
+        if (new.kind, new.ex, new.loc) != (old.kind, old.ex, old.loc):
             raise ShapeChangeError(
                 f"event shape changed at {g.events[sid]}: {old} vs {new}"
             )
-        if isinstance(new, (Read, Write)) and getattr(new, "mode", None) != old.mode:
+        if new.kind != "f" and new.mode != old.mode:
             raise ShapeChangeError(f"mode changed at {g.events[sid]}")
         new_labels[sid] = new
     if len(st.events) < len(target):

@@ -164,8 +164,8 @@ def _named(test, pairs):
 def _model_entry(test, model, unroll, max_candidates, check=None):
     """model's entry for test, and the outcome keys of its consistent
     candidates. The verdict is allowed if a consistent candidate meets the
-    assertion; else forbidden after a complete search, unknown after a
-    truncated one. check is the model's own unless given."""
+    assertion (every candidate meets an empty one); else forbidden after a
+    complete search, unknown after a truncated one. check is the model's own unless given."""
     report, stream = _search(test, unroll, max_candidates,
                              check or consistency.checker_for(model))
     hit = False
@@ -173,7 +173,7 @@ def _model_entry(test, model, unroll, max_candidates, check=None):
     for cand, _ in stream:
         key = _outcome_key(test, cand.execution)
         outcomes.add(key)
-        if test.assertion and not hit:
+        if not hit:
             hit = assertion_holds(cand, test, dict(key))
     verdict = "allowed" if hit else "forbidden" if report.complete else "unknown"
     expected = test.expectations.get(model)
@@ -402,6 +402,8 @@ def cmd_run(args):
         for name in sorted(files):
             if name.endswith(".litmus"):
                 paths.append(os.path.join(root, name))
+    if not paths:
+        _fail(args.corpus, "no .litmus file")
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(args.jobs) as pool:
             futures = [pool.submit(run_one, p, args.models, args.unroll,

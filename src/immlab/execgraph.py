@@ -1,14 +1,19 @@
 """Execution graphs and their derived relations.
 
 An execution is a finite event set with labels and primitive relations
-(rmw, data, addr, ctrl, casdep, rf, co, optional sc). Program order is
-derived from event identities: initialization events precede everything,
-events of one thread are ordered by serial number. Executions are immutable
-after construction.
+(rmw, data, addr, ctrl, casdep, rf, co, optional sc). An `Event` is its
+identity as a tuple, and tuple order is the canonical event order:
+initialization events first, by location, then each thread's events by
+serial number. Program order is derived from it: initialization events
+precede everything, events of one thread are ordered by serial number.
+Each event has one `Label`, R^mode(loc, val), W^mode(loc, val) or F^mode,
+told apart by its kind; `Read`, `Write` and `Fence` construct them.
+Executions are immutable after construction.
 
 An execution is split in two, as herd's pre-execution and execution witness
 are (Alglave, Maranget and Tautschnig, Herding Cats, TOPLAS 2014). Its
-`Shape` holds the events, each label without its value (a `Slot`), rmw,
+`Shape` holds the events, each label without its value (a `Slot`: a label
+is its slot plus its value, `Label.slot` and `Slot.valued` convert), rmw,
 data, addr, ctrl and casdep, and every view computed from them alone, once,
 when the shape is made: po, po_loc, the event sets, the writes per
 location, the per-thread and per-location indexes. `Execution` extends
@@ -35,7 +40,6 @@ such entry says why its short cut holds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .program import FENCE_MODES, READ_MODES, WRITE_MODES, mode_leq
@@ -49,8 +53,11 @@ ARM_WRITE_MODES = ("rlx", "L")
 ARM_FENCE_MODES = ("ld", "sy")
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
+    """An event's identity. Tuple order is the canonical order: init events
+    (tid INIT_TID) come first, by location, then each thread's events by
+    serial number (whole, half)."""
+
     tid: int  # INIT_TID for initialization events
     whole: int
     half: int = 0
@@ -58,7 +65,7 @@ class Event:
 
     @staticmethod
     def init(loc):
-        return Event(INIT_TID, 0, 0, init_loc=loc)
+        return Event(INIT_TID, 0, 0, loc)
 
     @property
     def is_init(self):
@@ -67,11 +74,6 @@ class Event:
     @property
     def sn(self):
         return (self.whole, self.half)
-
-    def key(self):
-        if self.is_init:
-            return (0, self.init_loc, 0, 0)
-        return (1, self.tid, self.whole, self.half)
 
     def precedes(self, other):
         """The sequenced-before order on event identities."""
@@ -93,7 +95,7 @@ class Event:
 class Slot(NamedTuple):
     """A label without its value: what a Shape knows of an event."""
 
-    kind: str
+    kind: str  # r, w or f
     mode: str | None
     loc: int | None = None
     ex: bool = False  # reads only
@@ -101,51 +103,35 @@ class Slot(NamedTuple):
 
     def valued(self, val):
         """The label of this slot that carries val (a fence carries none)."""
-        if self.kind == "r":
-            return Read(self.mode, self.loc, val, self.ex)
-        if self.kind == "w":
-            return Write(self.mode, self.loc, val, self.rmw_mode)
-        return Fence(self.mode)
+        return Label(*self, None if self.kind == "f" else val)
 
 
-@dataclass(frozen=True)
-class Read:
+class Label(NamedTuple):
+    """An event's label, R^mode(loc, val), W^mode(loc, val) or F^mode: its
+    slot's fields and the value read or written, None for a fence."""
+
+    kind: str
     mode: str | None
-    loc: int
-    val: int
-    ex: bool = False
-
-    kind = "r"
-
-    @property
-    def slot(self):
-        return Slot("r", self.mode, self.loc, self.ex)
-
-
-@dataclass(frozen=True)
-class Write:
-    mode: str | None
-    loc: int
-    val: int
-    rmw_mode: str | None = "normal"
-
-    kind = "w"
+    loc: int | None
+    ex: bool
+    rmw_mode: str | None
+    val: int | None
 
     @property
     def slot(self):
-        return Slot("w", self.mode, self.loc, False, self.rmw_mode)
+        return Slot(self.kind, self.mode, self.loc, self.ex, self.rmw_mode)
 
 
-@dataclass(frozen=True)
-class Fence:
-    mode: str
+def Read(mode, loc, val, ex=False):
+    return Label("r", mode, loc, ex, None, val)
 
-    kind = "f"
-    loc = None
 
-    @property
-    def slot(self):
-        return Slot("f", self.mode)
+def Write(mode, loc, val, rmw_mode="normal"):
+    return Label("w", mode, loc, False, rmw_mode, val)
+
+
+def Fence(mode):
+    return Label("f", mode, None, False, None, None)
 
 
 def program_order(events):
@@ -315,8 +301,7 @@ class Shape:
                  casdep=None, model="imm"):
         self.events = events = tuple(events)
         n = self.n = len(events)
-        keys = [e.key() for e in events]
-        if not all(a < b for a, b in zip(keys, keys[1:])):
+        if not all(a < b for a, b in zip(events, events[1:])):
             raise ValueError("events not in canonical order")
         self.labels = labels = tuple(labels)
         if len(labels) != n:
@@ -427,7 +412,7 @@ class Execution(Shape):
         """Construct from (event, label) pairs in any order and event-level
         relation pairs: the reference constructor for tests and fixtures,
         since enumeration and the mappings build their graphs on rows."""
-        ordered = sorted(event_labels, key=lambda el: el[0].key())
+        ordered = sorted(event_labels, key=lambda el: el[0])
         events = [e for e, _ in ordered]
         if len(set(events)) != len(events):
             raise ValueError("duplicate events")
@@ -453,7 +438,7 @@ class Execution(Shape):
 
     @property
     def val_of(self):
-        return self.memo("val_of", lambda g: [getattr(lab, "val", None) for lab in g.labels])
+        return self.memo("val_of", lambda g: [lab.val for lab in g.labels])
 
     # -- well-formedness -----------------------------------------------------------
 
@@ -466,23 +451,19 @@ class Execution(Shape):
 
         for i in self.init_events:
             lab = labs[i]
-            if not (isinstance(lab, Write) and lab.mode in ("rlx", None)
+            if not (lab.kind == "w" and lab.mode in ("rlx", None)
                     and lab.val == 0 and lab.loc == self.events[i].init_loc
                     and lab.rmw_mode in ("normal", None)):
                 out.append(f"init label: {self.events[i]} labeled {lab}")
 
-        read_modes, write_modes, fence_modes = {
-            "imm": (READ_MODES, WRITE_MODES, FENCE_MODES),
-            "power": ((None,), (None,), POWER_FENCE_MODES),
-            "arm": (ARM_READ_MODES, ARM_WRITE_MODES, ARM_FENCE_MODES),
+        modes = {
+            "imm": {"r": READ_MODES, "w": WRITE_MODES, "f": FENCE_MODES},
+            "power": {"r": (None,), "w": (None,), "f": POWER_FENCE_MODES},
+            "arm": {"r": ARM_READ_MODES, "w": ARM_WRITE_MODES, "f": ARM_FENCE_MODES},
         }[self.model]
         for i, lab in enumerate(labs):
-            if isinstance(lab, Read) and lab.mode not in read_modes:
-                out.append(f"read mode: {lab}")
-            elif isinstance(lab, Write) and lab.mode not in write_modes and not self.events[i].is_init:
-                out.append(f"write mode: {lab}")
-            elif isinstance(lab, Fence) and lab.mode not in fence_modes:
-                out.append(f"fence mode: {lab}")
+            if lab.mode not in modes[lab.kind] and not (lab.kind == "w" and i in self.init_events):
+                out.append(f"{_LABEL_KINDS[lab.kind][0]} mode: {lab}")
 
         for r, w in self.rmw:
             if r not in self.R_ex or w not in self.W:
@@ -620,18 +601,20 @@ class Execution(Shape):
         return Execution.from_json(json.loads(text))
 
 
+# per label kind: its name, its constructor, and the fields its JSON holds
+# after "kind", named as the constructor's parameters
+_LABEL_KINDS = {
+    "r": ("read", Read, ("mode", "loc", "val", "ex")),
+    "w": ("write", Write, ("mode", "loc", "val", "rmw_mode")),
+    "f": ("fence", Fence, ("mode",)),
+}
+
+
 def _label_to_json(lab):
-    if isinstance(lab, Read):
-        return {"kind": "r", "mode": lab.mode, "loc": lab.loc, "val": lab.val, "ex": lab.ex}
-    if isinstance(lab, Write):
-        return {"kind": "w", "mode": lab.mode, "loc": lab.loc, "val": lab.val,
-                "rmw_mode": lab.rmw_mode}
-    return {"kind": "f", "mode": lab.mode}
+    fields = lab._asdict()
+    return {"kind": lab.kind, **{name: fields[name] for name in _LABEL_KINDS[lab.kind][2]}}
 
 
 def _label_from_json(doc):
-    if doc["kind"] == "r":
-        return Read(doc["mode"], doc["loc"], doc["val"], doc.get("ex", False))
-    if doc["kind"] == "w":
-        return Write(doc["mode"], doc["loc"], doc["val"], doc.get("rmw_mode", "normal"))
-    return Fence(doc["mode"])
+    _, make, names = _LABEL_KINDS[doc["kind"]]
+    return make(**{name: doc[name] for name in names if name in doc})

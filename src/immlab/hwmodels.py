@@ -456,8 +456,7 @@ def correspondence_check(src, target):
         raise ValueError(f"no correspondence conditions for {target.model!r} graphs")
     spec = _TARGETS[target.model]
     events = _renumber_whole(src)
-    inserted = sorted((Event(events[i].tid, events[i].whole, 1)
-                       for i in spec.fence_after(src)), key=Event.key)
+    inserted = sorted(Event(events[i].tid, events[i].whole, 1) for i in spec.fence_after(src))
     if set(target.events) != set(events) | set(inserted):
         return ["event set mismatch"]
 
@@ -465,8 +464,7 @@ def correspondence_check(src, target):
     for e, lab in zip(events, src.labels):
         tlab = target.labels[target.index_of(e)]
         modes = spec.modes[lab.kind]
-        ok = (tlab.kind, tlab.loc, getattr(tlab, "val", None)) == \
-            (lab.kind, lab.loc, getattr(lab, "val", None))
+        ok = (tlab.kind, tlab.loc, tlab.val) == (lab.kind, lab.loc, lab.val)
         if not e.is_init:
             ok = ok and lab.mode in modes and tlab.mode == modes[lab.mode]
         if not ok:

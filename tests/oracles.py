@@ -9,8 +9,9 @@ check_config_preimage, the traversal side conditions as preimage inclusions
 per event, sim_invariants_full, every simulation-invariant clause of every
 thread with nothing carried between checks, sc_fence_order_by_search,
 the s-model's SC-fence order sought over every permutation of the fences,
-and literal_values, the narrower read-value rule that the declared domain
-replaced.
+literal_values, the narrower read-value rule that the declared domain
+replaced, and event_key, the canonical event order stated by fields rather
+than by Event's tuple order.
 
 It also keeps the graph helpers that only tests call: restrict_thread,
 is_initialized and signature.
@@ -302,6 +303,14 @@ def pair_union_all(n, rels):
     return PairRel(n, pairs)
 
 
+def event_key(e):
+    """The canonical order of events, spelt out field by field: init events
+    first, by location, then each thread's events by serial number."""
+    if e.is_init:
+        return (0, e.init_loc, 0, 0)
+    return (1, e.tid, e.whole, e.half)
+
+
 def pair_built_candidates(program, unroll=UNROLL, coherent=False, report=None):
     """(execution, final registers) for every candidate, in the order of
     enumeration.candidate_executions, with each skeleton kept as (event,
@@ -337,8 +346,8 @@ def pair_built_candidates(program, unroll=UNROLL, coherent=False, report=None):
         for loc in sorted({lab.loc for _, lab in event_labels if lab.loc is not None}):
             event_labels.append((Event.init(loc), Write("rlx", loc, 0, "normal")))
         label = dict(event_labels)
-        reads = sorted((e for e in label if label[e].kind == "r"), key=Event.key)
-        writes = sorted((e for e in label if label[e].kind == "w"), key=Event.key)
+        reads = sorted((e for e in label if label[e].kind == "r"), key=event_key)
+        writes = sorted((e for e in label if label[e].kind == "w"), key=event_key)
         writers = [[w for w in writes
                     if (label[w].loc, label[w].val) == (label[r].loc, label[r].val)]
                    for r in reads]
@@ -619,7 +628,7 @@ def signature(g):
         return tuple(
             sorted(
                 ((ev[a], ev[b]) for a, b in rel),
-                key=lambda p: (p[0].key(), p[1].key()),
+                key=lambda p: (event_key(p[0]), event_key(p[1])),
             )
         )
 

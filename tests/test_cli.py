@@ -63,10 +63,6 @@ class TestRun:
         assert code == 1
         assert "FAIL" in out
 
-    def test_empty_corpus(self, tmp_path, capsys):
-        code, out = run_cli(capsys, "run", str(tmp_path))
-        assert code == 0
-
     def test_parse_failure_is_a_test_failure(self, tmp_path, capsys):
         (tmp_path / "bad.litmus").write_text(
             'prog "B"\nlocations x\nthread 0:\n  w[oops] x 1\n'
@@ -161,6 +157,16 @@ class TestCheck:
             code, out = run_cli(capsys, "enumerate", mp, "--max-candidates", cap)
             first, *_ = out.splitlines()
             assert code == 0 and first.endswith(note) is cut, cap
+
+    # both once answered "forbidden", a MISMATCH against the expectation
+    @pytest.mark.parametrize("assertion", ["assert allowed:\n", ""],
+                             ids=["no-clause", "no-assert-line"])
+    def test_an_empty_assertion_holds_for_every_candidate(self, capsys, tmp_path, assertion):
+        path = tmp_path / "one-write.litmus"
+        path.write_text('prog "W"\nlocations x\nthread 0:\n  w[rlx] x 1\n'
+                        + assertion + "expect imm=allowed\n")
+        code, out = run_cli(capsys, "check", str(path), "--model", "imm")
+        assert code == 0 and out == "W [imm]: assertion allowed (expected allowed: ok)\n"
 
 
 class TestOther:
@@ -310,13 +316,15 @@ class TestBadInput:
         assert exit_info.value.code == 2 and captured.out == ""
         assert captured.err == f"immlab: {path}: No such file or directory\n"
 
-    # both once printed "all expectations met (0 tests)" and exited 0
+    # each once printed "all expectations met (0 tests)" and exited 0
     @pytest.mark.parametrize("name, reason", [
         ("absent", "No such file or directory"), ("mp.litmus", "Not a directory"),
+        ("empty", "no .litmus file"),
     ])
     def test_run_on_a_path_that_is_no_directory_is_reported(self, capsys, tmp_path,
                                                             name, reason):
         (tmp_path / "mp.litmus").write_text((CORPUS_DIR / "mp.litmus").read_text())
+        (tmp_path / "empty").mkdir()
         path = tmp_path / name
         with pytest.raises(SystemExit) as exit_info:
             main(["run", str(path)])

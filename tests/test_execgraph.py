@@ -3,12 +3,17 @@ import random
 
 import pytest
 
-from immlab.consistency import check_c11, check_imm
+from immlab.certification import CertificationError, build_cert_graph
+from immlab.consistency import check_c11, check_imm, check_imms, sc_witness_rel
 from immlab.enumeration import assertion_holds, candidate_executions
-from immlab.execgraph import IMM_RELS, Event, Execution, Fence, Read, Write, namespace
+from immlab.execgraph import (
+    IMM_RELS, Event, Execution, Fence, Label, Read, Shape, Slot, Write, namespace,
+)
+from immlab.hwmodels import split_release, to_arm, to_power
 from immlab.relalg import Rel
+from immlab.traversal import Traversal, replay
 
-from oracles import restrict_thread, signature
+from oracles import event_key, restrict_thread, signature
 
 
 def weak_mp(corpus, corpus_candidates):
@@ -236,6 +241,83 @@ class TestProgramOrder:
         assert g.po.pairs == self.precedes_pairs(g)
         assert len(g.po) == 6
         assert Execution.build([]).po == Rel(0)
+
+
+def corpus_graphs(corpus, corpus_candidates):
+    """Every corpus candidate, its split-release, POWER and ARM images, and
+    the certification graph of every thread at every prefix of the
+    traversal of each IMM_S-consistent candidate."""
+    for name, cands in corpus_candidates.items():
+        threads = corpus[name].program.threads
+        for c in cands:
+            g = c.execution
+            split = split_release(g)
+            yield from (g, split, to_power(split), to_arm(g))
+            v = check_imms(g)
+            if not v.consistent:
+                continue
+            sc = sc_witness_rel(g, v)
+            steps = Traversal(g, sc=sc).traverse()
+            for k in range(len(steps) + 1):
+                tc = replay(g, steps[:k])
+                for tid in g.tids():
+                    try:
+                        yield build_cert_graph(g, tc, tid, threads[tid], sc=sc).graph
+                    except CertificationError:
+                        pass
+
+
+class TestEventsAndLabels:
+    """Events order themselves as tuples, and a label is its slot plus its
+    value."""
+
+    @pytest.fixture(scope="class")
+    def seen(self, corpus, corpus_candidates):
+        events, labels, graphs = set(), set(), 0
+        for g in corpus_graphs(corpus, corpus_candidates):
+            events.update(g.events)
+            labels.update(g.labels)
+            graphs += 1
+        return events, labels, graphs
+
+    def test_tuple_order_is_the_canonical_order(self, seen):
+        events, _, graphs = seen
+        assert graphs > 1000 and len(events) > 20
+        for a in events:
+            for b in events:
+                assert (a < b) == (event_key(a) < event_key(b)), (a, b)
+                assert (a == b) == (event_key(a) == event_key(b)), (a, b)
+
+    def test_a_label_is_its_slot_valued(self, seen):
+        _, labels, _ = seen
+        assert {lab.kind for lab in labels} == set("rwf")
+        for lab in labels:
+            assert type(lab) is Label and type(lab.slot) is Slot
+            assert lab.slot.valued(lab.val) == lab
+            assert lab.slot != lab
+
+    def test_a_read_and_a_write_alike_but_in_kind_differ(self, seen):
+        _, labels, _ = seen
+        for lab in labels:
+            if lab.kind == "r":
+                assert Write(lab.mode, lab.loc, lab.val) != lab
+            if lab.kind == "w":
+                assert Read(lab.mode, lab.loc, lab.val) != lab
+        assert len({Read("rlx", 0, 1), Write("rlx", 0, 1), Write("rlx", 0, 1, None)}) == 3
+
+    @pytest.mark.parametrize("events", [
+        [Event(0, 0), Event.init(0)],
+        [Event.init(1), Event.init(0)],
+        [Event(1, 0), Event(0, 0)],
+        [Event(0, 1), Event(0, 0, 1)],
+        [Event(0, 0, 1), Event(0, 0)],
+        [Event(0, 0), Event(0, 0)],
+    ])
+    def test_shape_rejects_events_out_of_canonical_order(self, events):
+        slots = [Slot("f", "sc")] * len(events)
+        with pytest.raises(ValueError, match="canonical order"):
+            Shape(events, slots)
+        Shape(sorted(set(events), key=event_key), slots[:len(set(events))])
 
 
 class TestRestrictThread:
