@@ -216,8 +216,8 @@ def check_cert_compl(g, tc, cg, sprog, unroll=UNROLL):
     det = cg.determined
     remap = {old: new for new, old in enumerate(keep)}
 
-    if not det <= set(keep):
-        out.append("determined events dropped")
+    if not det <= set(keep):  # every other clause reads D among the kept events
+        return ["determined events dropped"]
     for e in det:
         if gp.labels[remap[e]] != g.labels[e]:
             out.append(f"label changed on determined {g.events[e]}")

@@ -348,8 +348,11 @@ def cmd_simulate(args):
 def cmd_compare(args):
     """Consistency of every candidate under two models, and the inclusions
     of their outcome sets, which a truncated search leaves unknown."""
-    test = _load(args)
     a, b = args.model_a, args.model_b
+    if a == b:
+        print(f"compare needs two different models, got {a} twice", file=sys.stderr)
+        return 2
+    test = _load(args)
     chk_a, chk_b = consistency.checker_for(a), consistency.checker_for(b)
     seen = collections.Counter()  # (consistent under a, under b) -> candidates
     outcomes_a, outcomes_b = set(), set()

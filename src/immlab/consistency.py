@@ -127,40 +127,30 @@ def check_rc11(g):
     return Verdict("rc11", evaluate(RC11, g, g.derive()))
 
 
-def _imms_sc_axioms(g, d, sc):
-    """Both SC-order conditions of the s-model, for a fixed total order sc."""
-    cond1 = sc.seq(d.hb_rc11, (d.eco.compose(d.hb_rc11)).opt())
-    if not cond1.is_irreflexive():
-        return False
-    return (d.ar_base | sc).is_acyclic()
-
-
 def _sc_fence_order(g, d):
-    """([violation] or [], sc_witness) for the s-model's SC-fence order.
+    """([violations] or [], sc_witness) for the s-model's SC-fence order.
 
-    With g.sc given, that order is checked. Otherwise the order is built,
-    not sought. Let X be ([F^sc];hb_rc11;(eco;hb_rc11)?;[F^sc] ∪
-    [F^sc];ar_base⁺;[F^sc]) minus the identity. For a strict total order sc
-    on the SC fences, condition 1 (irreflexive(sc;hb_rc11;(eco;hb_rc11)?))
-    holds exactly when sc ⊇ the first part of X, since sc;r is reflexive at
-    a only through a fence b ≠ a with (a, b) ∈ sc and (b, a) ∈ r. Given an
-    acyclic ar_base, acyclic(ar_base ∪ sc) holds exactly when sc ⊇ the
-    second part: a cycle shortens to sc edges and ar_base⁺ paths between
-    fences, and once sc holds those paths it is a cycle of sc alone. So a
-    valid sc exists iff ar_base and X are acyclic, and every linear
-    extension of X is one. Taking the lowest-index fence whose X-predecessors
-    are all placed builds the lexicographically least one, which is the first
-    permutation of the sorted fences that satisfies both conditions. RC11
-    states SC fences the same way, as an acyclicity condition (Lahav et al.,
-    Repairing Sequential Consistency in C/C++11, PLDI 2017).
+    Let X be ([F^sc];hb_rc11;(eco;hb_rc11)?;[F^sc] ∪ [F^sc];ar_base⁺;[F^sc])
+    minus the identity. For a strict total order sc on the SC fences,
+    condition 1 (irreflexive(sc;hb_rc11;(eco;hb_rc11)?)) holds exactly when
+    sc ⊇ the first part of X, since sc;r is reflexive at a only through a
+    fence b ≠ a with (a, b) ∈ sc and (b, a) ∈ r. Given an acyclic ar_base,
+    acyclic(ar_base ∪ sc) holds exactly when sc ⊇ the second part: a cycle
+    shortens to sc edges and ar_base⁺ paths between fences, and once sc holds
+    those paths it is a cycle of sc alone. So an order g.sc that is total on
+    the fences (wellformed keeps it inside them) is checked as X ⊆ sc, and
+    each condition it breaks is reported with the pairs of its part of X
+    that sc reverses. Without g.sc, a valid order exists iff ar_base and X
+    are acyclic, and every linear extension of X is one. Taking the
+    lowest-index fence whose X-predecessors are all placed builds the
+    lexicographically least one, which is the first permutation of the
+    sorted fences that satisfies both conditions. RC11 states SC fences the
+    same way, as an acyclicity condition (Lahav et al., Repairing Sequential
+    Consistency in C/C++11, PLDI 2017).
     """
     fsc = sorted(g.F_sc)
-    if g.sc is not None:
-        if not g.sc.is_total_on(fsc):
-            return [("sc-totality", f"{len(fsc)} SC fences")], None
-        if not _imms_sc_axioms(g, d, g.sc):
-            return [("s-no-thin-air", _cycle_witness(d.ar_base | g.sc, g))], None
-        return [], tuple(g.sc)
+    if g.sc is not None and not g.sc.is_total_on(fsc):
+        return [("sc-totality", f"{len(fsc)} SC fences")], None
     if not fsc:
         cycle = _cycle_witness(d.ar_base, g)
         return ([], ()) if cycle is None else ([("s-no-thin-air", cycle)], None)
@@ -168,8 +158,14 @@ def _sc_fence_order(g, d):
     ar_plus = d.ar_base.plus()
     if not ar_plus.is_irreflexive():
         return no_order
-    x = (_sc_fences(g, d) | ar_plus.restrict(fsc, fsc)) - Rel.identity(g.n)
-    preds = x.inverse().rows()
+    coherence = _sc_fences(g, d) - Rel.identity(g.n)
+    ar_fences = ar_plus.restrict(fsc, fsc)
+    if g.sc is not None:
+        out = [(axiom, w) for axiom, part in (("sc-coherence", coherence),
+                                              ("s-no-thin-air", ar_fences))
+               if (w := _pairs_witness(part - g.sc, g)) is not None]
+        return out, None if out else tuple(g.sc)
+    preds = (coherence | ar_fences).inverse().rows()
     order, placed = [], 0
     while len(order) < len(fsc):
         ready = next((f for f in fsc if not placed >> f & 1 and preds[f] & ~placed == 0),
@@ -185,8 +181,9 @@ def _sc_fence_order(g, d):
 def check_imms(g):
     """The s-model: RC11-style hb, SC fences as an explicit total order.
 
-    With g.sc absent the order is constructed from the graph's relations by
-    `_sc_fence_order`, and recorded on the verdict as its sc_witness.
+    `_sc_fence_order` checks g.sc when the graph gives one, and otherwise
+    constructs the order from the graph's relations; the verdict records the
+    order as its sc_witness.
     """
     d = g.derive()
     sc_violations, sc_witness = _sc_fence_order(g, d)

@@ -22,8 +22,10 @@ fence-insertion routine, `_layout`): the image's shape, with its relations
 carried along the monotone index map (relalg.remapping) and ctrl extended
 over the new program order, and which image labels copy, relabel or ignore
 the source's. Each graph's image then only takes its values and carries its
-rf, co and sc rows (`_image`). A two-row table gives the POWER and ARM
-labels, fences and ctrl rules.
+rf, co and sc rows (`_image`). One table, `_TARGETS`, gives each target in
+one row: its label tables, where its fence goes and which, and its ctrl
+rules, each as the relation the mapping adds and the pairs the
+correspondence check requires.
 """
 
 from __future__ import annotations
@@ -165,48 +167,73 @@ def split_release(g):
     return _image(g.shape.memo("split_release", _release_layout), g)
 
 
-# The label tables are the compilation schemes themselves, shared with the
-# correspondence check; the inserted fences and the ctrl rules are stated
-# twice, once here and once there.
-_POWER_MODES = {
-    "r": {"rlx": None, "acq": None},
-    "w": {"rlx": None},
-    "f": {"acq": "lwsync", "rel": "lwsync", "acqrel": "lwsync", "sc": "sync"},
-}
-_ARM_MODES = {
-    "r": {"rlx": "rlx", "acq": "Q"},
-    "w": {"rlx": "rlx", "rel": "L"},
-    "f": {"acq": "ld", "rel": "sy", "acqrel": "sy", "sc": "sy"},
-}
+# The mapping and the correspondence check read one row of _TARGETS per
+# target, its label tables being the compilation scheme itself. Each ctrl
+# rule is deliberately stated twice, as relation algebra that the mapping
+# applies and as a pair set that the check tests, so that the check does not
+# only replay the mapping.
 
 
-class _Mapping(NamedTuple):
+def _acquire_read_ctrl(g):
+    """ld;cmp;bc;isync: an acquire read controls every later event but its
+    own rmw write."""
+    return {(r, b) for r in g.R_acq for b in g.po.image((r,)) if (r, b) not in g.rmw}
+
+
+def _exclusive_read_ctrl(g):
+    """An exclusive read controls every later event but a fadd's own write."""
+    return {(r, b) for r in g.R_ex for b in g.po.image((r,))
+            if (r, b) not in g.rmw or (r, b) not in g.data}
+
+
+def _data_to_exclusive_ctrl(g):
+    """Data into an exclusive write controls every event after that write."""
+    ex = g.rmw.codom()
+    return {(x, b) for x, w in g.data if w in ex for b in g.po.image((w,))}
+
+
+def _casdep_ctrl(g):
+    """A CAS dependency controls every event after the exclusive read."""
+    return {(x, b) for x, r in g.casdep for b in g.po.image((r,))}
+
+
+class _Target(NamedTuple):
     modes: dict  # label kind -> {source mode: target mode}
     fence_after: Callable  # source graph -> events an inserted fence follows
     fence: str  # the inserted fence's mode
-    ctrl: tuple  # source graph -> (A, X): the target's ctrl gains A;po minus X
+    # (name, rule, obligation): rule maps a source graph to (A, X), and the
+    # image's ctrl gains A;po minus X; obligation gives the pairs it must hold
+    ctrl: tuple
 
 
-# an exclusive read controls every later event but a fadd's own write, and a
-# CAS dependency every event after its exclusive read
-_RMW_CTRL = (lambda g: (g.ident(g.R_ex), g.rmw & g.data), lambda g: (g.casdep, Rel(g.n)))
-_MAPPINGS = {
-    # ld;cmp;bc;isync: an isync after each acquire read outside an rmw and
-    # after the write of each acquire rmw, and the read controls every later
-    # event but its own rmw write; data into an exclusive write controls
-    # every event after that write
-    "power": _Mapping(
-        _POWER_MODES, lambda g: (g.R_acq - g.rmw.dom()) | g.rmw.image(g.R_acq), "isync",
-        (lambda g: (g.ident(g.R_acq), g.rmw),
-         lambda g: (g.data.compose(g.ident(g.rmw.codom())), Rel(g.n))) + _RMW_CTRL,
+_RMW_CTRL = (
+    ("exclusive-read", lambda g: (g.ident(g.R_ex), g.rmw & g.data), _exclusive_read_ctrl),
+    ("casdep", lambda g: (g.casdep, Rel(g.n)), _casdep_ctrl),
+)
+_TARGETS = {
+    # an isync after each acquire read outside an rmw and after the write of
+    # each acquire rmw
+    "power": _Target(
+        {"r": {"rlx": None, "acq": None},
+         "w": {"rlx": None},
+         "f": {"acq": "lwsync", "rel": "lwsync", "acqrel": "lwsync", "sc": "sync"}},
+        lambda g: (g.R_acq - g.rmw.dom()) | g.rmw.image(g.R_acq), "isync",
+        (("acquire-read", lambda g: (g.ident(g.R_acq), g.rmw), _acquire_read_ctrl),
+         ("data-to-exclusive", lambda g: (g.data.compose(g.ident(g.rmw.codom())), Rel(g.n)),
+          _data_to_exclusive_ctrl)) + _RMW_CTRL,
     ),
     # a dmb.ld after each strong rmw write
-    "arm": _Mapping(_ARM_MODES, lambda g: g.W_strong, "ld", _RMW_CTRL),
+    "arm": _Target(
+        {"r": {"rlx": "rlx", "acq": "Q"},
+         "w": {"rlx": "rlx", "rel": "L"},
+         "f": {"acq": "ld", "rel": "sy", "acqrel": "sy", "sc": "sy"}},
+        lambda g: g.W_strong, "ld", _RMW_CTRL,
+    ),
 }
 
 
 def _target_layout(src, model):
-    spec = _MAPPINGS[model]
+    spec = _TARGETS[model]
     events = _renumber_whole(src)
     inserts = [(i + 1, Event(events[i].tid, events[i].whole, 1), Slot("f", spec.fence))
                for i in spec.fence_after(src)]
@@ -219,7 +246,8 @@ def _target_layout(src, model):
             return Slot("w", write[slot.mode], slot.loc)
         return Slot("f", fence[slot.mode])
 
-    return _layout(src, events, inserts, reslot, model, spec.ctrl)
+    return _layout(src, events, inserts, reslot, model,
+                   [rule for _, rule, _ in spec.ctrl])
 
 
 def to_power(g):
@@ -399,55 +427,6 @@ def check_arm(ga):
 # and to_arm, so that they check those mappings.
 
 
-def _isync_points(g):
-    """An isync follows each acquire read outside an rmw, and the write of
-    each rmw whose read is an acquire."""
-    return (g.R_acq - g.rmw.dom()) | {w for r, w in g.rmw if r in g.R_acq}
-
-
-def _acquire_read_ctrl(g):
-    """ld;cmp;bc;isync: an acquire read controls every later event but its
-    own rmw write."""
-    return {(r, b) for r in g.R_acq for b in g.po.image((r,)) if (r, b) not in g.rmw}
-
-
-def _exclusive_read_ctrl(g):
-    """An exclusive read controls every later event but a fadd's own write."""
-    return {(r, b) for r in g.R_ex for b in g.po.image((r,))
-            if (r, b) not in g.rmw or (r, b) not in g.data}
-
-
-def _data_to_exclusive_ctrl(g):
-    """Data into an exclusive write controls every event after that write."""
-    ex = g.rmw.codom()
-    return {(x, b) for x, w in g.data if w in ex for b in g.po.image((w,))}
-
-
-def _casdep_ctrl(g):
-    """A CAS dependency controls every event after the exclusive read."""
-    return {(x, b) for x, r in g.casdep for b in g.po.image((r,))}
-
-
-class _Target(NamedTuple):
-    modes: dict  # label kind -> {source mode: target mode}
-    fence_after: Callable  # source graph -> events an inserted fence follows
-    fence: str  # the inserted fence's mode
-    ctrl: tuple  # (name, source graph -> pairs the target's ctrl must contain)
-
-
-_TARGETS = {
-    "power": _Target(
-        _POWER_MODES, _isync_points, "isync",
-        (("acquire-read", _acquire_read_ctrl), ("exclusive-read", _exclusive_read_ctrl),
-         ("data-to-exclusive", _data_to_exclusive_ctrl), ("casdep", _casdep_ctrl)),
-    ),
-    "arm": _Target(
-        _ARM_MODES, lambda g: g.W_strong, "ld",
-        (("exclusive-read", _exclusive_read_ctrl), ("casdep", _casdep_ctrl)),
-    ),
-}
-
-
 def correspondence_check(src, target):
     """Def-4.2-style conditions between a source graph and an arbitrary
     candidate target of the kind target.model names (a POWER source must be
@@ -483,7 +462,7 @@ def correspondence_check(src, target):
     ctrl = lift(target.events, target.ctrl)
     if not lift(events, src.ctrl) <= ctrl:
         out.append("source ctrl dropped")
-    for name, obligation in spec.ctrl:
+    for name, _, obligation in spec.ctrl:
         for x, b in sorted(obligation(src)):
             if (events[x], events[b]) not in ctrl:
                 out.append(f"{name} ctrl missing: ({events[x]},{events[b]})")

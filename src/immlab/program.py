@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+
+from .consistency import MODELS
 
 MODES = ("rlx", "acq", "rel", "acqrel", "sc")
 READ_MODES = ("rlx", "acq")
@@ -311,14 +313,15 @@ def _int(text, lineno):
 
 
 def _parse_modes(spec, lineno, n_modes):
+    """The modes in [spec] and the rmw mode: only an rmw (n_modes 2) may end
+    them with strong."""
     parts = [p.strip() for p in spec.split(",")]
-    strong = False
-    if parts and parts[-1] == "strong":
-        strong = True
-        parts = parts[:-1]
+    rmw = "strong" if n_modes == 2 and parts[-1] == "strong" else "normal"
+    if rmw == "strong":
+        parts.pop()
     if len(parts) != n_modes:
         raise ParseError(f"expected {n_modes} mode(s) in [{spec}]", lineno)
-    return parts, "strong" if strong else "normal"
+    return parts, rmw
 
 
 def _subst(expr, leaves):
@@ -334,8 +337,10 @@ def parse_litmus(text, path=None):
     """Parse the line-oriented litmus format into a LitmusTest.
 
     A line is a header when its first whole word is one of _HEADERS; any
-    other line is an instruction of the thread above it. Every malformed
-    input, bytes that are not UTF-8 among them, raises ParseError."""
+    other line is an instruction of the thread above it. prog, locations,
+    vals and assert come at most once, and expect names each of
+    consistency.MODELS at most once. Every malformed input, bytes that are
+    not UTF-8 among them, raises ParseError."""
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -350,6 +355,7 @@ def parse_litmus(text, path=None):
     assertion = []  # [(name, value, lineno)]
     assertion_kind = None
     expectations = {}
+    seen = set()  # the first words of the lines so far
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -357,6 +363,9 @@ def parse_litmus(text, path=None):
             continue
         word = _WORD.match(line).group()
         rest = line[len(word):].strip()
+        if word in seen and word in ("prog", "locations", "vals", "assert"):
+            raise ParseError(f"second {word} header", lineno)
+        seen.add(word)
         if word not in _HEADERS:
             if current is None:
                 raise ParseError(f"instruction outside thread: {line!r}", lineno)
@@ -398,8 +407,10 @@ def parse_litmus(text, path=None):
         else:
             for item in rest.split():
                 model, _, verdict = item.partition("=")
-                if verdict not in ("allowed", "forbidden"):
+                if model not in MODELS or verdict not in ("allowed", "forbidden"):
                     raise ParseError(f"bad expectation {item!r}", lineno)
+                if model in expectations:
+                    raise ParseError(f"second expectation for {model}", lineno)
                 expectations[model] = verdict
 
     if sorted(bodies) != list(range(len(bodies))):
@@ -489,6 +500,8 @@ def _parse_instruction(line, lineno, loc_leaves):
         (mode,), _ = _parse_modes(modes_spec, lineno, 1)
         if mode not in FENCE_MODES:
             raise ParseError(f"bad fence mode {mode!r}", lineno)
+        if rest:
+            raise ParseError("f[o] takes no operand", lineno)
         return FenceInst(mode)
     if mnemonic == "fadd":
         (rmode, wmode), rmw = _parse_modes(modes_spec, lineno, 2)
@@ -528,8 +541,13 @@ def print_litmus(test):
 
 
 def _print_inst(inst, program):
-    """inst as text, its location naming the declared locations."""
+    """inst as text that parse_litmus reads back: its location naming the
+    declared locations, and each operand one word but the last of a load or
+    store, the only one the reader lets hold spaces."""
     if not hasattr(inst, "loc"):
         return str(inst)
     names = {Lit(i): Reg(nm) for i, nm in enumerate(program.locations)}
-    return str(replace(inst, loc=_subst(inst.loc, names)))
+    inst = replace(inst, loc=_subst(inst.loc, names))
+    last = {Store: "value", Load: "loc"}.get(type(inst))
+    return str(replace(inst, **{f.name: str(getattr(inst, f.name)).replace(" ", "")
+                                for f in fields(inst) if f.name != last}))

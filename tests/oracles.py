@@ -7,8 +7,10 @@ cert_co_pairs/cert_rf_pairs, the certification coherence and reads-from
 built by loops over event pairs, coverable_preimage/issuable_preimage/
 check_config_preimage, the traversal side conditions as preimage inclusions
 per event, sim_invariants_full, every simulation-invariant clause of every
-thread with nothing carried between checks, sc_fence_order_by_search,
-the s-model's SC-fence order sought over every permutation of the fences,
+thread with nothing carried between checks, imms_sc_axioms, the two
+s-model conditions on a given SC-fence order as the paper states them,
+sc_fence_order_by_search, the s-model's SC-fence order sought over every
+permutation of the fences (fence_orders),
 literal_values, the narrower read-value rule that the declared domain
 replaced, and event_key, the canonical event order stated by fields rather
 than by Event's tuple order.
@@ -26,7 +28,6 @@ import math
 import numpy as np
 
 from immlab.certification import CertificationError
-from immlab.consistency import _imms_sc_axioms
 from immlab.enumeration import UNROLL, thread_graphs
 from immlab.execgraph import Event, Execution, Write
 from immlab.program import BinOp, Fadd, Lit, _inst_exprs, registers
@@ -589,15 +590,30 @@ def sim_invariants_full(g, tmap, covered, issued, ms, unroll):
     return problems
 
 
+def imms_sc_axioms(g, d, sc):
+    """Both SC-order conditions of the s-model, stated as the paper states
+    them, for a fixed total order sc on the SC fences."""
+    cond1 = sc.seq(d.hb_rc11, (d.eco.compose(d.hb_rc11)).opt())
+    if not cond1.is_irreflexive():
+        return False
+    return (d.ar_base | sc).is_acyclic()
+
+
+def fence_orders(g):
+    """Every strict total order of g's SC fences, permutation by permutation
+    of the sorted fences."""
+    for perm in itertools.permutations(sorted(g.F_sc)):
+        yield Rel(g.n, ((perm[i], perm[j])
+                        for i in range(len(perm))
+                        for j in range(i + 1, len(perm))))
+
+
 def sc_fence_order_by_search(g, d):
     """consistency._sc_fence_order on a graph with SC fences and no sc, with
     the order sought, not built: the first permutation of the sorted fences
-    whose total order passes _imms_sc_axioms."""
-    for perm in itertools.permutations(sorted(g.F_sc)):
-        sc = Rel(g.n, ((perm[i], perm[j])
-                       for i in range(len(perm))
-                       for j in range(i + 1, len(perm))))
-        if _imms_sc_axioms(g, d, sc):
+    whose total order passes imms_sc_axioms."""
+    for sc in fence_orders(g):
+        if imms_sc_axioms(g, d, sc):
             return [], tuple(sc)
     return [("s-no-thin-air", "no total SC-fence order satisfies the axioms")], None
 

@@ -70,6 +70,13 @@ class TestRun:
         code, out = run_cli(capsys, "run", str(tmp_path))
         assert code == 1 and "bad write mode" in out
 
+    def test_an_unknown_expected_model_is_a_test_failure(self, tmp_path, capsys):
+        # `expect immm=allowed` once ended `run` in a ValueError traceback
+        (tmp_path / "bad.litmus").write_text(
+            (CORPUS_DIR / "mp.litmus").read_text() + "expect immm=allowed\n")
+        code, out = run_cli(capsys, "run", str(tmp_path))
+        assert code == 1 and "bad expectation 'immm=allowed'" in out
+
     def test_json_schema(self, capsys, tmp_path):
         (tmp_path / "one.litmus").write_text((CORPUS_DIR / "mp.litmus").read_text())
         code, out = run_cli(capsys, "run", str(tmp_path), "--json")
@@ -426,6 +433,13 @@ class TestBadArguments:
         code = main(["check", str(CORPUS_DIR / "mp.litmus"), "--model", "imm", flag])
         captured = capsys.readouterr()
         assert code == 2 and "--model power" in captured.err and captured.out == ""
+
+    def test_compare_needs_two_different_models(self, capsys):
+        # `compare mp.litmus imm imm --json` once printed three "consistent"
+        # keys and one "outcome_inclusion" key
+        code = main(["compare", str(CORPUS_DIR / "mp.litmus"), "imm", "imm", "--json"])
+        captured = capsys.readouterr()
+        assert code == 2 and "two different models" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("argv, message", [
         (("fuzz", "--seed", "1", "--count", "2", "--checks", "mapping"),

@@ -15,8 +15,9 @@ from immlab.enumeration import assertion_holds, candidate_executions
 from immlab.execgraph import Execution
 from immlab.fuzz import FuzzConfig, random_program
 from immlab.program import parse_litmus
+from immlab.relalg import Rel
 
-from oracles import sc_fence_order_by_search
+from oracles import fence_orders, imms_sc_axioms, sc_fence_order_by_search
 
 
 def annotated(corpus, corpus_candidates, name):
@@ -201,17 +202,85 @@ class TestScFenceOrder:
         assert (f2, f0) in d.ar_base.plus() and (f2, f0) not in consistency._sc_fences(chain, d)
         assert check_imms(chain).sc_witness == ((f2, f0),)
 
-    def test_iriw_sc_5_checks_at_most_one_order_per_graph(self, monkeypatch):
-        # the search tried up to 5! orders per graph: 42,291 checks on 1,024
-        calls = []
-        real = consistency._imms_sc_axioms
-        monkeypatch.setattr(consistency, "_imms_sc_axioms",
-                            lambda *a: calls.append(1) or real(*a))
-        graphs = list(coherent_graphs(iriw_sc(5)))
-        assert len(graphs) == 1024
+
+# thread 1's fence reaches thread 0's through po, co and po, a path of the
+# first part of X that no ar_base edge follows
+SC_ECO = """
+prog "SC-ECO"
+locations x
+vals 0..2
+thread 0:
+  w[rlx] x 2
+  f[sc]
+thread 1:
+  f[sc]
+  w[rlx] x 1
+"""
+
+
+def pinned(g, sc):
+    """g with its SC-fence order given as sc."""
+    return Execution.on(g.shape, g.labels, rf=g.rf, co=g.co, sc=sc)
+
+
+GIVEN_ORDER_SETS = {
+    # only ar_base orders the two fences of SC-AR; no other source shows that
+    "sc-ar": lambda: (c.execution for c in candidate_executions(parse_litmus(SC_AR).program)),
+    "iriw-sc-2": lambda: coherent_graphs(iriw_sc(2)),
+    "iriw-sc-3": lambda: coherent_graphs(iriw_sc(3)),
+    "fuzz-5-three-four-threads": lambda: fuzz_graphs(
+        5, FuzzConfig(threads=(3, 4), max_candidates_per_program=200), 60),
+}
+
+
+class TestGivenScOrder:
+    """A graph's own SC-fence order, checked as X ⊆ sc, against both
+    s-model conditions as the paper states them."""
+
+    @staticmethod
+    def assert_same_as_axioms(graphs):
+        seen = 0
         for g in graphs:
-            check_imms(g)
-        assert len(calls) <= len(graphs)
+            if not g.F_sc:
+                continue
+            d = g.derive()
+            table_ok = not consistency.evaluate(consistency.IMMS, g, d)
+            for sc in fence_orders(g):
+                want = table_ok and imms_sc_axioms(g, d, sc)
+                assert check_imms(pinned(g, sc)).consistent == want, (g.dumps(), sc)
+                seen += 1
+        return seen
+
+    def test_matches_axioms_on_corpus_full_stream(self, corpus_candidates):
+        graphs = (c.execution for cands in corpus_candidates.values() for c in cands)
+        assert self.assert_same_as_axioms(graphs) >= 20
+
+    @pytest.mark.parametrize("name", GIVEN_ORDER_SETS)
+    def test_matches_axioms(self, name):
+        assert self.assert_same_as_axioms(GIVEN_ORDER_SETS[name]()) > 0
+
+    def test_ar_base_order_is_checked(self):
+        # reversing the order that only ar_base fixes breaks condition 2
+        chain = next(c.execution for c in candidate_executions(parse_litmus(SC_AR).program)
+                     if c.final_regs[0]["b"] == 1)
+        f0, f2 = sorted(chain.F_sc)
+        v = check_imms(pinned(chain, Rel(chain.n, [(f0, f2)])))
+        assert v.violations == [("s-no-thin-air", [(str(chain.events[f2]),
+                                                    str(chain.events[f0]))])]
+        assert v.sc_witness is None
+
+    def test_a_reversed_eco_path_names_condition_one(self):
+        (g,) = [c.execution for c in candidate_executions(parse_litmus(SC_ECO).program)
+                if c.execution.outcome()[0] == 2]
+        f0, f1 = sorted(g.F_sc)
+        assert check_imms(g).sc_witness == ((f1, f0),) == ((3, 2),)
+        v = check_imms(pinned(g, Rel(g.n, [(f0, f1)])))
+        assert v.violations == [("sc-coherence", [(str(g.events[f1]), str(g.events[f0]))])]
+        assert v.sc_witness is None
+
+    def test_a_partial_order_fails_totality(self):
+        g = next(c.execution for c in candidate_executions(parse_litmus(SC_ECO).program))
+        assert check_imms(pinned(g, Rel(g.n))).axioms() == ["sc-totality"]
 
 
 class TestC11:

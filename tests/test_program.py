@@ -172,10 +172,23 @@ class TestMalformed:
         (HEAD + "thread 0:\n  cas[rlx,rlx] 7 x 0 1\n", 4),
         (CLASH, 5),
         (HEAD + "thread 0:\n  w[rlx] x 1\n  x := 2\n", 5),
+        (HEAD + ONE_STORE + "expect immm=allowed\n", 5),
+        (HEAD + ONE_STORE + "expect imm=allowed imm=forbidden\n", 5),
+        (HEAD + "thread 0:\n  w[rel,strong] x 1\n", 4),
+        (HEAD + "thread 0:\n  r[acq,strong] a x\n", 4),
+        (HEAD + "thread 0:\n  f[sc,strong]\n", 4),
+        (HEAD + "thread 0:\n  f[sc] x 1\n", 4),
+        (HEAD + 'prog "Q"\n' + ONE_STORE, 3),
+        (HEAD + "locations y\n" + ONE_STORE, 3),
+        (HEAD + "vals 0..1\nvals 0..2\n" + ONE_STORE, 4),
+        (HEAD + ONE_STORE + "assert allowed: x=1\nassert forbidden: x=1\n", 6),
     ], ids=["vals-word", "thread-word", "goto-word", "assert-word", "superscript-digit",
             "bare-vals", "bare-thread", "goto-no-target", "register-threads", "not-utf8",
             "load-into-number", "fadd-into-number", "cas-into-number",
-            "load-into-location", "assign-into-location"])
+            "load-into-location", "assign-into-location", "unknown-model",
+            "model-expected-twice", "strong-store", "strong-load", "strong-fence",
+            "fence-operands", "second-prog", "second-locations", "second-vals",
+            "second-assert"])
     def test_malformed_input_is_a_parse_error(self, text, line):
         with pytest.raises(ParseError) as err:
             parse_litmus(text)
@@ -251,10 +264,13 @@ class TestRoundTrip:
             "  fadd[rlx,rel,strong] c x+1 a\n  cas[acq,rlx] d 1 x y\n"
             "  a := x+1\n  if a == 1 goto 0\n  f[sc]\n"
         )
-        body = print_litmus(parse_litmus(src)).split("thread 0:\n")[1]
+        test = parse_litmus(src)
+        printed = print_litmus(test)
+        assert parse_litmus(printed) == test
+        body = printed.split("thread 0:\n")[1]
         assert body.splitlines() == [
-            "  r[rlx] a x", "  r[rlx] b y + a", "  w[rlx] a + 2 1",
-            "  fadd[rlx,rel,strong] c x + y a", "  cas[acq,rlx] d y 0 1",
+            "  r[rlx] a x", "  r[rlx] b y + a", "  w[rlx] a+2 1",
+            "  fadd[rlx,rel,strong] c x+y a", "  cas[acq,rlx] d y 0 1",
             "  a := 0 + 1", "  if a = 1 goto 0", "  f[sc]",
         ]
 
