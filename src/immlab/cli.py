@@ -97,13 +97,24 @@ def _load(args):
     return test
 
 
+def _dump_dir(args):
+    """Make the --dump-graph directory, before the search that fills it."""
+    if args.dump_graph:
+        try:
+            os.makedirs(args.dump_graph, exist_ok=True)
+        except OSError as err:
+            _fail(args.dump_graph, err)
+
+
 def _dump(args, name, graph):
     if not args.dump_graph:
         return
-    os.makedirs(args.dump_graph, exist_ok=True)
     path = os.path.join(args.dump_graph, name + ".json")
-    with open(path, "w") as fh:
-        fh.write(graph.dumps())
+    try:
+        with open(path, "w") as fh:
+            fh.write(graph.dumps())
+    except OSError as err:
+        _fail(path, err)
 
 
 def _name_list(choices, kind):
@@ -185,6 +196,7 @@ def _model_entry(test, model, unroll, max_candidates, check=None):
 
 def cmd_enumerate(args):
     test = _load(args)
+    _dump_dir(args)
     report, stream = _search(test, args.unroll, args.max_candidates)
     outcomes = set()
     for i, (cand, _) in enumerate(stream):
@@ -228,6 +240,7 @@ def cmd_outcomes(args):
 
 def cmd_map(args):
     test = _load(args)
+    _dump_dir(args)
     problems = 0
     report, stream = _search(test, args.unroll, args.max_candidates)
     for i, (cand, _) in enumerate(stream):
@@ -285,6 +298,7 @@ def cmd_traverse(args):
 
 def cmd_certify(args):
     test = _load(args)
+    _dump_dir(args)
     threads = len(test.program.threads)
     if not 0 <= args.thread < threads:
         print(f"--thread out of range (0..{threads - 1})", file=sys.stderr)

@@ -1,5 +1,8 @@
 """Program AST, access-mode lattice, and the litmus text format.
 
+SYNTAX states each memory instruction form once (mnemonic, bracketed modes,
+operands); the reader, the printer and the operand walks all read it.
+
 Values and locations are naturals; location names map to consecutive naturals
 in declaration order, so address arithmetic (`r[rlx] b y+a`) can reach
 locations beyond the declared names.
@@ -9,7 +12,8 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 from .consistency import MODELS
 
@@ -59,8 +63,17 @@ class BinOp:
     right: object
 
     def __str__(self):
-        op = {"==": "="}.get(self.op, self.op)
-        return f"{self.left} {op} {self.right}"
+        def operand(e, right):
+            # as the reader groups them: a comparison takes two sums, and a
+            # sum groups to the left
+            nested = isinstance(e, BinOp) and (
+                e.op in _COMPARISONS or right and self.op not in _COMPARISONS)
+            return f"({e})" if nested else str(e)
+        op = "=" if self.op == "==" else self.op
+        return f"{operand(self.left, False)} {op} {operand(self.right, True)}"
+
+
+_COMPARISONS = ("==", "!=")
 
 
 class UnboundRegister(KeyError):
@@ -118,28 +131,45 @@ class IfGoto:
         return f"if {self.expr} goto {self.target}"
 
 
+def _getter(names):
+    """inst -> the tuple of its fields names, built once per class."""
+    if len(names) == 1:
+        return lambda inst, get=attrgetter(*names): (get(inst),)
+    return attrgetter(*names) if names else lambda inst: ()
+
+
+class MemoryInst:
+    """A memory instruction, printed as SYNTAX states its form."""
+
+    def __str__(self):
+        mnemonic, modes, operands = SYNTAX[type(self)]
+        spec = ",".join(getattr(self, name) for name, _, _ in modes)
+        if len(modes) == 2 and self.rmw_mode == "strong":
+            spec += ",strong"
+        # a word per operand, as the reader reads them, but the last operand
+        # of a one-mode form, which takes the rest of the line
+        words = [str(getattr(self, name)).replace(" ", "") for name in operands]
+        if len(modes) == 1 and operands:
+            words[-1] = str(getattr(self, operands[-1]))
+        return " ".join([f"{mnemonic}[{spec}]", *words])
+
+
 @dataclass(frozen=True)
-class Store:
+class Store(MemoryInst):
     mode: str
     loc: object  # expression
     value: object  # expression
 
-    def __str__(self):
-        return f"w[{self.mode}] {self.loc} {self.value}"
-
 
 @dataclass(frozen=True)
-class Load:
+class Load(MemoryInst):
     mode: str
     reg: str
     loc: object
 
-    def __str__(self):
-        return f"r[{self.mode}] {self.reg} {self.loc}"
-
 
 @dataclass(frozen=True)
-class Fadd:
+class Fadd(MemoryInst):
     read_mode: str
     write_mode: str
     rmw_mode: str
@@ -147,13 +177,9 @@ class Fadd:
     loc: object
     addend: object
 
-    def __str__(self):
-        strong = ",strong" if self.rmw_mode == "strong" else ""
-        return f"fadd[{self.read_mode},{self.write_mode}{strong}] {self.reg} {self.loc} {self.addend}"
-
 
 @dataclass(frozen=True)
-class Cas:
+class Cas(MemoryInst):
     read_mode: str
     write_mode: str
     rmw_mode: str
@@ -162,20 +188,35 @@ class Cas:
     expected: object
     new: object
 
-    def __str__(self):
-        strong = ",strong" if self.rmw_mode == "strong" else ""
-        return (
-            f"cas[{self.read_mode},{self.write_mode}{strong}] "
-            f"{self.reg} {self.loc} {self.expected} {self.new}"
-        )
-
 
 @dataclass(frozen=True)
-class FenceInst:
+class FenceInst(MemoryInst):
     mode: str
 
-    def __str__(self):
-        return f"f[{self.mode}]"
+
+# The memory instruction forms: class -> (mnemonic, the mode fields in its
+# brackets as (field, kind, allowed modes), its operands in order). A
+# two-mode form may end its modes with `strong`, its rmw_mode; a one-mode
+# form reads every word after its last but one operand as its last. The
+# operand `reg` is the register the instruction writes, each other one an
+# expression. A class's fields are its modes, rmw_mode on a two-mode form,
+# then its operands.
+_READ = ("read_mode", "read", READ_MODES)
+_WRITE = ("write_mode", "write", WRITE_MODES)
+SYNTAX = {
+    Store: ("w", (("mode", "write", WRITE_MODES),), ("loc", "value")),
+    Load: ("r", (("mode", "read", READ_MODES),), ("reg", "loc")),
+    Fadd: ("fadd", (_READ, _WRITE), ("reg", "loc", "addend")),
+    Cas: ("cas", (_READ, _WRITE), ("reg", "loc", "expected", "new")),
+    FenceInst: ("f", (("mode", "fence", FENCE_MODES),), ()),
+}
+_FORMS = {mnemonic: (cls, *form) for cls, (mnemonic, *form) in SYNTAX.items()}
+# every instruction class -> its operands: it writes `reg` and reads the rest
+_OPERANDS = {Assign: ("reg", "expr"), IfGoto: ("expr",),
+             **{cls: operands for cls, (_, _, operands) in SYNTAX.items()}}
+_EXPRS = {cls: _getter(tuple(name for name in operands if name != "reg"))
+          for cls, operands in _OPERANDS.items()}
+_WRITERS = tuple(cls for cls, operands in _OPERANDS.items() if "reg" in operands)
 
 
 @dataclass
@@ -204,31 +245,18 @@ def registers(body):
 
 def _dest_regs(body):
     """The registers that the instructions of body write."""
-    return frozenset(inst.reg for inst in body if isinstance(inst, (Assign, Load, Fadd, Cas)))
+    return frozenset(inst.reg for inst in body if isinstance(inst, _WRITERS))
 
 
 def is_relaxed(inst):
     """inst lies in the relaxed fragment: no fadd, cas or fence, and every
-    load and store rlx."""
-    if isinstance(inst, (Fadd, Cas, FenceInst)):
-        return False
-    return not isinstance(inst, (Load, Store)) or inst.mode == "rlx"
+    load and store rlx (an rmw has no `mode`, and no fence mode is rlx)."""
+    return not isinstance(inst, MemoryInst) or getattr(inst, "mode", None) == "rlx"
 
 
 def _inst_exprs(inst):
-    if isinstance(inst, Assign):
-        return (inst.expr,)
-    if isinstance(inst, IfGoto):
-        return (inst.expr,)
-    if isinstance(inst, Store):
-        return (inst.loc, inst.value)
-    if isinstance(inst, Load):
-        return (inst.loc,)
-    if isinstance(inst, Fadd):
-        return (inst.loc, inst.addend)
-    if isinstance(inst, Cas):
-        return (inst.loc, inst.expected, inst.new)
-    return ()
+    """The expressions that inst reads, in operand order."""
+    return _EXPRS[type(inst)](inst)
 
 
 @dataclass
@@ -274,7 +302,7 @@ def parse_expr(text, lineno=None):
 
 def _parse_cmp(toks, lineno):
     left = _parse_sum(toks, lineno)
-    if toks and toks[-1] in ("==", "!="):
+    if toks and toks[-1] in _COMPARISONS:
         return BinOp(toks.pop(), left, _parse_sum(toks, lineno))
     return left
 
@@ -310,18 +338,6 @@ def _int(text, lineno):
         return int(text)
     except ValueError:
         raise ParseError(f"expected an integer, got {text.strip()!r}", lineno) from None
-
-
-def _parse_modes(spec, lineno, n_modes):
-    """The modes in [spec] and the rmw mode: only an rmw (n_modes 2) may end
-    them with strong."""
-    parts = [p.strip() for p in spec.split(",")]
-    rmw = "strong" if n_modes == 2 and parts[-1] == "strong" else "normal"
-    if rmw == "strong":
-        parts.pop()
-    if len(parts) != n_modes:
-        raise ParseError(f"expected {n_modes} mode(s) in [{spec}]", lineno)
-    return parts, rmw
 
 
 def _subst(expr, leaves):
@@ -374,6 +390,9 @@ def parse_litmus(text, path=None):
             name = rest.strip('"')
         elif word == "locations":
             locations = rest.split()
+            for nm in locations:
+                if not nm.isidentifier():
+                    raise ParseError(f"bad location name {nm!r}", lineno)
             if len(set(locations)) != len(locations):
                 raise ParseError("duplicate location", lineno)
         elif word == "vals":
@@ -437,10 +456,8 @@ def parse_litmus(text, path=None):
         reg_counts.update(assigned)
         threads.append(body)
 
-    for lhs, _, lineno in assertion:
-        if lhs in locations:
-            continue
-        if not reg_counts[lhs]:
+    for lhs, _, lineno in assertion:  # no register has a location's name
+        if not reg_counts[lhs] and lhs not in locations:
             raise ParseError(f"undeclared register or location {lhs!r} in assertion", lineno)
         if reg_counts[lhs] > 1:
             raise ParseError(f"register {lhs!r} is ambiguous across threads", lineno)
@@ -478,58 +495,40 @@ def _parse_instruction(line, lineno, loc_leaves):
         goto_at = parts.index("goto")
         return IfGoto(expr(" ".join(parts[1:goto_at])),
                       _int(" ".join(parts[goto_at + 1:]), lineno))
-    if "[" not in head or not head.endswith("]"):
+    mnemonic, _, spec = head.partition("[")
+    if mnemonic not in _FORMS or not spec.endswith("]"):
         raise ParseError(f"unrecognized instruction {line!r}", lineno)
-    mnemonic, modes_spec = head[:-1].split("[", 1)
-    rest = parts[1:]
-    if mnemonic == "w":
-        (mode,), _ = _parse_modes(modes_spec, lineno, 1)
-        if mode not in WRITE_MODES:
-            raise ParseError(f"bad write mode {mode!r}", lineno)
-        if len(rest) < 2:
-            raise ParseError("w[o] expects: loc value", lineno)
-        return Store(mode, expr(rest[0]), expr(" ".join(rest[1:])))
-    if mnemonic == "r":
-        (mode,), _ = _parse_modes(modes_spec, lineno, 1)
-        if mode not in READ_MODES:
-            raise ParseError(f"bad read mode {mode!r}", lineno)
-        if len(rest) < 2:
-            raise ParseError("r[o] expects: reg loc", lineno)
-        return Load(mode, dest(rest[0]), expr(" ".join(rest[1:])))
-    if mnemonic == "f":
-        (mode,), _ = _parse_modes(modes_spec, lineno, 1)
-        if mode not in FENCE_MODES:
-            raise ParseError(f"bad fence mode {mode!r}", lineno)
-        if rest:
-            raise ParseError("f[o] takes no operand", lineno)
-        return FenceInst(mode)
-    if mnemonic == "fadd":
-        (rmode, wmode), rmw = _parse_modes(modes_spec, lineno, 2)
-        if rmode not in READ_MODES or wmode not in WRITE_MODES:
-            raise ParseError(f"bad fadd modes [{modes_spec}]", lineno)
-        if len(rest) != 3:
-            raise ParseError("fadd expects: reg loc addend", lineno)
-        return Fadd(rmode, wmode, rmw, dest(rest[0]), expr(rest[1]), expr(rest[2]))
-    if mnemonic == "cas":
-        (rmode, wmode), rmw = _parse_modes(modes_spec, lineno, 2)
-        if rmode not in READ_MODES or wmode not in WRITE_MODES:
-            raise ParseError(f"bad cas modes [{modes_spec}]", lineno)
-        if len(rest) != 4:
-            raise ParseError("cas expects: reg loc expected new", lineno)
-        return Cas(rmode, wmode, rmw, dest(rest[0]), expr(rest[1]), expr(rest[2]), expr(rest[3]))
-    raise ParseError(f"unrecognized instruction {line!r}", lineno)
+    cls, modes, operands = _FORMS[mnemonic]
+    args = spec[:-1].split(",")  # the fields of cls, in order
+    rmw = [args.pop() if args[-1] == "strong" else "normal"] if len(modes) == 2 else []
+    if len(args) != len(modes):
+        raise ParseError(f"expected {len(modes)} mode(s) in {head}", lineno)
+    for (_, kind, allowed), mode in zip(modes, args):
+        if mode not in allowed:
+            raise ParseError(f"bad {kind} mode {mode!r}", lineno)
+    args += rmw
+    words, n = parts[1:], len(operands)
+    if len(modes) == 1 and len(words) > n > 0:
+        words[n - 1:] = [" ".join(words[n - 1:])]
+    if len(words) != n:
+        raise ParseError(f"{mnemonic} expects: {' '.join(operands) or 'no operand'}", lineno)
+    for name, word in zip(operands, words):
+        args.append(dest(word) if name == "reg" else expr(word))
+    return cls(*args)
 
 
 def print_litmus(test):
-    """Inverse of parse_litmus on the canonical layout."""
+    """Inverse of parse_litmus on the canonical layout: str of each
+    instruction, its location naming the declared locations."""
     out = [f'prog "{test.name}"']
     if test.program.locations:
         out.append("locations " + " ".join(test.program.locations))
     out.append(f"vals 0..{test.program.max_val}")
+    names = {Lit(i): Reg(nm) for i, nm in enumerate(test.program.locations)}
     for tid, body in enumerate(test.program.threads):
         out.append(f"thread {tid}:")
-        for inst in body:
-            out.append("  " + _print_inst(inst, test.program))
+        out += [f"  {replace(inst, loc=_subst(inst.loc, names)) if hasattr(inst, 'loc') else inst}"
+                for inst in body]
     if test.assertion_kind:
         preds = " /\\ ".join(f"{nm}={v}" for nm, v in test.assertion)
         out.append(f"assert {test.assertion_kind}: {preds}")
@@ -538,16 +537,3 @@ def print_litmus(test):
             "expect " + " ".join(f"{m}={v}" for m, v in sorted(test.expectations.items()))
         )
     return "\n".join(out) + "\n"
-
-
-def _print_inst(inst, program):
-    """inst as text that parse_litmus reads back: its location naming the
-    declared locations, and each operand one word but the last of a load or
-    store, the only one the reader lets hold spaces."""
-    if not hasattr(inst, "loc"):
-        return str(inst)
-    names = {Lit(i): Reg(nm) for i, nm in enumerate(program.locations)}
-    inst = replace(inst, loc=_subst(inst.loc, names))
-    last = {Store: "value", Load: "loc"}.get(type(inst))
-    return str(replace(inst, **{f.name: str(getattr(inst, f.name)).replace(" ", "")
-                                for f in fields(inst) if f.name != last}))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .enumeration import UNROLL, ThreadState, pinned_run, step_budget, thread_step
-from .program import Cas, Fadd, FenceInst, Load, Store, eval_expr, is_relaxed
+from .program import Load, MemoryInst, Store, eval_expr, is_relaxed
 
 
 class PromiseError(RuntimeError):
@@ -72,8 +72,7 @@ def initial_machine(program, locations):
 
 
 def _silent_next(sigma):
-    return not sigma.terminal and not isinstance(
-        sigma.sprog[sigma.pc], (Load, Store, Fadd, Cas, FenceInst))
+    return not sigma.terminal and not isinstance(sigma.sprog[sigma.pc], MemoryInst)
 
 
 def advance_silent(sigma, budget=None):

@@ -339,6 +339,20 @@ class TestBadInput:
         assert exit_info.value.code == 2 and captured.out == ""
         assert captured.err == f"immlab: {path}: {reason}\n"
 
+    # each once ended in a FileExistsError traceback from the first dump
+    @pytest.mark.parametrize("command, rest", [
+        ("enumerate", ()), ("map", ("--target", "power")),
+        ("certify", ("--step", "0", "--thread", "0")),
+    ])
+    def test_dump_graph_onto_a_file_is_reported(self, capsys, tmp_path, command, rest):
+        path = tmp_path / "taken"
+        path.write_text("")
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, str(CORPUS_DIR / "mp.litmus"), *rest, "--dump-graph", str(path)])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2 and captured.out == ""
+        assert captured.err == f"immlab: {path}: File exists\n"
+
     def test_no_traceback_from_the_command_line(self, tmp_path):
         path = tmp_path / "bad.litmus"
         path.write_bytes(b'prog "B"\nthread 0:\n  r[rlx] a \xff\n')

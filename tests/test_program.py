@@ -2,24 +2,34 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from immlab.consistency import check_imm
 from immlab.enumeration import candidate_executions
 from immlab.fuzz import FuzzConfig, random_program
 from immlab.program import (
+    FENCE_MODES,
     MODES,
+    READ_MODES,
+    WRITE_MODES,
+    Assign,
     BinOp,
     Cas,
     Fadd,
+    FenceInst,
+    IfGoto,
     Lit,
     LitmusTest,
     Load,
     ParseError,
+    Program,
     Reg,
     Store,
     UnboundRegister,
     eval_expr,
     mode_leq,
+    parse_expr,
     parse_litmus,
     print_litmus,
 )
@@ -182,13 +192,15 @@ class TestMalformed:
         (HEAD + "locations y\n" + ONE_STORE, 3),
         (HEAD + "vals 0..1\nvals 0..2\n" + ONE_STORE, 4),
         (HEAD + ONE_STORE + "assert allowed: x=1\nassert forbidden: x=1\n", 6),
+        ('prog "P"\nlocations 1 x\n' + ONE_STORE, 2),
+        ('prog "P"\nlocations x-y\n' + "thread 0:\n  w[rlx] x-y 1\n", 2),
     ], ids=["vals-word", "thread-word", "goto-word", "assert-word", "superscript-digit",
             "bare-vals", "bare-thread", "goto-no-target", "register-threads", "not-utf8",
             "load-into-number", "fadd-into-number", "cas-into-number",
             "load-into-location", "assign-into-location", "unknown-model",
             "model-expected-twice", "strong-store", "strong-load", "strong-fence",
             "fence-operands", "second-prog", "second-locations", "second-vals",
-            "second-assert"])
+            "second-assert", "location-number", "location-dash"])
     def test_malformed_input_is_a_parse_error(self, text, line):
         with pytest.raises(ParseError) as err:
             parse_litmus(text)
@@ -234,6 +246,41 @@ class TestMalformed:
         assert finals == {((0, 2),)}
 
 
+def expressions(depth):
+    """Expression trees up to depth over + - == !=, registers a and b and
+    literals 0..3 (0 and 1 name locations x and y in a location operand)."""
+    leaves = st.one_of(st.sampled_from("ab").map(Reg), st.integers(0, 3).map(Lit))
+    if depth == 0:
+        return leaves
+    sub = expressions(depth - 1)
+    return st.one_of(leaves, st.builds(BinOp, st.sampled_from(("+", "-", "==", "!=")), sub, sub))
+
+
+OPERAND, REGISTER = expressions(2), st.sampled_from("ab")
+RMW = (st.sampled_from(READ_MODES), st.sampled_from(WRITE_MODES),
+       st.sampled_from(("normal", "strong")), REGISTER, OPERAND, OPERAND)
+INSTRUCTION = st.one_of(
+    st.builds(Store, st.sampled_from(WRITE_MODES), OPERAND, OPERAND),
+    st.builds(Load, st.sampled_from(READ_MODES), REGISTER, OPERAND),
+    st.builds(Fadd, *RMW),
+    st.builds(Cas, *RMW, OPERAND),
+    st.builds(FenceInst, st.sampled_from(FENCE_MODES)),
+    st.builds(Assign, REGISTER, OPERAND),
+    st.builds(IfGoto, OPERAND, st.just(0)),
+)
+# each memory form under each of its modes, an rmw with and without strong
+EVERY_FORM = [
+    *(Store(mode, BinOp("+", Reg("a"), Lit(1)), BinOp("-", Reg("b"), BinOp("+", Lit(1), Lit(2))))
+      for mode in WRITE_MODES),
+    *(Load(mode, "b", BinOp("+", Lit(1), Reg("a"))) for mode in READ_MODES),
+    *(rmw(*modes, "a", Lit(1), *operands)
+      for rmw, operands in ((Fadd, (Lit(1),)), (Cas, (Reg("b"), BinOp("-", Lit(2), Reg("a")))))
+      for modes in itertools.product(READ_MODES, WRITE_MODES, ("normal", "strong"))),
+    *(FenceInst(mode) for mode in FENCE_MODES),
+]
+WRITE_AB = [Assign("a", Lit(0)), Assign("b", Lit(0))]  # every register read is written
+
+
 class TestRoundTrip:
     def test_corpus_round_trip(self, corpus):
         for name, test in corpus.items():
@@ -256,6 +303,30 @@ class TestRoundTrip:
             again = parse_litmus(print_litmus(test))
             assert again.name == test.name, s
             assert again.program == program, s
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(expressions(4))
+    @example(BinOp("-", Reg("a"), BinOp("+", Lit(1), Lit(2))))
+    @example(BinOp("==", BinOp("==", Reg("a"), Lit(1)), Lit(0)))
+    def test_printed_expressions_read_back(self, expr):
+        assert parse_expr(str(expr)) == expr
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.lists(st.lists(INSTRUCTION, max_size=5), min_size=1, max_size=3))
+    @example([EVERY_FORM])
+    def test_printed_programs_read_back(self, bodies):
+        threads = [body + WRITE_AB for body in bodies]
+        test = LitmusTest("T", Program(threads, ["x", "y"], 3), [("x", 1)], "allowed",
+                          {"imm": "allowed"})
+        assert parse_litmus(print_litmus(test)) == test
+
+    def test_a_parenthesized_right_operand_is_printed(self):
+        # `a - (1 + 2)` once printed as `a - 1 + 2`, which reads back as
+        # `(a - 1) + 2`
+        test = parse_litmus(HEAD + "thread 0:\n  r[rlx] a x\n  w[rlx] x a - (1 + 2)\n")
+        printed = print_litmus(test)
+        assert printed.splitlines()[-1] == "  w[rlx] x a - (1 + 2)"
+        assert parse_litmus(printed) == test
 
     def test_printed_locations_are_named(self):
         src = (
