@@ -146,16 +146,19 @@ def _emit(args, doc, human, complete=None):
     print(json.dumps(doc, indent=1, default=str) if args.json else human)
 
 
-def _search(test, unroll, max_candidates, check=None):
+def _search(test, unroll, max_candidates, check=None, wanted=None):
     """test's candidate search: its report, which describes the search once
     the stream is drained, and a stream of (candidate, verdict). Without
     check the stream holds every candidate, with verdict None. With check
     it holds the candidates that check finds consistent, with its verdict,
     drawn from the coherent stream: that stream keeps each of them in
-    order, since every model rejects the completions it drops."""
+    order, since every model rejects the completions it drops. Given
+    wanted, it checks only the completions that wanted accepts when the
+    stream reaches them (candidate_executions); the cap still counts every
+    completion reached."""
     report = EnumerationReport()
     stream = candidate_executions(test.program, unroll=unroll, max_candidates=max_candidates,
-                                  report=report, coherent=check is not None)
+                                  report=report, coherent=check is not None, wanted=wanted)
     if check is None:
         return report, ((cand, None) for cand in stream)
     return report, ((cand, v) for cand in stream if (v := check(cand.execution)).consistent)
@@ -176,16 +179,27 @@ def _model_entry(test, model, unroll, max_candidates, check=None):
     """model's entry for test, and the outcome keys of its consistent
     candidates. The verdict is allowed if a consistent candidate meets the
     assertion (every candidate meets an empty one); else forbidden after a
-    complete search, unknown after a truncated one. check is the model's own unless given."""
-    report, stream = _search(test, unroll, max_candidates,
-                             check or consistency.checker_for(model))
+    complete search, unknown after a truncated one. check is the model's
+    own unless given.
+
+    Only the completions that can change the entry are checked: one whose
+    outcome key no consistent candidate has yet, or one that meets the
+    assertion while no consistent candidate has. The rest are skipped."""
     hit = False
     outcomes = set()
-    for cand, _ in stream:
+    key = meets = None  # of the completion the stream reached last
+
+    def wanted(cand):
+        nonlocal key, meets
         key = _outcome_key(test, cand.execution)
+        meets = not hit and assertion_holds(cand, test, dict(key))
+        return meets or key not in outcomes
+
+    report, stream = _search(test, unroll, max_candidates,
+                             check or consistency.checker_for(model), wanted)
+    for _ in stream:
         outcomes.add(key)
-        if not hit:
-            hit = assertion_holds(cand, test, dict(key))
+        hit = hit or meets
     verdict = "allowed" if hit else "forbidden" if report.complete else "unknown"
     expected = test.expectations.get(model)
     entry = {"verdict": verdict, "expected": expected,

@@ -236,9 +236,10 @@ class Candidate:
 class EnumerationReport:
     truncated_threads: int = 0
     truncated_candidates: bool = False
-    candidates: int = 0
+    candidates: int = 0  # completions made: built and yielded
+    skipped: int = 0  # completions reached but not made: `wanted` refused them
     pruned: int = 0  # incoherent completions the coherent stream dropped
-    shapes: int = 0  # distinct shapes of the candidates made
+    shapes: int = 0  # distinct shapes of the completions reached
 
     @property
     def complete(self):
@@ -264,22 +265,26 @@ def _dependencies(combo, n, base):
 
 
 def candidate_executions(program, unroll=UNROLL, max_candidates=None, report=None,
-                         coherent=False):
-    """Stream candidate full executions in deterministic lexicographic order,
-    at most max_candidates of them (at least 1) when a cap is given; the
-    search reads as cut only when a further candidate exists. A register
-    that a run never sets is 0 in its final registers (λr.0).
+                         coherent=False, wanted=None):
+    """Stream candidate full executions in deterministic lexicographic order.
+    A register that a run never sets is 0 in its final registers (λr.0).
 
     With coherent=True only the completions that satisfy SC-per-location
-    are made (see _Completions.complete); they come in the same relative
-    order as in the full stream, the cap counts them alone, and
-    report.pruned counts the completions dropped under the rf choices
-    whose orders were all examined.
+    are reached (see _Completions.complete); they come in the same relative
+    order as in the full stream, and report.pruned counts the completions
+    dropped under the rf choices whose orders were all examined.
 
-    Thread combinations whose runs agree on everything but values share
-    one shape (execgraph.Shape) and one _Completions; the memo of them
-    lives as long as this stream, and report.shapes counts the distinct
-    shapes of the candidates made."""
+    Given wanted, a predicate on a candidate, the stream asks it of each
+    completion when it reaches it, after the consumer is done with the
+    candidates before: one it refuses is not yielded and counts in
+    report.skipped, one it accepts is made and counts in report.candidates.
+
+    A cap of max_candidates (at least 1) bounds the completions reached,
+    made or skipped; the search reads as cut only when a further one
+    exists. Thread combinations whose runs agree on everything but values
+    share one shape (execgraph.Shape) and one _Completions; the memo of
+    them lives as long as this stream, and report.shapes counts the
+    distinct shapes of the completions reached."""
     if max_candidates is not None and max_candidates < 1:
         raise ValueError(f"max_candidates must be at least 1, got {max_candidates}")
     values = program.candidate_values()
@@ -295,21 +300,24 @@ def candidate_executions(program, unroll=UNROLL, max_candidates=None, report=Non
         per_thread.append(results)
 
     shapes = {}
-    made = set()  # the keys of the shapes of the candidates made
-    emitted = 0
+    reached = set()  # the keys of the shapes of the completions reached
+    count = 0
     for key, combo in zip(itertools.product(*key_ids), itertools.product(*per_thread)):
         completions = shapes.get(key)
         if completions is None:
             completions = shapes[key] = _Completions(combo)
         for cand in completions.complete(combo, report if coherent else None):
-            if emitted == max_candidates:  # and one more candidate exists
+            if count == max_candidates:  # and one more completion exists
                 report.truncated_candidates = True
                 return
-            made.add(key)
-            report.shapes = len(made)
-            yield cand
-            emitted += 1
-            report.candidates = emitted
+            count += 1
+            reached.add(key)
+            report.shapes = len(reached)
+            if wanted is None or wanted(cand):
+                report.candidates += 1
+                yield cand
+            else:
+                report.skipped += 1
 
 
 class _Completions:

@@ -391,7 +391,7 @@ def parse_litmus(text, path=None):
         elif word == "locations":
             locations = rest.split()
             for nm in locations:
-                if not nm.isidentifier():
+                if not nm.isidentifier() or nm == "goto":
                     raise ParseError(f"bad location name {nm!r}", lineno)
             if len(set(locations)) != len(locations):
                 raise ParseError("duplicate location", lineno)
@@ -476,9 +476,10 @@ def _parse_instruction(line, lineno, loc_leaves):
         return _subst(parse_expr(text, lineno), loc_leaves)
 
     def dest(reg):
-        """reg as the register the instruction writes: a name, and not a
-        location's, which every expression would read as the location."""
-        if not reg.isidentifier():
+        """reg as the register the instruction writes: a name, not `goto`,
+        which an `if` line reads as its keyword, and not a location's, which
+        every expression would read as the location."""
+        if not reg.isidentifier() or reg == "goto":
             raise ParseError(f"bad register name {reg!r}", lineno)
         if Reg(reg) in loc_leaves:
             raise ParseError(f"register {reg!r} has the name of a location", lineno)

@@ -11,9 +11,10 @@ thread with nothing carried between checks, imms_sc_axioms, the two
 s-model conditions on a given SC-fence order as the paper states them,
 sc_fence_order_by_search, the s-model's SC-fence order sought over every
 permutation of the fences (fence_orders),
-literal_values, the narrower read-value rule that the declared domain
-replaced, and event_key, the canonical event order stated by fields rather
-than by Event's tuple order.
+entries_by_candidate, every model's verdict and outcome set with every
+coherent candidate checked, literal_values, the narrower read-value rule
+that the declared domain replaced, and event_key, the canonical event
+order stated by fields rather than by Event's tuple order.
 
 It also keeps the graph helpers that only tests call: restrict_thread,
 is_initialized and signature.
@@ -28,7 +29,7 @@ import math
 import numpy as np
 
 from immlab.certification import CertificationError
-from immlab.enumeration import UNROLL, thread_graphs
+from immlab.enumeration import UNROLL, EnumerationReport, candidate_executions, thread_graphs
 from immlab.execgraph import Event, Execution, Write
 from immlab.program import BinOp, Fadd, Lit, _inst_exprs, registers
 from immlab.promise import Message, _can_reach
@@ -323,10 +324,13 @@ def pair_built_candidates(program, unroll=UNROLL, coherent=False, report=None):
     keeps the orders that rank pos(a) before pos(b) for each po-consecutive
     pair (a, b) at one location, where pos(e) is e for a write and its rf
     source for a read; a pair with pos(a) = pos(b) and b a write keeps none.
-    report.pruned then counts, per rf choice, the orders not kept."""
+    report.pruned then counts, per rf choice, the orders not kept. A given
+    report counts the thread runs cut by unroll in truncated_threads."""
     values = program.candidate_values()
-    per_thread = [thread_graphs(body, tid, values, unroll)[0]
-                  for tid, body in enumerate(program.threads)]
+    runs = [thread_graphs(body, tid, values, unroll) for tid, body in enumerate(program.threads)]
+    per_thread = [results for results, _ in runs]
+    if report is not None:
+        report.truncated_threads += sum(truncated for _, truncated in runs)
     for combo in itertools.product(*per_thread):
         event_labels = []
         rels = {"rmw": [], "data": [], "addr": [], "ctrl": [], "casdep": []}
@@ -372,6 +376,51 @@ def pair_built_candidates(program, unroll=UNROLL, coherent=False, report=None):
                 g = Execution.build(event_labels, rf=list(zip(rf_choice, reads)), co=co,
                                     **rels)
                 yield g, regs
+
+
+def entries_by_candidate(test, checks, unroll=UNROLL, max_candidates=None):
+    """{model: (verdict, outcome keys, complete, pruned, shapes)} for each
+    (model, check) of checks, with every coherent candidate of test checked.
+
+    Uncapped, the candidates are pair_built_candidates(coherent=True), the
+    search is complete when no thread run was cut, and shapes counts the
+    distinct events, value-free labels and dependencies among them. Capped,
+    they are the first max_candidates of the coherent stream, which is the
+    order the cap cuts, and that stream's report gives the counts. An
+    outcome key is each declared location's co-last value, 0 where nothing
+    is written, as sorted (location, value) pairs; the assertion reads
+    locations first, then each thread's registers in thread order."""
+    program = test.program
+    report = EnumerationReport()
+    if max_candidates is None:
+        built = list(pair_built_candidates(program, unroll, coherent=True, report=report))
+        report.shapes = len({(g.events, tuple(lab.slot for lab in g.labels),
+                              *(getattr(g, name).pairs
+                                for name in ("rmw", "data", "addr", "ctrl", "casdep")))
+                             for g, _ in built})
+    else:
+        built = [(c.execution, c.final_regs) for c in candidate_executions(
+            program, unroll, max_candidates, report, coherent=True)]
+    marked = []  # (graph, outcome key, meets the assertion)
+    for g, regs in built:
+        last = {}
+        for w, lab in enumerate(g.labels):
+            if lab.kind == "w" and not any(a == w for a, _ in g.co.pairs):
+                last[lab.loc] = lab.val
+        key = tuple((loc, last.get(loc, 0)) for loc in range(len(program.locations)))
+        env = {name: val for (_, val), name in zip(key, program.locations)}
+        for tid in sorted(regs):
+            for reg, val in regs[tid].items():
+                env.setdefault(reg, val)
+        marked.append((g, key, all(env.get(name) == val for name, val in test.assertion)))
+    entries = {}
+    for model, check in checks.items():
+        consistent = [(key, meets) for g, key, meets in marked if check(g).consistent]
+        verdict = ("allowed" if any(meets for _, meets in consistent)
+                   else "forbidden" if report.complete else "unknown")
+        entries[model] = (verdict, {key for key, _ in consistent}, report.complete,
+                          report.pruned, report.shapes)
+    return entries
 
 
 def literal_values(program):

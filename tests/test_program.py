@@ -224,6 +224,30 @@ class TestMalformed:
             parse_litmus(text)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("text, message", [
+        (HEAD + "thread 0:\n  goto := 1\n", "bad register name 'goto' (line 4)"),
+        ('prog "P"\nlocations goto\nthread 0:\n  w[rlx] goto 1\n',
+         "bad location name 'goto' (line 2)"),
+        (HEAD + "thread 0:\n  r[rlx] goto x\n  if goto = 1 goto 0\n",
+         "bad register name 'goto' (line 4)"),
+    ], ids=["assign", "location", "if-condition"])
+    def test_goto_is_no_name(self, text, message):
+        # an `if` line reads its first `goto` word as the keyword, so a
+        # register or location `goto` once parsed but could not be tested
+        with pytest.raises(ParseError) as err:
+            parse_litmus(text)
+        assert str(err.value) == message
+
+    def test_a_printed_goto_register_is_refused_by_name(self):
+        # print_litmus writes IfGoto(Reg('goto'), 0) as `if goto goto 0`;
+        # the reader refuses the register where it is defined
+        test = LitmusTest("G", Program(threads=[[Load("rlx", "goto", Lit(0)),
+                                                 IfGoto(Reg("goto"), 0)]],
+                                       locations=["x"], max_val=1), [], None)
+        with pytest.raises(ParseError) as err:
+            parse_litmus(print_litmus(test))
+        assert str(err.value) == "bad register name 'goto' (line 5)"
+
     def test_a_header_is_a_whole_first_word(self):
         # registers whose names start with a header keyword are registers
         t = parse_litmus(
