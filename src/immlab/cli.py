@@ -164,9 +164,11 @@ def _search(test, unroll, max_candidates, check=None, wanted=None):
     return report, ((cand, v) for cand in stream if (v := check(cand.execution)).consistent)
 
 
-def _outcome_key(test, g):
-    """g's final values at the declared locations, as sorted pairs."""
-    return tuple(sorted(g.outcome(locations=range(len(test.program.locations))).items()))
+def _outcome_key(test, cand):
+    """cand's final values at the declared locations, 0 where nothing is
+    written, as sorted pairs; read from its final memory, with no graph."""
+    final = cand.final
+    return tuple((loc, final.get(loc, 0)) for loc in range(len(test.program.locations)))
 
 
 def _named(test, pairs):
@@ -184,15 +186,17 @@ def _model_entry(test, model, unroll, max_candidates, check=None):
 
     Only the completions that can change the entry are checked: one whose
     outcome key no consistent candidate has yet, or one that meets the
-    assertion while no consistent candidate has. The rest are skipped."""
+    assertion while no consistent candidate has. The rest are skipped,
+    decided on the final memory and registers the stream gives each
+    completion, so no graph is built for them."""
     hit = False
     outcomes = set()
     key = meets = None  # of the completion the stream reached last
 
     def wanted(cand):
         nonlocal key, meets
-        key = _outcome_key(test, cand.execution)
-        meets = not hit and assertion_holds(cand, test, dict(key))
+        key = _outcome_key(test, cand)
+        meets = not hit and assertion_holds(cand, test)
         return meets or key not in outcomes
 
     report, stream = _search(test, unroll, max_candidates,
@@ -215,7 +219,7 @@ def cmd_enumerate(args):
     outcomes = set()
     for i, (cand, _) in enumerate(stream):
         _dump(args, f"candidate-{i:05d}", cand.execution)
-        outcomes.add(_outcome_key(test, cand.execution))
+        outcomes.add(_outcome_key(test, cand))
     doc = {"schema": 1, "test": test.name, "candidates": report.candidates,
            "truncated_threads": report.truncated_threads, "outcomes": sorted(outcomes)}
     _emit(args, doc, f"{test.name}: {report.candidates} candidate executions, "
@@ -389,7 +393,7 @@ def cmd_compare(args):
         g = cand.execution
         ca, cb = chk_a(g).consistent, chk_b(g).consistent
         seen[ca, cb] += 1
-        key = _outcome_key(test, g)
+        key = _outcome_key(test, cand)
         if ca:
             outcomes_a.add(key)
         if cb:

@@ -50,7 +50,8 @@ UNROLL = 8  # the default per-thread loop unroll bound
 @dataclass
 class ThreadState:
     """One thread's state: ⟨sprog, pc, Φ, G, Ψ, S⟩ plus a step budget. A
-    state made without phi starts from λr.0 over sprog's registers."""
+    state made without phi starts from λr.0 over sprog's registers, by
+    name, so a run's registers iterate in the same order in every process."""
 
     sprog: list
     tid: int
@@ -63,7 +64,7 @@ class ThreadState:
 
     def __post_init__(self):
         if self.phi is None:
-            self.phi = dict.fromkeys(registers(self.sprog), 0)
+            self.phi = dict.fromkeys(sorted(registers(self.sprog)), 0)
 
     def copy(self):
         return ThreadState(
@@ -226,10 +227,34 @@ def thread_graphs(sprog, tid, values, unroll=UNROLL):
     return results, truncated
 
 
-@dataclass
 class Candidate:
-    execution: Execution
-    final_regs: dict  # tid -> register map
+    """One completion of the stream: its final registers (tid → register
+    map) and final memory (`final`: each location the skeleton accesses →
+    the value of its co-last write), both read from the thread runs and the
+    rf/co choice, and its graph. The graph (`execution`) is built when it
+    is first read, so a completion that is decided on its final values
+    alone, as `wanted` decides it, costs no graph. Candidates share their
+    final maps with other candidates of the stream: read them, do not
+    modify them."""
+
+    __slots__ = ("final_regs", "final", "_shape", "_labels", "_rf", "_co", "_execution")
+
+    def __init__(self, final_regs, final, shape, labels, rf, co):
+        self.final_regs = final_regs
+        self.final = final
+        self._shape, self._labels, self._rf, self._co = shape, labels, rf, co
+        self._execution = None
+
+    @property
+    def execution(self):
+        """The completion's Execution, built on the first read: rf and co
+        are relalg ints over the shape's events."""
+        if self._execution is None:
+            n = self._shape.n
+            self._execution = Execution.on(self._shape, self._labels,
+                                           rf=Rel.from_bits(n, self._rf),
+                                           co=Rel.from_bits(n, self._co))
+        return self._execution
 
 
 @dataclass
@@ -278,6 +303,10 @@ def candidate_executions(program, unroll=UNROLL, max_candidates=None, report=Non
     completion when it reaches it, after the consumer is done with the
     candidates before: one it refuses is not yielded and counts in
     report.skipped, one it accepts is made and counts in report.candidates.
+    Each candidate carries its final memory and registers, which the stream
+    reads from the thread runs and the co choice; its graph is built only
+    when its `execution` is first read, so a wanted that decides on the
+    final values alone builds no graph for a completion it refuses.
 
     A cap of max_candidates (at least 1) bounds the completions reached,
     made or skipped; the search reads as cut only when a further one
@@ -344,18 +373,22 @@ class _Completions:
         self.sources = [sorted(shape.writes_to(slots[r].loc)) for r in reads]
 
         # the init write k of each location is co-first, so its row is known;
-        # so is the row of a location's only other write. The writes of the
-        # other locations (`groups`: all of the location's writes as a mask,
-        # its non-init writes ascending) are ordered per completion.
+        # so is the row of a location's only other write, and the location's
+        # co-last write (`lasts`) is that write, or k if there is none. The
+        # writes of the other locations (`groups`: all of the location's
+        # writes as a mask, its non-init writes ascending, the location) are
+        # ordered per completion; `lasts` holds k for them until then.
         self.co_base = 0
         self.groups = []
+        self.lasts = {}
         self.full = 1
         for k, loc in enumerate(locs):
             rest = sorted(shape.writes_to(loc) - {k})
             mask = (1 << k) + sum(1 << w for w in rest)
             self.co_base |= (mask - (1 << k)) << k * shape.n
+            self.lasts[loc] = rest[0] if len(rest) == 1 else k
             if len(rest) > 1:
-                self.groups.append((mask, tuple(rest)))
+                self.groups.append((mask, tuple(rest), loc))
                 self.full *= math.factorial(len(rest))
         self.inits = (1 << len(locs)) - 1
         # (a, b, b is a write) for each two po-consecutive events of a thread
@@ -464,7 +497,8 @@ class _Completions:
         shape = self.shape
         n = shape.n
         need = [0] * n
-        final_regs = {res.tid: dict(res.phi) for res in combo}
+        final_regs = {res.tid: res.phi for res in combo}
+        fixed = {loc: labels[w].val for loc, w in self.lasts.items()}
         for rf_combo in itertools.product(*writers_of):
             if report is not None and self.pairs:
                 need = self._needs(rf_combo)
@@ -474,30 +508,34 @@ class _Completions:
             rf = 0
             for w, r in zip(rf_combo, self.reads):
                 rf |= 1 << w * n + r
-            rf = Rel.from_bits(n, rf)
             made = 0
             for co in self._co_orders(need):
-                execution = Execution.on(shape, labels, rf=rf, co=Rel.from_bits(n, co))
-                yield Candidate(execution=execution, final_regs=final_regs)
+                final = fixed
+                if self.groups:
+                    # a group's co-last write is the one co puts before none
+                    final = dict(fixed)
+                    for mask, rest, loc in self.groups:
+                        final[loc] = labels[next(
+                            w for w in rest if not co >> w * n & mask)].val
+                yield Candidate(final_regs, final, shape, labels, rf, co)
                 made += 1
             if report is not None:
                 report.pruned += self.full - made
 
 
-def assertion_values(candidate, program, outcome=None):
-    """Name → value environment for assertion checking; outcome, when
-    given, is the candidate's outcome over the program's locations."""
-    env = {}
-    if outcome is None:
-        outcome = candidate.execution.outcome(locations=range(len(program.locations)))
-    for i, name in enumerate(program.locations):
-        env[name] = outcome.get(i, 0)
+def assertion_values(candidate, program):
+    """Name → value environment for assertion checking, read from the
+    candidate's final memory and registers: each declared location's final
+    value (0 where nothing is written), then each thread's registers in
+    thread order."""
+    final = candidate.final
+    env = {name: final.get(i, 0) for i, name in enumerate(program.locations)}
     for regs in candidate.final_regs.values():
         for reg, val in regs.items():
             env.setdefault(reg, val)
     return env
 
 
-def assertion_holds(candidate, test, outcome=None):
-    env = assertion_values(candidate, test.program, outcome)
+def assertion_holds(candidate, test):
+    env = assertion_values(candidate, test.program)
     return all(env.get(name) == value for name, value in test.assertion)

@@ -1,7 +1,10 @@
 import functools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -19,7 +22,7 @@ from immlab.execgraph import Write
 from immlab.fuzz import FuzzConfig, random_program
 from immlab.program import parse_litmus
 
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, ROOT
 from oracles import (
     is_initialized,
     literal_values,
@@ -28,6 +31,7 @@ from oracles import (
     signature,
 )
 
+SRC = ROOT / "src"
 FUZZ_SEEDS = (11, 29)
 FUZZ_PROGRAMS = 20  # per seed
 FUZZ_CAP = 400  # programs with more candidates are skipped
@@ -236,6 +240,24 @@ class TestCandidates:
         assert main(["check", str(path), "--model", "imm", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["verdict"] == "allowed"
 
+    def test_registers_iterate_in_one_order_under_every_hash_seed(self):
+        # the initial register map once followed a frozenset's order, which
+        # moves with the hash seed
+        src = ('prog "REGS"\nlocations x y\nthread 0:\n'
+               "  r[rlx] a x\n  r[rlx] b y\n  r[rlx] c x\n  r[rlx] d y\n  e := 1\n  f := e\n")
+        script = ("import sys\n"
+                  "from immlab.enumeration import candidate_executions\n"
+                  "from immlab.program import parse_litmus\n"
+                  "cand = next(candidate_executions(parse_litmus(sys.argv[1]).program))\n"
+                  "print(' '.join(cand.final_regs[0]))\n")
+        orders = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=seed)
+            done = subprocess.run([sys.executable, "-c", script, src], env=env,
+                                  capture_output=True, text=True, check=True)
+            orders.append(done.stdout.split())
+        assert orders[0] == orders[1] == ["a", "b", "c", "d", "e", "f"]
+
     def test_a_computed_value_is_read_back(self, tmp_path, capsys):
         # reads once took only the literals and the fetch-add closure, and
         # check answered forbidden, complete
@@ -299,6 +321,26 @@ class TestCandidates:
         )
         assert len(cands) == 3
         assert report.truncated_candidates and not report.complete
+
+
+@pytest.mark.parametrize("coherent", (False, True))
+def test_final_memory_is_the_graph_outcome(corpus, coherent):
+    # what `wanted` decides on before any graph is built: each location's
+    # final value from the co choice, against the co-last write of the graph
+    programs = [test.program for test in corpus.values()]
+    for seed in (7, 11):
+        rng = random.Random(seed)
+        programs += [random_program(rng, FuzzConfig()) for _ in range(FUZZ_PROGRAMS)]
+    ordered = 0  # candidates with a location of two or more non-init writes
+    for i, program in enumerate(programs):
+        locations = range(len(program.locations))
+        for cand in candidate_executions(program, max_candidates=FUZZ_CAP,
+                                         coherent=coherent):
+            g = cand.execution
+            assert ({loc: cand.final.get(loc, 0) for loc in locations}
+                    == g.outcome(locations=locations)), i
+            ordered += any(len(g.writes_to(loc)) > 2 for loc in g.locations())
+    assert ordered
 
 
 @pytest.fixture(scope="module")

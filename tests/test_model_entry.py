@@ -7,10 +7,10 @@ import random
 
 import pytest
 
-from immlab import cli, consistency
+from immlab import cli, consistency, execgraph
 from immlab.enumeration import EnumerationReport, candidate_executions
 from immlab.fuzz import FuzzConfig, random_program
-from immlab.program import LitmusTest
+from immlab.program import LitmusTest, parse_litmus
 
 from oracles import entries_by_candidate
 
@@ -18,6 +18,42 @@ CAPS = (None, 7)
 FUZZ_SEEDS = (7, 409123)
 FUZZ_PROGRAMS = 40  # per seed
 CHECKS = {model: consistency.checker_for(model) for model in consistency.MODELS}
+
+# the two families of the benchmark's scale-up workload, whose coherent
+# completions the search mostly skips (under imm it checks 2 of IRIW-3's 64
+# and 3 of COWR-3's 36)
+IRIW3 = """prog "IRIW-3"
+locations x y
+vals 0..1
+thread 0:
+  w[rlx] x 1
+thread 1:
+  w[rlx] y 1
+thread 2:
+  r[rlx] a0 x
+  r[rlx] b0 y
+thread 3:
+  r[rlx] a1 y
+  r[rlx] b1 x
+thread 4:
+  r[rlx] a2 x
+  r[rlx] b2 y
+assert allowed: a0=1 /\\ b0=0 /\\ a1=1 /\\ b1=0
+"""
+COWR3 = """prog "COWR-3"
+locations x
+vals 0..3
+thread 0:
+  w[rlx] x 2
+  r[rlx] a0 x
+thread 1:
+  w[rlx] x 1
+  r[rlx] a1 x
+thread 2:
+  w[rlx] x 3
+  r[rlx] a2 x
+assert forbidden: a1=0
+"""
 
 
 def drawn_assertion(program, rng):
@@ -39,9 +75,10 @@ def drawn_assertion(program, rng):
 
 @pytest.fixture(scope="module")
 def tests(corpus):
-    """Every corpus test and FUZZ_PROGRAMS seeded fuzz programs per seed,
-    each with an assertion drawn from one of its candidates."""
-    out = list(corpus.values())
+    """Every corpus test, IRIW-3, COWR-3 and FUZZ_PROGRAMS seeded fuzz
+    programs per seed, each with an assertion drawn from one of its
+    candidates."""
+    out = list(corpus.values()) + [parse_litmus(IRIW3), parse_litmus(COWR3)]
     for seed in FUZZ_SEEDS:
         rng = random.Random(seed)
         for i in range(FUZZ_PROGRAMS):
@@ -91,3 +128,28 @@ def test_counters_match_the_drained_coherent_stream(corpus, monkeypatch, cap):
                                          drained.shapes, drained.complete), (name, model)
             skipped += report.skipped
     assert skipped  # the rule skips some completions
+
+
+@pytest.mark.parametrize("text", (IRIW3, COWR3), ids=("IRIW-3", "COWR-3"))
+@pytest.mark.parametrize("model", ("imm", "imms", "c11", "rc11"))
+def test_a_skipped_completion_builds_no_graph(monkeypatch, text, model):
+    # the power and arm checks build hardware images as well, so only the
+    # source models count one graph per checked candidate
+    test = parse_litmus(text)
+    reports, built = [], []
+    fill = execgraph.Execution._fill
+
+    def recorded(*args, **kwargs):
+        reports.append(kwargs["report"])
+        return candidate_executions(*args, **kwargs)
+
+    def counted(self, *args):
+        built.append(self)
+        fill(self, *args)
+
+    monkeypatch.setattr(cli, "candidate_executions", recorded)
+    monkeypatch.setattr(execgraph.Execution, "_fill", counted)
+    cli._model_entry(test, model, cli.UNROLL, None)
+    (report,) = reports
+    assert report.skipped > 0
+    assert len(built) == report.candidates
