@@ -19,6 +19,7 @@ from .consistency import sc_witness_rel
 from .enumeration import (
     UNROLL,
     EnumerationReport,
+    SearchSpace,
     assertion_holds,
     candidate_executions,
 )
@@ -118,7 +119,7 @@ def _dump(args, name, graph):
 
 
 def _name_list(choices, kind):
-    """argparse type: a comma-separated subset of choices."""
+    """argparse type: a comma-separated subset of choices, each named once."""
     def parse(text):
         names = tuple(text.split(","))
         unknown = [name for name in names if name not in choices]
@@ -126,6 +127,10 @@ def _name_list(choices, kind):
             raise argparse.ArgumentTypeError(
                 f"unknown {kind} {', '.join(map(repr, unknown))} "
                 f"(choose from {', '.join(choices)})")
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise argparse.ArgumentTypeError(
+                f"{kind} {', '.join(map(repr, repeated))} given more than once")
         return names
     return parse
 
@@ -146,7 +151,7 @@ def _emit(args, doc, human, complete=None):
     print(json.dumps(doc, indent=1, default=str) if args.json else human)
 
 
-def _search(test, unroll, max_candidates, check=None, wanted=None):
+def _search(test, unroll, max_candidates, check=None, wanted=None, space=None):
     """test's candidate search: its report, which describes the search once
     the stream is drained, and a stream of (candidate, verdict). Without
     check the stream holds every candidate, with verdict None. With check
@@ -155,10 +160,16 @@ def _search(test, unroll, max_candidates, check=None, wanted=None):
     order, since every model rejects the completions it drops. Given
     wanted, it checks only the completions that wanted accepts when the
     stream reaches them (candidate_executions); the cap still counts every
-    completion reached."""
+    completion reached.
+
+    The stream draws on space, the test's SearchSpace at unroll, when one
+    is given, and on a space of its own otherwise: the thread runs and
+    shapes are the space's, while the report, the cap and the completions
+    counted against it are this search's alone."""
     report = EnumerationReport()
     stream = candidate_executions(test.program, unroll=unroll, max_candidates=max_candidates,
-                                  report=report, coherent=check is not None, wanted=wanted)
+                                  report=report, coherent=check is not None, wanted=wanted,
+                                  space=space)
     if check is None:
         return report, ((cand, None) for cand in stream)
     return report, ((cand, v) for cand in stream if (v := check(cand.execution)).consistent)
@@ -177,12 +188,12 @@ def _named(test, pairs):
     return {names[loc] if loc < len(names) else f"loc{loc}": val for loc, val in pairs}
 
 
-def _model_entry(test, model, unroll, max_candidates, check=None):
+def _model_entry(test, model, unroll, max_candidates, check=None, space=None):
     """model's entry for test, and the outcome keys of its consistent
     candidates. The verdict is allowed if a consistent candidate meets the
     assertion (every candidate meets an empty one); else forbidden after a
     complete search, unknown after a truncated one. check is the model's
-    own unless given.
+    own unless given; the search draws on space when given (_search).
 
     Only the completions that can change the entry are checked: one whose
     outcome key no consistent candidate has yet, or one that meets the
@@ -200,7 +211,7 @@ def _model_entry(test, model, unroll, max_candidates, check=None):
         return meets or key not in outcomes
 
     report, stream = _search(test, unroll, max_candidates,
-                             check or consistency.checker_for(model), wanted)
+                             check or consistency.checker_for(model), wanted, space)
     for _ in stream:
         outcomes.add(key)
         hit = hit or meets
@@ -423,8 +434,12 @@ def run_one(path, models, unroll, max_candidates):
         return {"file": path, "test": path, "models": {}, "ok": False,
                 "error": str(err), "seconds": round(time.time() - started, 3)}
     entry = {"file": path, "test": test.name, "models": {}, "ok": True}
-    for model in models or sorted(test.expectations):
-        found, outcomes = _model_entry(test, model, unroll, max_candidates)
+    models = models or sorted(test.expectations)
+    # the thread runs and shapes do not depend on the model: every model's
+    # search draws its own stream from one space
+    space = SearchSpace(test.program, unroll) if models else None
+    for model in models:
+        found, outcomes = _model_entry(test, model, unroll, max_candidates, space=space)
         entry["models"][model] = {**found, "outcomes": len(outcomes)}
         entry["ok"] = entry["ok"] and found["ok"]
     entry["seconds"] = round(time.time() - started, 3)

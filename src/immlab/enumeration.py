@@ -289,10 +289,46 @@ def _dependencies(combo, n, base):
     return {name: Rel.from_rows(n, r) for name, r in rows.items()}
 
 
+class SearchSpace:
+    """What every stream over one program's candidates shares, made once
+    per (program, unroll): each thread's ended runs (thread_graphs over the
+    program's value domain, `runs`), the number of runs the step budget cut
+    (`truncated_threads`), an id of each run's shape key per thread
+    (`key_ids`), and one _Completions per shape (`shapes`, keyed by the key
+    ids of a thread combination), made when a stream first reaches the
+    shape and kept as long as the space. The runs, shapes and
+    completions do not depend on the model, which only decides which
+    completions are consistent; so one space serves a stream per model, and
+    the streams share each shape's memos of static relations and hardware
+    layouts. A space holds no state of any stream."""
+
+    def __init__(self, program, unroll=UNROLL):
+        self.program, self.unroll = program, unroll
+        values = program.candidate_values()
+        self.runs = []
+        self.key_ids = []
+        self.truncated_threads = 0
+        for tid, body in enumerate(program.threads):
+            results, truncated = thread_graphs(body, tid, values, unroll)
+            self.truncated_threads += truncated
+            ids = {}
+            self.key_ids.append([ids.setdefault(res.shape_key, len(ids)) for res in results])
+            self.runs.append(results)
+        self.shapes = {}
+
+
 def candidate_executions(program, unroll=UNROLL, max_candidates=None, report=None,
-                         coherent=False, wanted=None):
+                         coherent=False, wanted=None, space=None):
     """Stream candidate full executions in deterministic lexicographic order.
     A register that a run never sets is 0 in its final registers (λr.0).
+
+    The stream draws on space, the program's SearchSpace at this unroll
+    bound, and makes its own when none is given. What the space holds (the
+    thread runs, the truncated-run count, the shapes and their
+    _Completions) is shared by every stream over it; what a stream counts
+    (the completions reached, the shapes they have, the cap and report) is
+    its own. Each stream adds the space's truncated-run count to its
+    report.truncated_threads.
 
     With coherent=True only the completions that satisfy SC-per-location
     are reached (see _Completions.complete); they come in the same relative
@@ -311,30 +347,24 @@ def candidate_executions(program, unroll=UNROLL, max_candidates=None, report=Non
     A cap of max_candidates (at least 1) bounds the completions reached,
     made or skipped; the search reads as cut only when a further one
     exists. Thread combinations whose runs agree on everything but values
-    share one shape (execgraph.Shape) and one _Completions; the memo of
-    them lives as long as this stream, and report.shapes counts the
-    distinct shapes of the completions reached."""
+    share one shape (execgraph.Shape) and one _Completions, and
+    report.shapes counts the distinct shapes of the completions reached."""
     if max_candidates is not None and max_candidates < 1:
         raise ValueError(f"max_candidates must be at least 1, got {max_candidates}")
-    values = program.candidate_values()
+    if space is None:
+        space = SearchSpace(program, unroll)
+    elif space.program is not program or space.unroll != unroll:
+        raise ValueError("the search space is of another program or unroll bound")
     if report is None:
         report = EnumerationReport()
-    per_thread = []
-    key_ids = []  # per thread, an id of each run's shape key
-    for tid, body in enumerate(program.threads):
-        results, truncated = thread_graphs(body, tid, values, unroll)
-        report.truncated_threads += truncated
-        ids = {}
-        key_ids.append([ids.setdefault(res.shape_key, len(ids)) for res in results])
-        per_thread.append(results)
+    report.truncated_threads += space.truncated_threads
 
-    shapes = {}
-    reached = set()  # the keys of the shapes of the completions reached
+    reached = set()  # the key ids of the shapes of the completions reached
     count = 0
-    for key, combo in zip(itertools.product(*key_ids), itertools.product(*per_thread)):
-        completions = shapes.get(key)
+    for key, combo in zip(itertools.product(*space.key_ids), itertools.product(*space.runs)):
+        completions = space.shapes.get(key)
         if completions is None:
-            completions = shapes[key] = _Completions(combo)
+            completions = space.shapes[key] = _Completions(combo)
         for cand in completions.complete(combo, report if coherent else None):
             if count == max_candidates:  # and one more completion exists
                 report.truncated_candidates = True

@@ -468,6 +468,20 @@ class TestBadArguments:
         assert exit_info.value.code == 2 and message in captured.err
         assert captured.out == ""
 
+    # `run --models imm,imm` once decided imm twice per file and printed it once
+    @pytest.mark.parametrize("argv, message", [
+        (("run", str(CORPUS_DIR), "--models", "imm,rc11,imm"),
+         "argument --models: model 'imm' given more than once"),
+        (("fuzz", "--seed", "1", "--count", "2", "--checks", "promise,mappings,promise"),
+         "argument --checks: check 'promise' given more than once"),
+    ])
+    def test_repeated_names_are_rejected(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2 and message in captured.err
+        assert captured.out == ""
+
     MP = str(CORPUS_DIR / "mp.litmus")
 
     @pytest.mark.parametrize("argv, message", [

@@ -1,16 +1,18 @@
 """A model's entry from the answer-driven search (cli._model_entry), which
 checks only the completions that can change it, against
 oracles.entries_by_candidate, which checks every coherent candidate, and
-the search's counters against those of the drained coherent stream."""
+the search's counters against those of the drained coherent stream. The
+streams that run_one draws for every model from one search space against
+searches with a space of their own, and the work that sharing it saves."""
 
 import random
 
 import pytest
 
-from immlab import cli, consistency, execgraph
-from immlab.enumeration import EnumerationReport, candidate_executions
+from immlab import cli, consistency, enumeration, execgraph
+from immlab.enumeration import EnumerationReport, SearchSpace, candidate_executions
 from immlab.fuzz import FuzzConfig, random_program
-from immlab.program import LitmusTest, parse_litmus
+from immlab.program import LitmusTest, parse_litmus, print_litmus
 
 from oracles import entries_by_candidate
 
@@ -54,6 +56,23 @@ thread 2:
   r[rlx] a2 x
 assert forbidden: a1=0
 """
+# thread 1 reads x until it reads a value other than 0, at most three times:
+# a run that reads 0 twice takes 11 steps, more than unroll=2 allows over
+# its 5 instructions, so at that bound some of its runs end and some are cut
+BOUNDED_SPIN = """prog "BOUNDED-SPIN"
+locations x y
+thread 0:
+  w[rlx] y 1
+  w[rel] x 1
+thread 1:
+  r[acq] a x
+  if a != 0 goto 4
+  i := i + 1
+  if i != 3 goto 0
+  r[rlx] b y
+assert allowed: a=1 /\\ b=0
+"""
+SPACE_CAPS = (None, 3, 7)
 
 
 def drawn_assertion(program, rng):
@@ -153,3 +172,88 @@ def test_a_skipped_completion_builds_no_graph(monkeypatch, text, model):
     (report,) = reports
     assert report.skipped > 0
     assert len(built) == report.candidates
+
+
+@pytest.fixture(scope="module")
+def searches(tests, tmp_path_factory):
+    """(path, test, unroll) of every test of the sweep at the default unroll
+    bound and of BOUNDED_SPIN at 2, each test written to a file for
+    run_one."""
+    root = tmp_path_factory.mktemp("searches")
+    out = []
+    for i, (test, unroll) in enumerate([(test, cli.UNROLL) for test in tests]
+                                       + [(parse_litmus(BOUNDED_SPIN), 2)]):
+        path = root / f"{i:03d}.litmus"
+        path.write_text(print_litmus(test))
+        out.append((str(path), test, unroll))
+    return out
+
+
+@pytest.fixture(scope="module")
+def alone(searches):
+    """Per search, cap and model, the model's entry and outcome keys from a
+    search with a space of its own."""
+    return {(path, cap, model): cli._model_entry(test, model, unroll, cap)
+            for path, test, unroll in searches for cap in SPACE_CAPS
+            for model in consistency.MODELS}
+
+
+def test_run_one_matches_a_search_per_model(searches, alone):
+    truncated = 0
+    for path, test, unroll in searches:
+        for cap in SPACE_CAPS:
+            got = cli.run_one(path, consistency.MODELS, unroll, cap)
+            del got["seconds"]
+            want = {"file": path, "test": test.name, "models": {}, "ok": True}
+            for model in consistency.MODELS:
+                entry, outcomes = alone[path, cap, model]
+                want["models"][model] = {**entry, "outcomes": len(outcomes)}
+                want["ok"] = want["ok"] and entry["ok"]
+            assert got == want, (test.name, cap)
+            truncated += cap is None and not want["models"]["imm"]["complete"]
+    assert truncated  # some search is cut by the unroll bound alone
+
+
+def test_one_space_serves_a_stream_per_cap_and_model(searches, alone):
+    # the uncapped streams come first, so a stream that counted the space's
+    # shapes or truncations instead of its own would read more or fewer
+    for path, test, unroll in searches:
+        space = SearchSpace(test.program, unroll)
+        for cap in SPACE_CAPS:
+            for model in consistency.MODELS:
+                got = cli._model_entry(test, model, unroll, cap, space=space)
+                assert got == alone[path, cap, model], (test.name, cap, model)
+
+
+def test_a_space_of_another_search_is_refused():
+    test = parse_litmus(BOUNDED_SPIN)
+    space = SearchSpace(test.program, 2)
+    for program, unroll in ((parse_litmus(BOUNDED_SPIN).program, 2), (test.program, 3)):
+        with pytest.raises(ValueError, match="another program or unroll bound"):
+            next(candidate_executions(program, unroll=unroll, space=space))
+
+
+def test_run_one_enumerates_each_thread_and_builds_each_shape_once(searches, monkeypatch):
+    runs, built = [], []
+    thread_graphs, init = enumeration.thread_graphs, enumeration._Completions.__init__
+
+    def counted_runs(sprog, tid, *args, **kwargs):
+        runs.append(tid)
+        return thread_graphs(sprog, tid, *args, **kwargs)
+
+    def counted_init(self, combo):
+        built.append(tuple(res.shape_key for res in combo))
+        init(self, combo)
+
+    monkeypatch.setattr(enumeration, "thread_graphs", counted_runs)
+    monkeypatch.setattr(enumeration._Completions, "__init__", counted_init)
+    for path, test, unroll in searches:
+        cli._model_entry(test, "imm", unroll, None)
+        one_model = list(built)
+        runs.clear()
+        built.clear()
+        cli.run_one(path, consistency.MODELS, unroll, None)
+        assert runs == list(range(len(test.program.threads))), test.name
+        assert built == one_model and len(set(built)) == len(built), test.name
+        runs.clear()
+        built.clear()
