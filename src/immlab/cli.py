@@ -20,7 +20,7 @@ from .enumeration import (
     UNROLL,
     EnumerationReport,
     SearchSpace,
-    assertion_holds,
+    assertion_test,
     candidate_executions,
 )
 from .fuzz import CHECKS, FuzzConfig, fuzz_run
@@ -175,11 +175,23 @@ def _search(test, unroll, max_candidates, check=None, wanted=None, space=None):
     return report, ((cand, v) for cand in stream if (v := check(cand.execution)).consistent)
 
 
-def _outcome_key(test, cand):
-    """cand's final values at the declared locations, 0 where nothing is
-    written, as sorted pairs; read from its final memory, with no graph."""
-    final = cand.final
-    return tuple((loc, final.get(loc, 0)) for loc in range(len(test.program.locations)))
+def _outcome_keys(test):
+    """A function of a candidate of test to its outcome key: its final
+    values at the declared locations, 0 where nothing is written, as sorted
+    pairs, read from its final memory, with no graph. Candidates of one
+    write-value class and one co order share their final memory, so the
+    key of the last memory read is kept and given again."""
+    locs = range(len(test.program.locations))
+    last = key = None
+
+    def outcome_key(cand):
+        nonlocal last, key
+        final = cand.final
+        if final is not last:
+            last, key = final, tuple((loc, final.get(loc, 0)) for loc in locs)
+        return key
+
+    return outcome_key
 
 
 def _named(test, pairs):
@@ -203,11 +215,12 @@ def _model_entry(test, model, unroll, max_candidates, check=None, space=None):
     hit = False
     outcomes = set()
     key = meets = None  # of the completion the stream reached last
+    outcome_key, holds = _outcome_keys(test), assertion_test(test)
 
     def wanted(cand):
         nonlocal key, meets
-        key = _outcome_key(test, cand)
-        meets = not hit and assertion_holds(cand, test)
+        key = outcome_key(cand)
+        meets = not hit and holds(cand)
         return meets or key not in outcomes
 
     report, stream = _search(test, unroll, max_candidates,
@@ -228,9 +241,10 @@ def cmd_enumerate(args):
     _dump_dir(args)
     report, stream = _search(test, args.unroll, args.max_candidates)
     outcomes = set()
+    outcome_key = _outcome_keys(test)
     for i, (cand, _) in enumerate(stream):
         _dump(args, f"candidate-{i:05d}", cand.execution)
-        outcomes.add(_outcome_key(test, cand))
+        outcomes.add(outcome_key(cand))
     doc = {"schema": 1, "test": test.name, "candidates": report.candidates,
            "truncated_threads": report.truncated_threads, "outcomes": sorted(outcomes)}
     _emit(args, doc, f"{test.name}: {report.candidates} candidate executions, "
@@ -400,11 +414,12 @@ def cmd_compare(args):
     seen = collections.Counter()  # (consistent under a, under b) -> candidates
     outcomes_a, outcomes_b = set(), set()
     report, stream = _search(test, args.unroll, args.max_candidates)
+    outcome_key = _outcome_keys(test)
     for cand, _ in stream:
         g = cand.execution
         ca, cb = chk_a(g).consistent, chk_b(g).consistent
         seen[ca, cb] += 1
-        key = _outcome_key(test, cand)
+        key = outcome_key(cand)
         if ca:
             outcomes_a.add(key)
         if cb:

@@ -180,6 +180,16 @@ class ThreadResult:
         return tuple(rec.label for rec in self.events)
 
     @functools.cached_property
+    def write_values(self):
+        """The values of the run's writes, in order."""
+        return tuple(rec.label.val for rec in self.events if rec.label.kind == "w")
+
+    @functools.cached_property
+    def read_values(self):
+        """The values of the run's reads, in order."""
+        return tuple(rec.label.val for rec in self.events if rec.label.kind == "r")
+
+    @functools.cached_property
     def shape_key(self):
         """The run's events without their values, with their dependencies:
         runs of one thread with equal keys give skeletons one shape."""
@@ -228,32 +238,41 @@ def thread_graphs(sprog, tid, values, unroll=UNROLL):
 
 
 class Candidate:
-    """One completion of the stream: its final registers (tid → register
-    map) and final memory (`final`: each location the skeleton accesses →
-    the value of its co-last write), both read from the thread runs and the
-    rf/co choice, and its graph. The graph (`execution`) is built when it
-    is first read, so a completion that is decided on its final values
-    alone, as `wanted` decides it, costs no graph. Candidates share their
-    final maps with other candidates of the stream: read them, do not
-    modify them."""
+    """One completion of the stream: its final memory (`final`: each
+    location the skeleton accesses → the value of its co-last write), its
+    final registers (`final_regs`: tid → register map) and its graph, all
+    read from the thread runs and the rf/co choice. The registers and the
+    graph (`execution`) are built when they are first read, so a
+    completion decided on its final values, as `wanted` decides it, costs
+    no graph, and one decided on its final memory alone no register map.
+    Candidates share their final memory and register maps with other
+    candidates of the stream: read them, do not modify them."""
 
-    __slots__ = ("final_regs", "final", "_shape", "_labels", "_rf", "_co", "_execution")
+    __slots__ = ("final", "_completions", "_combo", "_rf", "_co", "_final_regs", "_execution")
 
-    def __init__(self, final_regs, final, shape, labels, rf, co):
-        self.final_regs = final_regs
+    def __init__(self, completions, combo, rf, co, final):
         self.final = final
-        self._shape, self._labels, self._rf, self._co = shape, labels, rf, co
-        self._execution = None
+        self._completions, self._combo, self._rf, self._co = completions, combo, rf, co
+        self._final_regs = self._execution = None
+
+    @property
+    def final_regs(self):
+        if self._final_regs is None:
+            self._final_regs = {res.tid: res.phi for res in self._combo}
+        return self._final_regs
 
     @property
     def execution(self):
-        """The completion's Execution, built on the first read: rf and co
-        are relalg ints over the shape's events."""
+        """The completion's Execution, built on the first read: its labels
+        are the init writes' then each run's, and rf and co are relalg ints
+        over the shape's events."""
         if self._execution is None:
-            n = self._shape.n
-            self._execution = Execution.on(self._shape, self._labels,
-                                           rf=Rel.from_bits(n, self._rf),
-                                           co=Rel.from_bits(n, self._co))
+            shape = self._completions.shape
+            labels = self._completions.init_labels
+            for res in self._combo:
+                labels += res.labels
+            self._execution = Execution.on(shape, labels, rf=Rel.from_bits(shape.n, self._rf),
+                                           co=Rel.from_bits(shape.n, self._co))
         return self._execution
 
 
@@ -294,7 +313,9 @@ class SearchSpace:
     per (program, unroll): each thread's ended runs (thread_graphs over the
     program's value domain, `runs`), the number of runs the step budget cut
     (`truncated_threads`), an id of each run's shape key per thread
-    (`key_ids`), and one _Completions per shape (`shapes`, keyed by the key
+    (`key_ids`), an id of each run's write values per thread (`value_ids`:
+    within one shape, the ids of a thread combination name its write-value
+    class), and one _Completions per shape (`shapes`, keyed by the key
     ids of a thread combination), made when a stream first reaches the
     shape and kept as long as the space. The runs, shapes and
     completions do not depend on the model, which only decides which
@@ -307,12 +328,15 @@ class SearchSpace:
         values = program.candidate_values()
         self.runs = []
         self.key_ids = []
+        self.value_ids = []
         self.truncated_threads = 0
         for tid, body in enumerate(program.threads):
             results, truncated = thread_graphs(body, tid, values, unroll)
             self.truncated_threads += truncated
-            ids = {}
-            self.key_ids.append([ids.setdefault(res.shape_key, len(ids)) for res in results])
+            keys, vals = {}, {}
+            self.key_ids.append([keys.setdefault(res.shape_key, len(keys)) for res in results])
+            self.value_ids.append([vals.setdefault(res.write_values, len(vals))
+                                   for res in results])
             self.runs.append(results)
         self.shapes = {}
 
@@ -339,10 +363,10 @@ def candidate_executions(program, unroll=UNROLL, max_candidates=None, report=Non
     completion when it reaches it, after the consumer is done with the
     candidates before: one it refuses is not yielded and counts in
     report.skipped, one it accepts is made and counts in report.candidates.
-    Each candidate carries its final memory and registers, which the stream
-    reads from the thread runs and the co choice; its graph is built only
-    when its `execution` is first read, so a wanted that decides on the
-    final values alone builds no graph for a completion it refuses.
+    Each candidate carries its final memory, which the stream reads from
+    the write-value class and the co choice; its registers and its graph
+    are built only when they are first read, so a wanted that decides on
+    the final values alone builds no graph for a completion it refuses.
 
     A cap of max_candidates (at least 1) bounds the completions reached,
     made or skipped; the search reads as cut only when a further one
@@ -361,11 +385,14 @@ def candidate_executions(program, unroll=UNROLL, max_candidates=None, report=Non
 
     reached = set()  # the key ids of the shapes of the completions reached
     count = 0
-    for key, combo in zip(itertools.product(*space.key_ids), itertools.product(*space.runs)):
+    indexes = [range(len(runs)) for runs in space.runs]
+    for key, values, index, combo in zip(
+            itertools.product(*space.key_ids), itertools.product(*space.value_ids),
+            itertools.product(*indexes), itertools.product(*space.runs)):
         completions = space.shapes.get(key)
         if completions is None:
             completions = space.shapes[key] = _Completions(combo)
-        for cand in completions.complete(combo, report if coherent else None):
+        for cand in completions.complete(combo, index, values, report if coherent else None):
             if count == max_candidates:  # and one more completion exists
                 report.truncated_candidates = True
                 return
@@ -381,15 +408,22 @@ def candidate_executions(program, unroll=UNROLL, max_candidates=None, report=Non
 
 class _Completions:
     """What every skeleton of one shape shares, built from the first thread
-    combination seen with it: the shape, the writes each read may take its
-    value from, the co rows every order shares and the writes left to
-    order, and the po-consecutive pairs the coherent stream constrains. A
+    combination seen with it: the shape, each thread's reads and writes, the
+    co rows every order shares and the writes left to order, and each
+    thread's po-consecutive pairs that the coherent stream constrains. A
     skeleton's events are one init write per location first, by location,
-    then each thread's events in order."""
+    then each thread's events in order.
+
+    It also keeps the rf tables of one write-value class (the values of
+    each thread's writes), the last class that a stream reached: each
+    (location, value)'s writes, and per thread and run the run's rf options
+    (_use, _options). A combination of runs reads only the writes' values,
+    so every combination of one class resolves its reads from these tables,
+    and a stream that moves to another class drops them."""
 
     def __init__(self, combo):
-        locs = sorted({rec.label.loc for res in combo for rec in res.events
-                       if rec.label.loc is not None})
+        self.locs = locs = sorted({rec.label.loc for res in combo for rec in res.events
+                                   if rec.label.loc is not None})
         self.init_labels = tuple(Write("rlx", loc, 0, "normal") for loc in locs)
         slots = [lab.slot for lab in self.init_labels]
         events = [Event.init(loc) for loc in locs]
@@ -398,9 +432,15 @@ class _Completions:
             events += res.event_ids
         self.shape = shape = Shape(events, slots,
                                    **_dependencies(combo, len(slots), len(locs)))
-        self.reads = reads = sorted(shape.R)
-        # per read, the writes to its location, in event order
-        self.sources = [sorted(shape.writes_to(slots[r].loc)) for r in reads]
+        # per thread, (event, location) of its reads and of its writes, in order
+        self.reads, self.writes = [], []
+        thread_of = [None] * len(locs)
+        for t, res in enumerate(combo):
+            ids = range(len(thread_of), len(thread_of) + len(res.events))
+            self.reads.append(tuple((e, slots[e].loc) for e in ids if slots[e].kind == "r"))
+            self.writes.append(tuple((e, slots[e].loc) for e in ids if slots[e].kind == "w"))
+            thread_of += [t] * len(res.events)
+        self.read_events = [tuple(r for r, _ in reads) for reads in self.reads]
 
         # the init write k of each location is co-first, so its row is known;
         # so is the row of a location's only other write, and the location's
@@ -421,10 +461,57 @@ class _Completions:
                 self.groups.append((mask, tuple(rest), loc))
                 self.full *= math.factorial(len(rest))
         self.inits = (1 << len(locs)) - 1
-        # (a, b, b is a write) for each two po-consecutive events of a thread
-        # at one location
-        self.pairs = [(a, b, slots[b].kind == "w")
-                      for a, b in shape.po_loc.immediate() if a >= len(locs)]
+        self.no_need = [0] * shape.n
+        # per thread, (a, b, b is a write) for each two po-consecutive events
+        # of the thread at one location
+        self.pairs = [[] for _ in combo]
+        for a, b in shape.po_loc.immediate():
+            if a >= len(locs):
+                self.pairs[thread_of[a]].append((a, b, slots[b].kind == "w"))
+        self.checked = any(self.pairs)
+        # the threads whose runs have rf options to choose or needs to add
+        self.tabled = [t for t in range(len(combo)) if self.reads[t] or self.pairs[t]]
+        self.values = None  # the write-value class of the tables
+
+    def _use(self, combo, values):
+        """Make values, the write-value class of combo, the class of the
+        tables: each (location, value)'s writes in event order (`sources`),
+        each write's value (`val`), the final value of each location whose
+        co-last write is fixed (`fixed`), and an empty rf table per thread.
+        Each is a new object, so a stream that has read the old ones keeps
+        them."""
+        sources = {(loc, 0): [k] for k, loc in enumerate(self.locs)}
+        val = [0] * self.shape.n
+        for writes, res in zip(self.writes, combo):
+            for (w, loc), v in zip(writes, res.write_values):
+                sources.setdefault((loc, v), []).append(w)
+                val[w] = v
+        self.values, self.sources, self.val = values, sources, val
+        self.fixed = {loc: val[w] for loc, w in self.lasts.items()}
+        self.tables = [{} for _ in combo]
+
+    def _options(self, t, res):
+        """The rf options of run res of thread t under the tables' class,
+        in the order of the product of its reads' same-location, same-value
+        writes, read by read: per option, its rf bits and the co
+        predecessors SC-per-location needs inside the thread (_needs). A run
+        with a read that no write matches has none."""
+        n = self.shape.n
+        sources = self.sources
+        choices = []
+        for (r, loc), v in zip(self.reads[t], res.read_values):
+            writes = sources.get((loc, v))
+            if writes is None:
+                return ()
+            choices.append(writes)
+        reads, pairs = self.read_events[t], self.pairs[t]
+        options = []
+        for pick in itertools.product(*choices):
+            rf = 0
+            for w, r in zip(pick, reads):
+                rf |= 1 << w * n + r
+            options.append((rf, self._needs(pairs, dict(zip(reads, pick))) if pairs else ()))
+        return options
 
     def _co_orders(self, need):
         """The co of each completion, as relalg's int (bit w*n + v for the
@@ -453,10 +540,11 @@ class _Completions:
 
         return place(-1, (), self.inits, self.co_base)
 
-    def _needs(self, rf_combo):
-        """Per write, the mask of the writes that co must put before it for
-        the completion with rf_combo to satisfy SC-per-location, or None if
-        no co does.
+    def _needs(self, pairs, src):
+        """The (write, mask) pairs by which co must put the writes of mask
+        before write for a thread whose reads take their values from src
+        (read → write) to satisfy SC-per-location along its po-consecutive
+        pairs, or None if no co does.
 
         Let pos(e) be e for a write and its rf source for a read. Every rf,
         co and fr edge keeps pos co-non-decreasing, and co and fr raise it.
@@ -467,24 +555,41 @@ class _Completions:
         fails closes one with co, fr, rf, co;rf or fr;rf from b back to a.
         An rf choice under which some pair has pos(a) = pos(b) for a write b
         (b feeds a po-earlier read: a po_loc ∪ rf cycle), or pos(b) is an
-        init write, keeps no order at all."""
-        src = dict(zip(self.reads, rf_combo))
-        need = [0] * self.shape.n
-        for a, b, to_write in self.pairs:
+        init write, keeps no order at all. Each pair lies in one thread, so
+        a completion's needs are the union of its threads'."""
+        need = []
+        for a, b, to_write in pairs:
             sa, sb = src.get(a, a), src.get(b, b)
             if sa != sb:
                 if self.inits >> sb & 1:
                     return None
-                need[sb] |= 1 << sa
+                need.append((sb, 1 << sa))
             elif to_write:
                 return None
-        return need
+        return tuple(need)
 
-    def complete(self, combo, report=None):
+    def complete(self, combo, index, values, report=None):
         """Enumerate rf and co completions of the skeleton of combo, which
-        has this shape: every read takes each same-location, same-value
-        write in event order, and for each such choice every location's
-        non-init writes take each permutation after its init write.
+        has this shape, whose runs are at index in their threads' runs and
+        whose write-value class is values: every read takes each
+        same-location, same-value write in event order, and for each such
+        choice every location's non-init writes take each permutation after
+        its init write.
+
+        The rf choices are made per thread, from the tables of the class
+        (_options): a completion's rf is the union of one option of each
+        thread that reads or has a po-consecutive pair at one location, and
+        the completions come in the order of the product over those threads,
+        in thread order, of each thread's options.
+        That is the order of the product over every read, in event order, of
+        its writes: the reads in event order are the first thread's, then the
+        second's, and so on (init events do not read), and a lexicographic
+        product over a sequence of factors is the same sequence when runs of
+        consecutive factors are grouped into one factor each, here each
+        thread's options, themselves the product of its reads' writes in
+        order. A thread without reads has one option, with no rf. A run
+        whose read no write matches has no option, and then the combination
+        has no completion.
 
         Given a report, only the completions that satisfy SC-per-location,
         acyclic(po_loc ∪ rf ∪ fr ∪ co), are made, and report.pruned counts,
@@ -513,41 +618,46 @@ class _Completions:
           memory events, rf and co; fr = rf⁻¹;co follows. A source cycle is
           thus an image cycle.
         """
-        labels = self.init_labels
-        for res in combo:
-            labels += res.labels
-        writers_of = []
-        for r, sources in zip(self.reads, self.sources):
-            val = labels[r].val
-            cands = [w for w in sources if labels[w].val == val]
-            if not cands:
+        if values != self.values:
+            self._use(combo, values)
+        tables = self.tables
+        parts = []
+        for t in self.tabled:
+            options = tables[t].get(index[t])
+            if options is None:
+                options = tables[t][index[t]] = self._options(t, combo[t])
+            if not options:
                 return
-            writers_of.append(cands)
+            parts.append(options)
 
-        shape = self.shape
-        n = shape.n
-        need = [0] * n
-        final_regs = {res.tid: res.phi for res in combo}
-        fixed = {loc: labels[w].val for loc, w in self.lasts.items()}
-        for rf_combo in itertools.product(*writers_of):
-            if report is not None and self.pairs:
-                need = self._needs(rf_combo)
-                if need is None:
+        groups, co_base, n = self.groups, self.co_base, self.shape.n
+        fixed, val = self.fixed, self.val
+        check = report is not None and self.checked
+        need = self.no_need
+        for choice in itertools.product(*parts):
+            rf = 0
+            for bits, _ in choice:
+                rf |= bits
+            if check:
+                needs = [part for _, part in choice]
+                if None in needs:
                     report.pruned += self.full
                     continue
-            rf = 0
-            for w, r in zip(rf_combo, self.reads):
-                rf |= 1 << w * n + r
+                if groups:
+                    need = [0] * n
+                    for part in needs:
+                        for w, mask in part:
+                            need[w] |= mask
+            if not groups:  # one order: co_base
+                yield Candidate(self, combo, rf, co_base, fixed)
+                continue
             made = 0
             for co in self._co_orders(need):
-                final = fixed
-                if self.groups:
-                    # a group's co-last write is the one co puts before none
-                    final = dict(fixed)
-                    for mask, rest, loc in self.groups:
-                        final[loc] = labels[next(
-                            w for w in rest if not co >> w * n & mask)].val
-                yield Candidate(final_regs, final, shape, labels, rf, co)
+                # a group's co-last write is the one co puts before none
+                final = dict(fixed)
+                for mask, rest, loc in groups:
+                    final[loc] = val[next(w for w in rest if not co >> w * n & mask)]
+                yield Candidate(self, combo, rf, co, final)
                 made += 1
             if report is not None:
                 report.pruned += self.full - made
@@ -569,3 +679,33 @@ def assertion_values(candidate, program):
 def assertion_holds(candidate, test):
     env = assertion_values(candidate, test.program)
     return all(env.get(name) == value for name, value in test.assertion)
+
+
+def assertion_test(test):
+    """assertion_holds compiled once for test: a predicate on its
+    candidates. A location's condition reads the candidate's final memory;
+    a register's reads the final registers of the first thread, in thread
+    order, whose registers include it, as assertion_values decides. Every
+    run of a thread has the same registers, so that thread is found on the
+    first candidate a register's condition is read for. A name that is
+    neither is met by no candidate, and an empty assertion by every one."""
+    locs = {name: i for i, name in enumerate(test.program.locations)}
+    at_loc = [(locs[name], value) for name, value in test.assertion if name in locs]
+    at_reg = [(name, value) for name, value in test.assertion if name not in locs]
+    owned = None  # (tid or None, register, value) per register's condition
+
+    def holds(candidate):
+        nonlocal owned
+        final = candidate.final
+        for loc, value in at_loc:
+            if final.get(loc, 0) != value:
+                return False
+        if not at_reg:
+            return True
+        regs = candidate.final_regs
+        if owned is None:
+            owned = [(next((tid for tid in regs if name in regs[tid]), None), name, value)
+                     for name, value in at_reg]
+        return all(tid is not None and regs[tid][name] == value for tid, name, value in owned)
+
+    return holds

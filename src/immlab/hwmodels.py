@@ -37,6 +37,7 @@ from .execgraph import (
     BASE_RELS, BASE_STATIC, Event, Execution, Shape, Slot, namespace, program_order,
     static_relations,
 )
+from .kernels import narrow, widen
 from .relalg import Rel, remapping, union_all
 
 
@@ -328,18 +329,23 @@ def power_ppo_fixpoint(gp, armv7=False):
     ii₀, ci₀ and cc₀ (ic₀ is empty) as blocks: row x is ii₀|ci₀ in the low
     half and ii₀|ci₀|cc₀ in the high half, row n+x is ci₀ in the low half
     and ci₀|cc₀ in the high half. ii, ic, ci and cc are the four n×n blocks
-    of the closure. armv7 drops po_loc from the cc seed."""
+    of the closure. armv7 drops po_loc from the cc seed.
+
+    The seed and the blocks are made on the relations' ints: in the 2n-node
+    int, the rows of a block lie 2n bits apart (kernels.widen), the high
+    half's rows n bits above the low half's, and rows n..2n-1 2n·n bits
+    above rows 0..n-1."""
     r = _POWER(gp, dict(static_relations(gp.shape, POWER_STATIC)))
     n = gp.n
+    half = 2 * n * n
     ii0 = r.ii_static | r.rdw | r.rfi
     ci0 = r.ctrl_isync | r.detour
     cc0 = r.cc_static_armv7 if armv7 else r.cc_static
-    rows = [a | (a | c) << n for a, c in zip((ii0 | ci0).rows(), cc0.rows())]
-    rows += [a | (a | c) << n for a, c in zip(ci0.rows(), cc0.rows())]
-    closed = Rel.from_rows(2 * n, rows).plus().rows()
-    mask = (1 << n) - 1
-    r.ii, r.ic, r.ci, r.cc = (Rel.from_rows(n, [row >> shift & mask for row in half])
-                              for half in (closed[:n], closed[n:]) for shift in (0, n))
+    a, b, c = (widen(rel.bits, n) for rel in (ii0 | ci0, ci0, cc0))
+    seed = a | (a | c) << n | (b | (b | c) << n) << half
+    closed = Rel.from_bits(2 * n, seed).plus().bits
+    r.ii, r.ic, r.ci, r.cc = (Rel.from_bits(n, narrow(closed >> shift, n))
+                              for shift in (0, n, half, half + n))
     return r
 
 

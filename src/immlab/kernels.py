@@ -84,3 +84,24 @@ def transpose(r, n):
         if into:
             out |= (into * gather >> shift & row) << j * n
     return out
+
+
+
+def widen(r, n):
+    """r with its n rows 2n bits apart: row i from bit 2*i*n up."""
+    row = (1 << n) - 1
+    out = 0
+    for i in range(n):
+        out |= (r >> i * n & row) << 2 * i * n
+    return out
+
+
+def narrow(r, n):
+    """The inverse of widen: the low n bits of each of the first n rows of
+    r, 2n bits apart, as a relation over n events. Bits of r outside them
+    are dropped."""
+    row = (1 << n) - 1
+    out = 0
+    for i in range(n):
+        out |= (r >> 2 * i * n & row) << i * n
+    return out

@@ -61,3 +61,16 @@ def test_empty_universe():
 
 def test_backend_is_reported():
     assert kernels.BACKEND == "pure"
+
+
+def test_widen_and_narrow_restride_each_row():
+    rng = random.Random(29)
+    for n in (0, 1, 2, 3, 5, 8, 17, 33):
+        pairs = random_pairs(rng, n, density=0.4)
+        wide = kernels.widen(flat(pairs, n), n)
+        # the pairs over 2n events, with each row's bits in its low half
+        assert pairs_of_flat(wide, 2 * n) == pairs
+        # narrow reads the low halves of rows 0..n-1 and drops every other bit
+        noise = random_pairs(rng, 2 * n, density=0.4) - {(i, j) for i in range(n)
+                                                         for j in range(n)}
+        assert kernels.narrow(wide | flat(noise, 2 * n), n) == flat(pairs, n)
