@@ -178,17 +178,19 @@ def _search(test, unroll, max_candidates, check=None, wanted=None, space=None):
 def _outcome_keys(test):
     """A function of a candidate of test to its outcome key: its final
     values at the declared locations, 0 where nothing is written, as sorted
-    pairs, read from its final memory, with no graph. Candidates of one
-    write-value class and one co order share their final memory, so the
-    key of the last memory read is kept and given again."""
+    pairs, read from its final memory, with no graph. The candidates of a
+    shape with no co group share their write-value class's final memory
+    (see _Completions), so the key of the last memory read is kept and
+    given again while the memory is the same object."""
     locs = range(len(test.program.locations))
+    zeros = (0,) * len(locs)
     last = key = None
 
     def outcome_key(cand):
         nonlocal last, key
         final = cand.final
         if final is not last:
-            last, key = final, tuple((loc, final.get(loc, 0)) for loc in locs)
+            last, key = final, tuple(zip(locs, map(final.get, locs, zeros)))
         return key
 
     return outcome_key

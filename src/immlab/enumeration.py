@@ -166,35 +166,31 @@ def pinned_run(state, count, value_at, budget):
 
 @dataclass
 class ThreadResult:
+    """One ended run of a thread: its events (EventRecs) and final
+    registers, and what every search reads of it, made with it: its labels,
+    the values of its writes and of its reads, in order, and its shape key
+    (its events without their values, with their dependencies: runs of one
+    thread with equal keys give skeletons one shape)."""
+
     tid: int
-    events: list  # EventRecs
+    events: list
     phi: dict
+    labels: tuple = field(init=False)
+    write_values: tuple = field(init=False)
+    read_values: tuple = field(init=False)
+    shape_key: tuple = field(init=False)
+
+    def __post_init__(self):
+        self.labels = labels = tuple([rec.label for rec in self.events])
+        self.write_values = tuple([lab.val for lab in labels if lab.kind == "w"])
+        self.read_values = tuple([lab.val for lab in labels if lab.kind == "r"])
+        self.shape_key = tuple([(rec.label.slot, rec.rmw_from, rec.data, rec.addr, rec.ctrl,
+                                 rec.casdep) for rec in self.events])
 
     @functools.cached_property
     def event_ids(self):
         """The Event of each of the run's events."""
         return [Event(self.tid, idx) for idx in range(len(self.events))]
-
-    @functools.cached_property
-    def labels(self):
-        return tuple(rec.label for rec in self.events)
-
-    @functools.cached_property
-    def write_values(self):
-        """The values of the run's writes, in order."""
-        return tuple(rec.label.val for rec in self.events if rec.label.kind == "w")
-
-    @functools.cached_property
-    def read_values(self):
-        """The values of the run's reads, in order."""
-        return tuple(rec.label.val for rec in self.events if rec.label.kind == "r")
-
-    @functools.cached_property
-    def shape_key(self):
-        """The run's events without their values, with their dependencies:
-        runs of one thread with equal keys give skeletons one shape."""
-        return tuple((rec.label.slot, rec.rmw_from, rec.data, rec.addr, rec.ctrl,
-                      rec.casdep) for rec in self.events)
 
 
 def step_budget(sprog, unroll):
@@ -237,6 +233,20 @@ def thread_graphs(sprog, tid, values, unroll=UNROLL):
     return results, truncated
 
 
+class _Runs:
+    """One thread combination's runs (`runs`) and what its candidates read
+    of them alone: the labels of their graphs (`labels`: the init writes',
+    then each run's) and their final registers (`final_regs`: tid →
+    register map), each built by the first candidate that reads it and
+    shared by the others."""
+
+    __slots__ = ("runs", "labels", "final_regs")
+
+    def __init__(self, runs):
+        self.runs = runs
+        self.labels = self.final_regs = None
+
+
 class Candidate:
     """One completion of the stream: its final memory (`final`: each
     location the skeleton accesses → the value of its co-last write), its
@@ -248,18 +258,19 @@ class Candidate:
     Candidates share their final memory and register maps with other
     candidates of the stream: read them, do not modify them."""
 
-    __slots__ = ("final", "_completions", "_combo", "_rf", "_co", "_final_regs", "_execution")
+    __slots__ = ("final", "_completions", "_runs", "_rf", "_co", "_execution")
 
-    def __init__(self, completions, combo, rf, co, final):
+    def __init__(self, completions, runs, rf, co, final):
         self.final = final
-        self._completions, self._combo, self._rf, self._co = completions, combo, rf, co
-        self._final_regs = self._execution = None
+        self._completions, self._runs, self._rf, self._co = completions, runs, rf, co
+        self._execution = None
 
     @property
     def final_regs(self):
-        if self._final_regs is None:
-            self._final_regs = {res.tid: res.phi for res in self._combo}
-        return self._final_regs
+        runs = self._runs
+        if runs.final_regs is None:
+            runs.final_regs = {res.tid: res.phi for res in runs.runs}
+        return runs.final_regs
 
     @property
     def execution(self):
@@ -267,11 +278,14 @@ class Candidate:
         are the init writes' then each run's, and rf and co are relalg ints
         over the shape's events."""
         if self._execution is None:
-            shape = self._completions.shape
-            labels = self._completions.init_labels
-            for res in self._combo:
-                labels += res.labels
-            self._execution = Execution.on(shape, labels, rf=Rel.from_bits(shape.n, self._rf),
+            shape, runs = self._completions.shape, self._runs
+            if runs.labels is None:
+                labels = self._completions.init_labels
+                for res in runs.runs:
+                    labels += res.labels
+                runs.labels = labels
+            self._execution = Execution.on(shape, runs.labels,
+                                           rf=Rel.from_bits(shape.n, self._rf),
                                            co=Rel.from_bits(shape.n, self._co))
         return self._execution
 
@@ -436,11 +450,17 @@ class _Completions:
         self.reads, self.writes = [], []
         thread_of = [None] * len(locs)
         for t, res in enumerate(combo):
-            ids = range(len(thread_of), len(thread_of) + len(res.events))
-            self.reads.append(tuple((e, slots[e].loc) for e in ids if slots[e].kind == "r"))
-            self.writes.append(tuple((e, slots[e].loc) for e in ids if slots[e].kind == "w"))
+            reads, writes = [], []
+            for e in range(len(thread_of), len(thread_of) + len(res.events)):
+                slot = slots[e]
+                if slot.kind == "r":
+                    reads.append((e, slot.loc))
+                elif slot.kind == "w":
+                    writes.append((e, slot.loc))
+            self.reads.append(reads)
+            self.writes.append(writes)
             thread_of += [t] * len(res.events)
-        self.read_events = [tuple(r for r, _ in reads) for reads in self.reads]
+        self.read_events = [[r for r, _ in reads] for reads in self.reads]
 
         # the init write k of each location is co-first, so its row is known;
         # so is the row of a location's only other write, and the location's
@@ -495,8 +515,12 @@ class _Completions:
         in the order of the product of its reads' same-location, same-value
         writes, read by read: per option, its rf bits and the co
         predecessors SC-per-location needs inside the thread (_needs). A run
-        with a read that no write matches has none."""
-        n = self.shape.n
+        with a read that no write matches has none. The options are kept
+        as a list when there is one, or no more of them than entries in
+        their reads' lists of writers, which is what the read-by-read
+        product holds; otherwise they are a _Walk, made anew on each pass,
+        so that a run of many reads with several writers each takes no more
+        room than those lists."""
         sources = self.sources
         choices = []
         for (r, loc), v in zip(self.reads[t], res.read_values):
@@ -504,14 +528,20 @@ class _Completions:
             if writes is None:
                 return ()
             choices.append(writes)
+        if math.prod(map(len, choices)) > max(1, sum(map(len, choices))):
+            return _Walk(self._walk, t, choices)
+        return list(self._walk(t, choices))
+
+    def _walk(self, t, choices):
+        """Yield the rf options of thread t whose reads take a write of
+        their lists in choices, as _options orders them."""
+        n = self.shape.n
         reads, pairs = self.read_events[t], self.pairs[t]
-        options = []
         for pick in itertools.product(*choices):
             rf = 0
             for w, r in zip(pick, reads):
                 rf |= 1 << w * n + r
-            options.append((rf, self._needs(pairs, dict(zip(reads, pick))) if pairs else ()))
-        return options
+            yield rf, (self._needs(pairs, dict(zip(reads, pick))) if pairs else ())
 
     def _co_orders(self, need):
         """The co of each completion, as relalg's int (bit w*n + v for the
@@ -589,7 +619,8 @@ class _Completions:
         thread's options, themselves the product of its reads' writes in
         order. A thread without reads has one option, with no rf. A run
         whose read no write matches has no option, and then the combination
-        has no completion.
+        has no completion. The product is itertools.product unless a
+        thread's options are a _Walk, and then _product, in the same order.
 
         Given a report, only the completions that satisfy SC-per-location,
         acyclic(po_loc ∪ rf ∪ fr ∪ co), are made, and report.pruned counts,
@@ -622,19 +653,22 @@ class _Completions:
             self._use(combo, values)
         tables = self.tables
         parts = []
+        walks = False
         for t in self.tabled:
             options = tables[t].get(index[t])
             if options is None:
                 options = tables[t][index[t]] = self._options(t, combo[t])
             if not options:
                 return
+            walks = walks or type(options) is _Walk
             parts.append(options)
 
+        runs = _Runs(combo)
         groups, co_base, n = self.groups, self.co_base, self.shape.n
         fixed, val = self.fixed, self.val
         check = report is not None and self.checked
         need = self.no_need
-        for choice in itertools.product(*parts):
+        for choice in _product(parts) if walks else itertools.product(*parts):
             rf = 0
             for bits, _ in choice:
                 rf |= bits
@@ -649,7 +683,7 @@ class _Completions:
                         for w, mask in part:
                             need[w] |= mask
             if not groups:  # one order: co_base
-                yield Candidate(self, combo, rf, co_base, fixed)
+                yield Candidate(self, runs, rf, co_base, fixed)
                 continue
             made = 0
             for co in self._co_orders(need):
@@ -657,10 +691,34 @@ class _Completions:
                 final = dict(fixed)
                 for mask, rest, loc in groups:
                     final[loc] = val[next(w for w in rest if not co >> w * n & mask)]
-                yield Candidate(self, combo, rf, co, final)
+                yield Candidate(self, runs, rf, co, final)
                 made += 1
             if report is not None:
                 report.pruned += self.full - made
+
+
+class _Walk:
+    """A re-iterable sequence of rf options: each pass calls walk(*args)."""
+
+    __slots__ = ("walk", "args")
+
+    def __init__(self, walk, *args):
+        self.walk, self.args = walk, args
+
+    def __iter__(self):
+        return self.walk(*self.args)
+
+
+def _product(parts):
+    """itertools.product(*parts), in its order, but iterating each part
+    anew for every prefix instead of holding it as a tuple, so a part may
+    be a _Walk."""
+    if not parts:
+        yield ()
+        return
+    for head in parts[0]:
+        for tail in _product(parts[1:]):
+            yield (head, *tail)
 
 
 def assertion_values(candidate, program):
@@ -685,17 +743,20 @@ def assertion_test(test):
     """assertion_holds compiled once for test: a predicate on its
     candidates. A location's condition reads the candidate's final memory;
     a register's reads the final registers of the first thread, in thread
-    order, whose registers include it, as assertion_values decides. Every
-    run of a thread has the same registers, so that thread is found on the
-    first candidate a register's condition is read for. A name that is
+    order, whose program has it, as assertion_values decides (every run of
+    a thread starts from λr.0 over its program's registers). A name that is
     neither is met by no candidate, and an empty assertion by every one."""
-    locs = {name: i for i, name in enumerate(test.program.locations)}
+    program = test.program
+    locs = {name: i for i, name in enumerate(program.locations)}
+    owners = {}
+    for tid, body in enumerate(program.threads):
+        for reg in registers(body):
+            owners.setdefault(reg, tid)
     at_loc = [(locs[name], value) for name, value in test.assertion if name in locs]
-    at_reg = [(name, value) for name, value in test.assertion if name not in locs]
-    owned = None  # (tid or None, register, value) per register's condition
+    at_reg = [(owners.get(name), name, value) for name, value in test.assertion
+              if name not in locs]
 
     def holds(candidate):
-        nonlocal owned
         final = candidate.final
         for loc, value in at_loc:
             if final.get(loc, 0) != value:
@@ -703,9 +764,6 @@ def assertion_test(test):
         if not at_reg:
             return True
         regs = candidate.final_regs
-        if owned is None:
-            owned = [(next((tid for tid in regs if name in regs[tid]), None), name, value)
-                     for name, value in at_reg]
-        return all(tid is not None and regs[tid][name] == value for tid, name, value in owned)
+        return all(tid is not None and regs[tid][name] == value for tid, name, value in at_reg)
 
     return holds

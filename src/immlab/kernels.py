@@ -86,7 +86,6 @@ def transpose(r, n):
     return out
 
 
-
 def widen(r, n):
     """r with its n rows 2n bits apart: row i from bit 2*i*n up."""
     row = (1 << n) - 1

@@ -48,6 +48,25 @@ thread 3:
   r[rlx] c y
   w[rlx] x c
 """,
+    # thread 1 writes to x the value it reads from y, so each of thread 3's
+    # reads of x has two writers, thread 1's and thread 0's or the init
+    # write's: eight options for a run whose reads all take that value,
+    # more than the six entries of its reads' lists of writers
+    "more options than writers": """prog "MANY"
+locations x y
+vals 0..1
+thread 0:
+  w[rlx] x 1
+thread 1:
+  r[rlx] d y
+  w[rlx] x d
+thread 2:
+  w[rlx] y 1
+thread 3:
+  r[rlx] a x
+  r[rlx] b x
+  r[rlx] c x
+""",
     # each fetch-add writes one more than it reads
     "rmw": """prog "RMW"
 locations x
@@ -170,6 +189,32 @@ def test_the_tables_of_one_class_are_kept():
     # 1,024 classes reached, and the peak of one: a table kept per class
     # reached would hold every class's writers and options
     assert uncapped < capped + 64 * 2**10, (capped, uncapped)
+
+
+@pytest.mark.parametrize("coherent", (False, True))
+def test_a_cap_bounds_the_memory_of_a_run_with_many_options(coherent):
+    # three threads write 0 to x, and one thread reads x k times: its only
+    # run reads 0 each time, from any of 4 writers, so it has 4^k options,
+    # and the first combination of the stream is the one that has them
+    def peak(k):
+        program = parse_litmus('prog "READS"\nlocations x\nvals 0..0\n' + "".join(
+            f"thread {t}:\n  w[rlx] x 0\n" for t in range(3)) + "thread 3:\n" + "".join(
+                f"  r[rlx] a{i} x\n" for i in range(k))).program
+        space = SearchSpace(program)
+        report = EnumerationReport()
+        tracemalloc.start()
+        try:
+            made = [cand.final for cand in candidate_executions(
+                program, max_candidates=1, report=report, coherent=coherent, space=space)]
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(made) == 1 and report.truncated_candidates
+        return top
+
+    # 256 options against 65,536: kept as a list, those would take megabytes
+    few, many = peak(4), peak(8)
+    assert many < few + 64 * 2**10, (few, many)
 
 
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
