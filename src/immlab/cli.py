@@ -63,6 +63,9 @@ _FLAGS = {
     "--json": dict(action="store_true", help="machine-readable output"),
     "--dump-graph": dict(metavar="DIR", default=None,
                          help="write graphs as JSON into DIR"),
+    "--model": dict(required=True, choices=consistency.MODELS),
+    "--graph-index": dict(type=int, default=0),
+    "--trace": dict(action="store_true"),
 }
 # the flags of every subcommand that searches the candidates of one test
 _SEARCH = ("--max-val", "--unroll", "--max-candidates", "--json")
@@ -216,20 +219,16 @@ def _model_entry(test, model, unroll, max_candidates, check=None, space=None):
     completion, so no graph is built for them."""
     hit = False
     outcomes = set()
-    key = meets = None  # of the completion the stream reached last
     outcome_key, holds = _outcome_keys(test), assertion_test(test)
 
     def wanted(cand):
-        nonlocal key, meets
-        key = outcome_key(cand)
-        meets = not hit and holds(cand)
-        return meets or key not in outcomes
+        return not hit and holds(cand) or outcome_key(cand) not in outcomes
 
     report, stream = _search(test, unroll, max_candidates,
                              check or consistency.checker_for(model), wanted, space)
-    for _ in stream:
-        outcomes.add(key)
-        hit = hit or meets
+    for cand, _ in stream:
+        outcomes.add(outcome_key(cand))
+        hit = hit or holds(cand)
     verdict = "allowed" if hit else "forbidden" if report.complete else "unknown"
     expected = test.expectations.get(model)
     entry = {"verdict": verdict, "expected": expected,
@@ -536,7 +535,7 @@ def main(argv=None):
 
     p = sub.add_parser("check", help="check a litmus assertion under a model")
     p.add_argument("file")
-    p.add_argument("--model", required=True, choices=consistency.MODELS)
+    _flags(p, "--model")
     p.add_argument("--power-at-axiom", action="store_true",
                    help="re-enable the co ∪ [At];po;[At] acyclicity axiom")
     p.add_argument("--armv7", action="store_true",
@@ -546,8 +545,7 @@ def main(argv=None):
 
     p = sub.add_parser("outcomes", help="outcome set under a model")
     p.add_argument("file")
-    p.add_argument("--model", required=True, choices=consistency.MODELS)
-    _flags(p, *_SEARCH)
+    _flags(p, "--model", *_SEARCH)
     p.set_defaults(fn=cmd_outcomes)
 
     p = sub.add_parser("map", help="map candidates to a hardware model")
@@ -558,14 +556,12 @@ def main(argv=None):
 
     p = sub.add_parser("traverse", help="traverse a consistent execution")
     p.add_argument("file")
-    p.add_argument("--graph-index", type=int, default=0)
-    p.add_argument("--trace", action="store_true")
-    _flags(p, *_SEARCH)
+    _flags(p, "--graph-index", "--trace", *_SEARCH)
     p.set_defaults(fn=cmd_traverse)
 
     p = sub.add_parser("certify", help="build and check a certification graph")
     p.add_argument("file")
-    p.add_argument("--graph-index", type=int, default=0)
+    _flags(p, "--graph-index")
     p.add_argument("--step", type=int, required=True)
     p.add_argument("--thread", type=int, required=True)
     _flags(p, *_SEARCH, "--dump-graph")
@@ -573,9 +569,7 @@ def main(argv=None):
 
     p = sub.add_parser("simulate", help="drive the promise machine over a graph")
     p.add_argument("file")
-    p.add_argument("--graph-index", type=int, default=0)
-    p.add_argument("--trace", action="store_true")
-    _flags(p, *_SEARCH)
+    _flags(p, "--graph-index", "--trace", *_SEARCH)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("compare", help="compare two models on one test")

@@ -13,7 +13,6 @@ checked here.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -186,11 +185,6 @@ class ThreadResult:
         self.read_values = tuple([lab.val for lab in labels if lab.kind == "r"])
         self.shape_key = tuple([(rec.label.slot, rec.rmw_from, rec.data, rec.addr, rec.ctrl,
                                  rec.casdep) for rec in self.events])
-
-    @functools.cached_property
-    def event_ids(self):
-        """The Event of each of the run's events."""
-        return [Event(self.tid, idx) for idx in range(len(self.events))]
 
 
 def step_budget(sprog, unroll):
@@ -443,7 +437,7 @@ class _Completions:
         events = [Event.init(loc) for loc in locs]
         for res in combo:
             slots += [rec.label.slot for rec in res.events]
-            events += res.event_ids
+            events += [Event(res.tid, idx) for idx in range(len(res.events))]
         self.shape = shape = Shape(events, slots,
                                    **_dependencies(combo, len(slots), len(locs)))
         # per thread, (event, location) of its reads and of its writes, in order

@@ -32,9 +32,12 @@ here and by the POWER and ARM tables in hwmodels. A namespace (an instance
 of the `Derived` class that `namespace(table)` makes) starts its store as a
 copy of the shape's static relations and computes an rf/co entry the first
 time its name is read, so a model builds only the rf/co relations its rows
-reach. A composition with an empty factor is empty, so an entry whose static
-factor is empty for a shape returns without building its other factors; each
-such entry says why its short cut holds.
+reach. `Rel.compose` returns at once when a factor is empty, so an entry
+states its formula alone. It branches on an empty factor only where that
+saves work the composition would still do: building what no row would
+otherwise read (sw's rs and rf), a closure (hb is po when sw is empty), or
+the compositions a sequence makes before its empty factor (hwmodels' prop1
+and prop2). Each such entry says what it saves.
 """
 
 from __future__ import annotations
@@ -229,15 +232,6 @@ def _eco(rf, co_fr):
     return rf | co_fr | co_fr.compose(rf)
 
 
-def _sw(g, r, rs, rf):
-    """release;rs;rf;acquire with the static brackets of IMM_STATIC, and rs
-    and rf given as thunks: a composition with an empty factor is empty, so
-    neither is read when a bracket is empty."""
-    if not r.sw_release or not r.sw_acquire:
-        return Rel(g.n)
-    return r.sw_release.seq(rs(), rf(), r.sw_acquire)
-
-
 # [R];X;[W] is X ∩ (R × W)
 BASE_STATIC = {"R_W": lambda g, r: Rel.product(g.n, g.R, g.W)}
 IMM_STATIC = BASE_STATIC | {
@@ -264,24 +258,30 @@ IMM_RELS = BASE_RELS | {
     "rs": lambda g, r: (
         r.rs_static | g.ident(g.W).compose(g.po_loc.opt().seq(g.rf, g.rmw).star())
     ),
-    # ([W^rel] ∪ [F^⊒rel];po);rs;(rfi ∪ po_loc?;rfe);([R^acq] ∪ po;[F^⊒acq])
-    "sw": lambda g, r: _sw(g, r, lambda: r.rs, lambda: r.rfi | g.po_loc.opt().compose(r.rfe)),
-    # (po ∪ sw)⁺, which is po when sw is empty: po is transitive
+    # ([W^rel] ∪ [F^⊒rel];po);rs;(rfi ∪ po_loc?;rfe);([R^acq] ∪ po;[F^⊒acq]),
+    # empty without a release or an acquire bracket: rs and rf are not built
+    "sw": lambda g, r: (
+        r.sw_release.seq(r.rs, r.rfi | g.po_loc.opt().compose(r.rfe), r.sw_acquire)
+        if r.sw_release and r.sw_acquire else Rel(g.n)
+    ),
+    # (po ∪ sw)⁺, which is po when sw is empty (po is transitive): no closure
     "hb": lambda g, r: (g.po | r.sw).plus() if r.sw else g.po,
     # [R];(deps ∪ rfi)⁺;[W]
     "ppo": lambda g, r: (r.deps | r.rfi).plus() & r.R_W,
-    # [F^sc];hb;eco;hb;[F^sc], empty when there is no SC fence
-    "psc": lambda g, r: (
-        g.ident(g.F_sc).seq(r.hb, r.eco, r.hb, g.ident(g.F_sc)) if g.F_sc else Rel(g.n)
-    ),
+    # [F^sc];hb;eco;hb;[F^sc]
+    "psc": lambda g, r: g.ident(g.F_sc).seq(r.hb, r.eco, r.hb, g.ident(g.F_sc)),
     "ar_base": lambda g, r: r.rfe | r.bob | r.ppo | r.detour | r.strong_po,
     "ar": lambda g, r: r.ar_base | r.psc,
     "rs_rc11": lambda g, r: (
         g.ident(g.W).seq(g.po_loc.opt(), g.ident(g.W)).compose(g.rf.compose(g.rmw).star())
     ),
-    # release;rs_rc11;rf;acquire, with the brackets of sw
-    "sw_rc11": lambda g, r: _sw(g, r, lambda: r.rs_rc11, lambda: g.rf),
-    # (po ∪ sw_rc11)⁺, po when sw_rc11 is empty
+    # release;rs_rc11;rf;acquire, with the brackets of sw and, as there, empty
+    # without one: rs_rc11 is not built
+    "sw_rc11": lambda g, r: (
+        r.sw_release.seq(r.rs_rc11, g.rf, r.sw_acquire)
+        if r.sw_release and r.sw_acquire else Rel(g.n)
+    ),
+    # (po ∪ sw_rc11)⁺, po when sw_rc11 is empty: no closure
     "hb_rc11": lambda g, r: (g.po | r.sw_rc11).plus() if r.sw_rc11 else g.po,
     "vf_rlx": lambda g, r: g.rf.opt().compose(g.po.opt()),
 }

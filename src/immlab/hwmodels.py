@@ -302,11 +302,13 @@ POWER_RELS = BASE_RELS | {
     "ppo": lambda g, r: r.ii & r.R_R | r.ic & r.R_W,
     "hb": lambda g, r: r.ppo | r.fence | r.rfe,
     "hb_star": lambda g, r: r.hb.star(),
-    # [W];rfe?;fence;hb*;[W], empty when fence is
+    # [W];rfe?;fence;hb*;[W], empty when fence is; seq composes left to right,
+    # so the branch saves building rfe? and composing it after [W]
     "prop1": lambda g, r: (
         g.ident(g.W).seq(r.rfe.opt(), r.fence, r.hb_star, g.ident(g.W)) if r.fence else r.fence
     ),
-    # (coe ∪ fre)?;rfe?;(fence;hb*)?;sync;hb*, empty when sync is
+    # (coe ∪ fre)?;rfe?;(fence;hb*)?;sync;hb*, empty when sync is; the branch
+    # saves the three compositions before sync
     "prop2": lambda g, r: (
         (r.coe | r.fre).opt().seq(r.rfe.opt(), r.fence.compose(r.hb_star).opt(), r.sync,
                                   r.hb_star) if r.sync else r.sync
@@ -375,21 +377,9 @@ def check_power(gp, at_axiom=False, armv7=False):
 # -- ARM consistency ----------------------------------------------------------------
 
 
-def _dob(g, r):
-    """(addr ∪ data);rfi? ∪ (ctrl ∪ data);[W];coi? ∪ addr;po;[W]. X;r? is
-    X ∪ X;r, and a term whose static factor X is empty is empty, so its r
-    is not read."""
-    out = r.addr_po_w
-    if r.addr_data:
-        out = out | r.addr_data | r.addr_data.compose(r.rfi)
-    if r.ctrl_data_w:
-        out = out | r.ctrl_data_w | r.ctrl_data_w.compose(r.coi)
-    return out
-
-
 ARM_STATIC = {
+    # the static factors of dob's three terms
     "addr_po_w": lambda g, r: g.addr.seq(g.po, g.ident(g.W)),
-    # the static factors of dob's other two terms
     "addr_data": lambda g, r: g.addr | g.data,
     "ctrl_data_w": lambda g, r: (g.ctrl | g.data).compose(g.ident(g.W)),
     "po_rel": lambda g, r: g.po.compose(_with_mode(g, g.W, "L")),
@@ -403,10 +393,13 @@ ARM_STATIC = {
 }
 ARM_RELS = BASE_RELS | {
     "obs": lambda g, r: r.rfe | r.fre | r.coe,
-    "dob": _dob,
+    # addr;po;[W] ∪ (addr ∪ data);rfi? ∪ (ctrl ∪ data);[W];coi?
+    "dob": lambda g, r: (
+        r.addr_po_w | r.addr_data.compose(r.rfi.opt()) | r.ctrl_data_w.compose(r.coi.opt())
+    ),
     "aob": lambda g, r: g.rmw | g.ident(g.rmw.codom()).seq(r.rfi, _with_mode(g, g.R, "Q")),
-    # po;[L];coi? ∪ the fence and acquire edges; coi is not read without an L
-    "bob": lambda g, r: r.bob_static | r.po_rel.compose(r.coi) if r.po_rel else r.bob_static,
+    # po;[L];coi? ∪ the fence and acquire edges; bob_static holds po;[L]
+    "bob": lambda g, r: r.bob_static | r.po_rel.compose(r.coi),
 }
 _ARM = namespace(ARM_RELS)
 
